@@ -99,7 +99,7 @@ def _character_terms(build: Build, elem: HElem) -> list[dict]:
     ]
 
 
-def _simple_payload(build: Build, ring: FusionRing, d) -> dict:
+def _simple_payload(build: Build, d) -> dict:
     return {
         "id": d.uid,
         "orbit_rep": build.hopf.F.label(d.orbit.representative),
@@ -138,14 +138,13 @@ def _require_verified(build: Build, radius: int) -> None:
 def cmd_simples(build: Build, radius: int) -> tuple[str, dict, int]:
     _require_verified(build, radius)
     index = SimpleIndex(build.hopf)
-    ring = FusionRing(build.hopf, index)
     simples = index.enumerate(radius)
     audit = dimension_audit(build.hopf, index, radius)
     cert = direct_sum_check(build.hopf, index, radius)
     payload = {
         "radius": radius,
         "count": len(simples),
-        "simples": [_simple_payload(build, ring, d) for d in simples],
+        "simples": [_simple_payload(build, d) for d in simples],
         "dimension_audit": audit,
         "direct_sum": cert.to_payload(),
     }
@@ -224,7 +223,7 @@ def cmd_fusion_table(build: Build, radius: int) -> tuple[str, dict, int]:
     based = ring.verify_based_ring(table)
     payload = {
         "radius": radius,
-        "simples": [_simple_payload(build, ring, d) for d in table.simples],
+        "simples": [_simple_payload(build, d) for d in table.simples],
         "rows": [r.to_payload() for r in table.rows],
         "duals": table.duals,
         "indicators": table.indicators,
@@ -341,6 +340,8 @@ def run(argv=None) -> int:
     try:
         if bool(args.preset) == bool(args.config):
             raise ConfigError("choose exactly one of --preset NAME or --config PATH")
+        if args.radius is not None and args.radius < 0:
+            raise ConfigError("--radius must be >= 0")
         cfg = resolve_preset(args.preset) if args.preset else load_config_file(args.config)
         build = build_config(cfg)
         radius = args.radius if args.radius is not None else build.radius

@@ -57,7 +57,7 @@ class SigmaCocycle:
     """sigma(g; f, f') with the normalizations sigma(g;1,f) = sigma(g;f,1)
     = sigma(1;f,f') = 1 enforced at construction."""
 
-    def __init__(self, kind: str, table=None, moduli=None, ctx_hint=None):
+    def __init__(self, kind: str, table=None, moduli=None):
         self.kind = kind
         self.table = table
         self.quot = _QuotientIndexer(moduli) if moduli is not None else None

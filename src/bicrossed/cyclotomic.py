@@ -1,10 +1,19 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Values are stored in the power basis {zeta_N^k : 0 <= k < phi(N)} reduced
-modulo the N-th cyclotomic polynomial, with Fraction coefficients.  The
-representation is canonical: two values at the same level are equal iff
-their coefficient vectors are equal.  Mixed-level arithmetic lifts both
-operands to level lcm(N_a, N_b); levels are never lowered automatically.
+A value at level N is stored in the power basis {zeta_N^k : 0 <= k < phi(N)}
+reduced modulo the N-th cyclotomic polynomial Phi_N, as an integer numerator
+vector `num` over one positive integer denominator `den` (the layout of
+FLINT's fmpq_poly).  Every result is normalized to lowest terms:
+den > 0, gcd(den, *num) == 1, and zero is (0, ..., 0)/1.  The form is
+canonical, so two values at the same level are equal iff their (den, num)
+pairs are equal.  Phi_N is monic with integer coefficients, so products,
+level lifts and Galois maps fold back into the basis with integer tables,
+and an inverse is a product of Galois conjugates over the rational norm:
+no op goes through Fraction.
+
+Mixed-level arithmetic lifts both operands to level lcm(N_a, N_b); levels
+are never lowered automatically.  `coeffs` gives the Fraction coefficient
+vector for readers that want it.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
 def phi(n: int) -> int:
     """Euler totient."""
     result = n
@@ -78,25 +88,53 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """x^j mod Phi_n for 0 <= j < max(2*phi(n) - 1, n), each as a vector of
-    length phi(n).  Covers every exponent produced by one multiplication of
-    reduced values and by level lifting."""
+def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """x^j mod Phi_n for 0 <= j < max(2*phi(n) - 1, n), each as an integer
+    vector of length phi(n).  Covers every exponent produced by one
+    multiplication of reduced values and by level lifting."""
     d = phi(n)
     ph = cyclotomic_polynomial(n)
     top = max(2 * d - 1, n)
-    rows: list[tuple[Fraction, ...]] = []
-    cur = [Fraction(0)] * d
-    cur[0] = Fraction(1)
-    for j in range(top):
+    rows: list[tuple[int, ...]] = []
+    cur = [0] * d
+    cur[0] = 1
+    for _ in range(top):
         rows.append(tuple(cur))
-        nxt = [Fraction(0)] + cur[: d - 1]
         lead = cur[d - 1]
+        cur = [0] + cur[: d - 1]
         if lead:
             for i in range(d):
-                nxt[i] -= lead * ph[i]
-        cur = nxt
+                cur[i] -= lead * ph[i]
     return tuple(rows)
+
+
+def _sparse(row) -> tuple[tuple[int, int], ...]:
+    return tuple((i, c) for i, c in enumerate(row) if c)
+
+
+@lru_cache(maxsize=None)
+def _fold_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Sparse x^j mod Phi_n for phi(n) <= j < 2*phi(n) - 1: folds the high
+    half of a product convolution back into the power basis."""
+    d = phi(n)
+    return tuple(_sparse(row) for row in _power_table(n)[d : 2 * d - 1])
+
+
+@lru_cache(maxsize=None)
+def _exponent_map(n: int, j: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Sparse images of the basis vectors zeta_n^e, e < phi(n), under
+    zeta_n -> zeta_n^j (j taken mod n)."""
+    table = _power_table(n)
+    return tuple(_sparse(table[(e * j) % n]) for e in range(phi(n)))
+
+
+def _map_num(num, images, d: int) -> list[int]:
+    out = [0] * d
+    for c, image in zip(num, images):
+        if c:
+            for i, r in image:
+                out[i] += c * r
+    return out
 
 
 def _lcm(a: int, b: int) -> int:
@@ -104,36 +142,48 @@ def _lcm(a: int, b: int) -> int:
 
 
 class CycNum:
-    """An exact element of Q(zeta_N)."""
+    """An exact element of Q(zeta_N): num / den in the power basis."""
 
-    __slots__ = ("level", "coeffs")
+    __slots__ = ("level", "num", "den")
 
     def __init__(self, level: int, coeffs):
         if level < 1:
             raise ValueError("level must be >= 1")
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != phi(level):
             raise ValueError("coefficient vector must have length phi(level)")
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "coeffs", coeffs)
+        den = 1
+        for c in coeffs:
+            den = _lcm(den, c.denominator)
+        num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        g = gcd(den, *num)
+        _set_level(self, level)
+        _set_num(self, tuple(x // g for x in num))
+        _set_den(self, den // g)
 
     def __setattr__(self, *_):
         raise AttributeError("CycNum is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
 
     # -- construction helpers --------------------------------------------
 
     @staticmethod
     def rational(q, level: int = 1) -> "CycNum":
-        q = Fraction(q)
-        coeffs = [Fraction(0)] * phi(level)
-        coeffs[0] = q
-        return CycNum(level, coeffs)
+        if not isinstance(q, int):
+            q = Fraction(q)
+        num = [0] * phi(level)
+        num[0] = q.numerator
+        return _new(level, num, q.denominator)
 
     @staticmethod
     def zeta(level: int, k: int = 1) -> "CycNum":
         k %= level
-        table = _power_table(level)
-        return CycNum(level, table[k])
+        return _new(level, _power_table(level)[k], 1)
 
     # -- structure --------------------------------------------------------
 
@@ -143,17 +193,8 @@ class CycNum:
             return self
         if level % self.level != 0:
             raise ValueError(f"cannot lift level {self.level} into level {level}")
-        step = level // self.level
-        table = _power_table(level)
-        d = phi(level)
-        out = [Fraction(0)] * d
-        for e, c in enumerate(self.coeffs):
-            if c:
-                row = table[e * step]
-                for i in range(d):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return CycNum(level, out)
+        images = _exponent_map(level, level // self.level)
+        return _new(level, _map_num(self.num, images, phi(level)), self.den)
 
     def _common(self, other: "CycNum") -> tuple["CycNum", "CycNum"]:
         if self.level == other.level:
@@ -172,24 +213,25 @@ class CycNum:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        num = self.num
+        return num[0] == 1 and self.den == 1 and not any(num[1:])
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def is_integer(self) -> bool:
-        return self.is_rational() and self.coeffs[0].denominator == 1
+        return self.den == 1 and self.is_rational()
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.num)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -198,12 +240,17 @@ class CycNum:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._common(other)
-        return CycNum(a.level, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        da, db = a.den, b.den
+        if da == db:
+            return _new(a.level, [x + y for x, y in zip(a.num, b.num)], da)
+        g = gcd(da, db)
+        ma, mb = db // g, da // g
+        return _new(a.level, [x * ma + y * mb for x, y in zip(a.num, b.num)], da * ma)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.level, tuple(-c for c in self.coeffs))
+        return _new(self.level, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
         other = CycNum._coerce(other)
@@ -221,50 +268,29 @@ class CycNum:
         other = CycNum._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._common(other)
-        d = len(a.coeffs)
-        if d == 1:
-            return CycNum(a.level, (a.coeffs[0] * b.coeffs[0],))
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        conv[i + j] += x * y
-        table = _power_table(a.level)
-        out = list(conv[:d])
-        for j in range(d, 2 * d - 1):
-            c = conv[j]
-            if c:
-                row = table[j]
-                for i in range(d):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return CycNum(a.level, out)
+        return _mul(*self._common(other))
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycNum":
-        """Multiplicative inverse via extended Euclid against Phi_N."""
+        """Multiplicative inverse: the product of the other Galois conjugates
+        over the norm, which is the rational product of all of them."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_N)")
+        n, num = self.level, self.num
         if self.is_rational():
-            return CycNum.rational(1 / self.coeffs[0], self.level)
-        ph = [Fraction(c) for c in cyclotomic_polynomial(self.level)]
-        g, s = _poly_xgcd(list(self.coeffs), ph)
-        if len(g) != 1 or g[0] == 0:
-            raise ArithmeticError("element not invertible modulo Phi_N")
-        scale = 1 / g[0]
-        d = phi(self.level)
-        out = [Fraction(0)] * d
-        table = _power_table(self.level)
-        for e, c in enumerate(s):
-            if c:
-                row = table[e]
-                for i in range(d):
-                    if row[i]:
-                        out[i] += scale * c * row[i]
-        return CycNum(self.level, out)
+            out = [0] * len(num)
+            out[0] = self.den
+            return _new(n, out, num[0])
+        cofactor = None
+        for j in range(2, n):
+            if gcd(j, n) == 1:
+                c = self.galois(j)
+                cofactor = c if cofactor is None else _mul(cofactor, c)
+        norm = _mul(self, cofactor)
+        if not norm.is_rational():
+            raise ArithmeticError("Galois norm is not rational")
+        return _new(n, [x * norm.den for x in cofactor.num], cofactor.den * norm.num[0])
 
     def __truediv__(self, other):
         other = CycNum._coerce(other)
@@ -295,7 +321,7 @@ class CycNum:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._common(other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.num == b.num
 
     __hash__ = None  # values compare across levels; do not use as dict keys
 
@@ -306,16 +332,8 @@ class CycNum:
         n = self.level
         if gcd(j, n) != 1:
             raise ValueError("galois exponent must be coprime to the level")
-        d = phi(n)
-        table = _power_table(n)
-        out = [Fraction(0)] * d
-        for e, c in enumerate(self.coeffs):
-            if c:
-                row = table[(e * j) % n]
-                for i in range(d):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return CycNum(n, out)
+        num = self.num
+        return _new(n, _map_num(num, _exponent_map(n, j % n), len(num)), self.den)
 
     def conj(self) -> "CycNum":
         """Complex conjugation, zeta -> zeta^(N-1)."""
@@ -356,16 +374,17 @@ class CycNum:
         with mpmath.workdps(precision):
             z = mpmath.e ** (2j * mpmath.pi / self.level)
             acc = mpmath.mpc(0)
-            for e in range(len(self.coeffs) - 1, -1, -1):
-                acc = acc * z + mpmath.mpf(self.coeffs[e].numerator) / self.coeffs[e].denominator
+            for c in reversed(self.coeffs):
+                acc = acc * z + mpmath.mpf(c.numerator) / c.denominator
             return complex(acc)
 
     def literal(self) -> str:
         """Canonical literal: rational, or a sum of c*z^k@N terms."""
+        coeffs = self.coeffs
         if self.is_rational():
-            return str(self.coeffs[0])
+            return str(coeffs[0])
         parts = []
-        for e, c in enumerate(self.coeffs):
+        for e, c in enumerate(coeffs):
             if c == 0:
                 continue
             if e == 0:
@@ -385,59 +404,50 @@ class CycNum:
         return f"CycNum({self.literal()})"
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
+_alloc = object.__new__
+_set_level = CycNum.level.__set__
+_set_num = CycNum.num.__set__
+_set_den = CycNum.den.__set__
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = _poly_trim(list(num))
-    den = _poly_trim(list(den))
-    if not any(den):
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    inv_lead = 1 / den[-1]
-    while len(num) >= len(den) and any(num):
-        shift = len(num) - len(den)
-        coef = num[-1] * inv_lead
-        q[shift] += coef
-        for i, c in enumerate(den):
-            num[shift + i] -= coef * c
-        _poly_trim(num)
-    return _poly_trim(q), num
+def _new(level: int, num, den: int) -> CycNum:
+    """The CycNum num/den at `level`, brought to lowest terms with den > 0.
+
+    `num` is an integer sequence of length phi(level); den is nonzero."""
+    if den != 1:
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+    self = _alloc(CycNum)
+    _set_level(self, level)
+    _set_num(self, tuple(num))
+    _set_den(self, den)
+    return self
 
 
-def _poly_xgcd(a: list[Fraction], b: list[Fraction]):
-    """Return (g, s) with s*a = g mod b and g = gcd(a, b) as polynomials."""
-    r0, r1 = _poly_trim(list(a)), _poly_trim(list(b))
-    s0, s1 = [Fraction(1)], [Fraction(0)]
-    while any(r1):
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        qs = _poly_mul(q, s1)
-        s_new = _poly_sub(s0, qs)
-        s0, s1 = s1, s_new
-    return r0, s0
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
+def _mul(a: CycNum, b: CycNum) -> CycNum:
+    """a * b for a and b at one level: integer convolution, then the high
+    half folded back with the power table of Phi_N."""
+    an, bn = a.num, b.num
+    den = a.den * b.den
+    d = len(an)
+    if d == 1:
+        return _new(a.level, (an[0] * bn[0],), den)
+    conv = [0] * (2 * d - 1)
+    for i, x in enumerate(an):
         if x:
-            for j, y in enumerate(b):
+            for j, y in enumerate(bn, i):
                 if y:
-                    out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _poly_trim(out)
+                    conv[j] += x * y
+    out = conv[:d]
+    for c, row in zip(conv[d:], _fold_rows(a.level)):
+        if c:
+            for i, r in row:
+                out[i] += c * r
+    return _new(a.level, out, den)
 
 
 # -- module-level conveniences ------------------------------------------------

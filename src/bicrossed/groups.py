@@ -16,6 +16,7 @@ from math import gcd
 from .errors import ConfigError
 
 DEFAULT_MAX_GROUP_ORDER = 64
+MAX_BALL_SIZE = 100_000
 
 
 @dataclass(frozen=True)
@@ -388,6 +389,12 @@ class FreeAbelianF:
         """All vectors with sup-norm <= radius, by (sup-norm, lex)."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
+        size = (2 * radius + 1) ** self.rank
+        if size > MAX_BALL_SIZE:
+            raise ConfigError(
+                f"ball of radius {radius} in Z^{self.rank} has {size} elements, "
+                f"more than {MAX_BALL_SIZE}; choose a smaller radius"
+            )
         vecs = itertools.product(range(-radius, radius + 1), repeat=self.rank)
         return sorted(vecs, key=self.order_key)
 

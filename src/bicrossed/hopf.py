@@ -87,9 +87,6 @@ class HElem:
         res.terms = {k: v * c for k, v in self.terms.items()}
         return res
 
-    def map_coeffs(self, fn) -> "HElem":
-        return HElem({k: fn(v) for k, v in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, HElem):
             return NotImplemented

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+import math
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -14,6 +17,23 @@ settings.load_profile("ci")
 
 from bicrossed.config import build_config
 from bicrossed.presets import generate_preset
+
+
+@pytest.fixture
+def bounded_ball_enumeration(monkeypatch):
+    """Make enumerating a free-abelian ball over MAX_BALL_SIZE fail at once,
+    so a test of the ball budget cannot allocate the ball it expects to be
+    refused."""
+    from bicrossed import groups
+
+    class BoundedItertools:
+        @staticmethod
+        def product(*ranges, repeat=1):
+            if math.prod(len(r) for r in ranges) ** repeat > groups.MAX_BALL_SIZE:
+                raise AssertionError("free-abelian ball enumerated past MAX_BALL_SIZE")
+            return itertools.product(*ranges, repeat=repeat)
+
+    monkeypatch.setattr(groups, "itertools", BoundedItertools)
 
 
 def build_preset(name: str):

@@ -149,6 +149,27 @@ def test_cli_invalid_usage_exit_2():
     assert code == 2
 
 
+def test_cli_negative_radius_exit_2():
+    # Rejected before any command runs, for free-abelian F (h_z_z2) and
+    # finite F (drinfeld:S3), where a ball ignores its radius.
+    for preset, command in (
+        ("h_z_z2", "verify"),
+        ("h_z_z2", "simples"),
+        ("drinfeld:S3", "cqg-check"),
+        ("drinfeld:S3", "verify"),
+    ):
+        code, rep = capture_json(["--preset", preset, "--radius=-1", command])
+        assert code == 2
+        assert rep["status"] == "invalid-config"
+        assert "radius" in rep["error"]
+
+
+def test_cli_ball_budget_exit_2(bounded_ball_enumeration):
+    code, rep = capture_json(["--preset", "z_poly_zp:3", "--radius=1000", "verify"])
+    assert code == 2
+    assert rep["status"] == "invalid-config"
+
+
 def test_cli_verification_failure_exit_1(tmp_path):
     cfg = twisted_tau_config()
     cfg["tau"]["values"][1][1][1] = "z^1@3"  # breaks the compatibility law

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -31,6 +32,61 @@ def poly_mod(coeffs, modulus):
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
     return coeffs
+
+
+def reduce_oracle(poly, n):
+    """poly (ascending Fractions) mod Phi_n, padded to length phi(n)."""
+    rem = poly_mod(list(poly), cyclotomic_polynomial(n))
+    return tuple(rem + [Fraction(0)] * (phi(n) - len(rem)))
+
+
+def convolve(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def substitute(coeffs, n, k):
+    """sum c_e x^(e*k mod n), reduced mod Phi_n: zeta -> zeta^k at level n."""
+    poly = [Fraction(0)] * n
+    for e, c in enumerate(coeffs):
+        poly[(e * k) % n] += c
+    return reduce_oracle(poly, n)
+
+
+def lift_oracle(coeffs, n, m):
+    poly = [Fraction(0)] * ((len(coeffs) - 1) * (m // n) + 1)
+    for e, c in enumerate(coeffs):
+        poly[e * (m // n)] += c
+    return reduce_oracle(poly, m)
+
+
+def literal_oracle(level, coeffs):
+    if all(c == 0 for c in coeffs[1:]):
+        return str(coeffs[0])
+    parts = []
+    for e, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if e == 0:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(f"z^{e}@{level}")
+        elif c == -1:
+            parts.append(f"-z^{e}@{level}")
+        else:
+            parts.append(f"{c}*z^{e}@{level}")
+    return parts[0] + "".join(p if p.startswith("-") else "+" + p for p in parts[1:])
+
+
+def assert_canonical(x):
+    assert len(x.num) == phi(x.level)
+    assert all(type(c) is int for c in x.num)
+    assert x.den > 0
+    assert gcd(x.den, *x.num) == 1
+    assert x.coeffs == tuple(Fraction(c, x.den) for c in x.num)
 
 
 def test_cyclotomic_polynomials():
@@ -144,6 +200,51 @@ def cycnums(draw, levels=(1, 2, 3, 4, 6)):
         st.lists(small_rationals, min_size=phi(level), max_size=phi(level))
     )
     return CycNum(level, coeffs)
+
+
+ORACLE_LEVELS = (1, 5, 8, 12, 24, 60)
+
+
+@given(cycnums(levels=ORACLE_LEVELS), cycnums(levels=ORACLE_LEVELS))
+def test_ops_match_fraction_oracle(a, b):
+    m = lcm(a.level, b.level)
+    ac, bc = lift_oracle(a.coeffs, a.level, m), lift_oracle(b.coeffs, b.level, m)
+    prod, total = a * b, a + b
+    assert prod.level == total.level == m
+    assert prod.coeffs == reduce_oracle(convolve(ac, bc), m)
+    assert total.coeffs == tuple(x + y for x, y in zip(ac, bc))
+    assert a.lift(m).coeffs == ac
+    assert a.conj().coeffs == substitute(a.coeffs, a.level, -1)
+    for x in (a, b, prod, total, a - b, -a, a.conj(), a.lift(m)):
+        assert_canonical(x)
+        assert x.literal() == literal_oracle(x.level, x.coeffs)
+
+
+@given(cycnums(levels=ORACLE_LEVELS), cycnums(levels=ORACLE_LEVELS))
+def test_equal_values_have_equal_num_den(a, b):
+    # Built by different routes, equal values share one (num, den).
+    pairs = [
+        (a * b, b * a),
+        ((a + b) - b, a.lift(lcm(a.level, b.level))),
+        (CycNum(a.level, a.coeffs), a),
+        (a.conj().conj(), a),
+    ]
+    if b:
+        pairs.append(((a * b) / b, a.lift(lcm(a.level, b.level))))
+    for x, y in pairs:
+        assert x.level == y.level
+        assert (x.num, x.den) == (y.num, y.den)
+        assert x == y
+
+
+def test_canonical_zero_and_sign():
+    z = CycNum(8, [Fraction(2, 6), 0, Fraction(-4, 6), 0])
+    assert (z.num, z.den) == ((1, 0, -2, 0), 3)
+    assert ((z - z).num, (z - z).den) == ((0, 0, 0, 0), 1)
+    assert (rational(Fraction(-3, 4)).num, rational(Fraction(-3, 4)).den) == ((-3,), 4)
+    assert (-z).den == 3 and (-z).num == (-1, 0, 2, 0)
+    inv = rational(Fraction(-3, 4), 5).inv()
+    assert (inv.num, inv.den) == ((-4, 0, 0, 0), 3)
 
 
 @given(cycnums(), cycnums(), cycnums())

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bicrossed.errors import ConfigError
 from bicrossed.groups import (
+    MAX_BALL_SIZE,
     FiniteF,
     FreeAbelianF,
     abelian_invariants,
@@ -140,6 +141,13 @@ def test_f_ball_finite():
     F = FiniteF(S3)
     assert f_ball(F, 0) == list(range(6))
     assert f_ball(F, 99) == list(range(6))
+
+
+def test_f_ball_budget_rejects_before_enumerating(bounded_ball_enumeration):
+    with pytest.raises(ConfigError):
+        f_ball(FreeAbelianF(3), 1000)  # (2*1000 + 1)^3, about 8e9 vectors
+    with pytest.raises(ConfigError):
+        f_ball(FreeAbelianF(1), MAX_BALL_SIZE // 2)  # 2r + 1 = MAX_BALL_SIZE + 1
 
 
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=2))
