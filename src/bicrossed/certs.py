@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import rational
+from .cyclotomic import rational, row_reduce
 from .errors import InternalInconsistencyError
 from .groups import f_ball
 from .hopf import HElem
@@ -57,35 +57,8 @@ def exact_rank(vectors, description: str = "exact rank", key_order=None) -> Line
         for k, c in v.terms.items():
             row[pos[k]] = c
         rows.append(row)
-    rank = _eliminate(rows)
+    rank = len(row_reduce(rows, len(keys)))
     return LinearCert(description, len(vectors), len(keys), rank, ok=True)
-
-
-def _eliminate(rows) -> int:
-    """In-place row echelon; returns the rank."""
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if not rows[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inv()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero():
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
 
 
 def solve_in_span(basis, target: HElem, description: str = "solve"):
@@ -104,26 +77,8 @@ def solve_in_span(basis, target: HElem, description: str = "solve"):
         row = [b.coeff(k) for b in basis]
         row.append(target.coeff(k))
         rows.append(row)
-    # Eliminate on the first n columns of the augmented matrix.
-    rank = 0
-    pivots = []
-    for col in range(n):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if not rows[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inv()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero():
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
+    pivots = row_reduce(rows, n)
+    rank = len(pivots)
     if rank < n:
         raise InternalInconsistencyError(f"{description}: candidate set is linearly dependent")
     for r in range(rank, len(rows)):

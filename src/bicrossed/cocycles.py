@@ -11,7 +11,7 @@ from __future__ import annotations
 from .cyclotomic import CycNum, one
 from .errors import ConfigError, InternalInconsistencyError
 from .groups import f_ball
-from .matched_pair import CheckResult, LinearAction, MatchedPairCtx, Orbit, VerifyReport
+from .matched_pair import LinearAction, MatchedPairCtx, Orbit, VerifyReport, run_check
 
 _ONE = one()
 
@@ -87,7 +87,7 @@ class SigmaCocycle:
         _check_sigma_normalization(s, ctx, reps, ctx.F.identity)
         return s
 
-    def eval(self, ctx: MatchedPairCtx, g: int, f, f2) -> CycNum:
+    def eval(self, g: int, f, f2) -> CycNum:
         if self.kind == "trivial":
             return _ONE
         if self.kind == "table":
@@ -132,7 +132,7 @@ class TauCocycle:
         _check_tau_normalization(t, ctx, quot.representatives(), ctx.F.identity)
         return t
 
-    def eval(self, ctx: MatchedPairCtx, g: int, g2: int, f) -> CycNum:
+    def eval(self, g: int, g2: int, f) -> CycNum:
         if self.kind == "trivial":
             return _ONE
         if self.kind == "table":
@@ -170,25 +170,25 @@ def _check_3d_table(values, n1, n2, n3, what):
 def _check_sigma_normalization(s: SigmaCocycle, ctx, f_domain, f_identity):
     for g in ctx.G.elements():
         for f in f_domain:
-            if not s.eval(ctx, g, f_identity, f).is_one():
+            if not s.eval(g, f_identity, f).is_one():
                 raise ConfigError(f"sigma(g; 1, f) must be 1, violated at g={g}")
-            if not s.eval(ctx, g, f, f_identity).is_one():
+            if not s.eval(g, f, f_identity).is_one():
                 raise ConfigError(f"sigma(g; f, 1) must be 1, violated at g={g}")
     for f in f_domain:
         for f2 in f_domain:
-            if not s.eval(ctx, ctx.G.identity, f, f2).is_one():
+            if not s.eval(ctx.G.identity, f, f2).is_one():
                 raise ConfigError("sigma(1; f, f') must be 1")
 
 
 def _check_tau_normalization(t: TauCocycle, ctx, f_domain, f_identity):
     for g in ctx.G.elements():
         for f in f_domain:
-            if not t.eval(ctx, ctx.G.identity, g, f).is_one():
+            if not t.eval(ctx.G.identity, g, f).is_one():
                 raise ConfigError(f"tau(1, g; f) must be 1, violated at g={g}")
-            if not t.eval(ctx, g, ctx.G.identity, f).is_one():
+            if not t.eval(g, ctx.G.identity, f).is_one():
                 raise ConfigError(f"tau(g, 1; f) must be 1, violated at g={g}")
         for g2 in ctx.G.elements():
-            if not t.eval(ctx, g, g2, f_identity).is_one():
+            if not t.eval(g, g2, f_identity).is_one():
                 raise ConfigError(f"tau(g, g'; 1) must be 1, violated at ({g},{g2})")
 
 
@@ -227,68 +227,54 @@ def verify_cocycles(
         ctx, (sigma.kind, tau.kind), (sigma.quot, tau.quot), radius
     )
     lab = F.label
-    checks: list[CheckResult] = []
+    n, nd = G.order, len(domain)
 
-    viols = []
-    nviol = 0
-    count = 0
-    for g in G.elements():
-        for f in domain:
-            gf = ctx.act_left(g, f)
-            for f2 in domain:
-                sf = sigma.eval(ctx, g, f, f2)
-                ff2 = F.mul(f, f2)
-                for f3 in domain:
-                    count += 1
-                    lhs = sigma.eval(ctx, gf, f2, f3) * sigma.eval(ctx, g, f, F.mul(f2, f3))
-                    rhs = sf * sigma.eval(ctx, g, ff2, f3)
-                    if lhs != rhs:
-                        nviol += 1
-                        if len(viols) < max_violations:
-                            viols.append({"g": g, "f": lab(f), "f2": lab(f2), "f3": lab(f3)})
-    checks.append(CheckResult("sigma cocycle law", scope, count, viols, nviol))
-
-    viols = []
-    nviol = 0
-    count = 0
-    for g in G.elements():
-        for g2 in G.elements():
-            gg2 = G.mul(g, g2)
-            for g3 in G.elements():
-                g2g3 = G.mul(g2, g3)
-                for f in domain:
-                    count += 1
-                    lhs = tau.eval(ctx, g, g2, ctx.act_right(g3, f)) * tau.eval(ctx, gg2, g3, f)
-                    rhs = tau.eval(ctx, g, g2g3, f) * tau.eval(ctx, g2, g3, f)
-                    if lhs != rhs:
-                        nviol += 1
-                        if len(viols) < max_violations:
-                            viols.append({"g": g, "g2": g2, "g3": g3, "f": lab(f)})
-    checks.append(CheckResult("tau cocycle law", scope, count, viols, nviol))
-
-    viols = []
-    nviol = 0
-    count = 0
-    for g in G.elements():
-        for g2 in G.elements():
-            gg2 = G.mul(g, g2)
+    def sigma_law():
+        for g in G.elements():
             for f in domain:
-                g2f_r = ctx.act_right(g2, f)
-                g2f_l = ctx.act_left(g2, f)
+                gf = ctx.act_left(g, f)
                 for f2 in domain:
-                    count += 1
-                    lhs = sigma.eval(ctx, gg2, f, f2) * tau.eval(ctx, g, g2, F.mul(f, f2))
-                    rhs = (
-                        sigma.eval(ctx, g, g2f_r, ctx.act_right(g2f_l, f2))
-                        * sigma.eval(ctx, g2, f, f2)
-                        * tau.eval(ctx, g, g2, f)
-                        * tau.eval(ctx, ctx.act_left(g, g2f_r), g2f_l, f2)
-                    )
-                    if lhs != rhs:
-                        nviol += 1
-                        if len(viols) < max_violations:
-                            viols.append({"g": g, "g2": g2, "f": lab(f), "f2": lab(f2)})
-    checks.append(CheckResult("sigma/tau compatibility", scope, count, viols, nviol))
+                    sf = sigma.eval(g, f, f2)
+                    ff2 = F.mul(f, f2)
+                    for f3 in domain:
+                        lhs = sigma.eval(gf, f2, f3) * sigma.eval(g, f, F.mul(f2, f3))
+                        if lhs != sf * sigma.eval(g, ff2, f3):
+                            yield {"g": g, "f": lab(f), "f2": lab(f2), "f3": lab(f3)}
+
+    def tau_law():
+        for g in G.elements():
+            for g2 in G.elements():
+                gg2 = G.mul(g, g2)
+                for g3 in G.elements():
+                    g2g3 = G.mul(g2, g3)
+                    for f in domain:
+                        lhs = tau.eval(g, g2, ctx.act_right(g3, f)) * tau.eval(gg2, g3, f)
+                        if lhs != tau.eval(g, g2g3, f) * tau.eval(g2, g3, f):
+                            yield {"g": g, "g2": g2, "g3": g3, "f": lab(f)}
+
+    def compatibility():
+        for g in G.elements():
+            for g2 in G.elements():
+                gg2 = G.mul(g, g2)
+                for f in domain:
+                    g2f_r = ctx.act_right(g2, f)
+                    g2f_l = ctx.act_left(g2, f)
+                    for f2 in domain:
+                        lhs = sigma.eval(gg2, f, f2) * tau.eval(g, g2, F.mul(f, f2))
+                        rhs = (
+                            sigma.eval(g, g2f_r, ctx.act_right(g2f_l, f2))
+                            * sigma.eval(g2, f, f2)
+                            * tau.eval(g, g2, f)
+                            * tau.eval(ctx.act_left(g, g2f_r), g2f_l, f2)
+                        )
+                        if lhs != rhs:
+                            yield {"g": g, "g2": g2, "f": lab(f), "f2": lab(f2)}
+
+    checks = [
+        run_check("sigma cocycle law", scope, n * nd**3, sigma_law(), max_violations),
+        run_check("tau cocycle law", scope, n**3 * nd, tau_law(), max_violations),
+        run_check("sigma/tau compatibility", scope, n**2 * nd**2, compatibility(), max_violations),
+    ]
     return VerifyReport("cocycles", checks)
 
 
@@ -339,7 +325,7 @@ def beta_for_orbit(ctx: MatchedPairCtx, tau: TauCocycle, orbit: Orbit) -> Beta2C
     table data."""
     f = orbit.representative
     values = {
-        (a, b): tau.eval(ctx, a, b, f) for a in orbit.stabilizer for b in orbit.stabilizer
+        (a, b): tau.eval(a, b, f) for a in orbit.stabilizer for b in orbit.stabilizer
     }
     beta = Beta2Cocycle(ctx.G, orbit.stabilizer, values)
     beta.verify()
@@ -363,7 +349,7 @@ def is_unitary(
     for g in ctx.G.elements():
         for f in domain:
             for f2 in domain:
-                v = sigma.eval(ctx, g, f, f2)
+                v = sigma.eval(g, f, f2)
                 if not v.is_modulus_one():
                     return False, {
                         "kind": "sigma",
@@ -376,7 +362,7 @@ def is_unitary(
     for g in ctx.G.elements():
         for g2 in ctx.G.elements():
             for f in domain:
-                v = tau.eval(ctx, g, g2, f)
+                v = tau.eval(g, g2, f)
                 if not v.is_modulus_one():
                     return False, {
                         "kind": "tau",

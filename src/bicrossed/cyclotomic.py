@@ -13,7 +13,8 @@ no op goes through Fraction.
 
 Mixed-level arithmetic lifts both operands to level lcm(N_a, N_b); levels
 are never lowered automatically.  `coeffs` gives the Fraction coefficient
-vector for readers that want it.
+vector for readers that want it.  `row_reduce` is the one Gauss-Jordan
+elimination over these fields; ranks and exact solves elsewhere call it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "rational",
     "zero",
     "one",
+    "row_reduce",
 ]
 
 
@@ -468,3 +470,33 @@ def zero(level: int = 1) -> CycNum:
 
 def one(level: int = 1) -> CycNum:
     return CycNum.rational(1, level)
+
+
+# -- linear algebra -----------------------------------------------------------
+
+
+def row_reduce(rows, ncols: int) -> list[int]:
+    """Gauss-Jordan elimination over Q(zeta_N) on the first ncols columns
+    of rows (lists of CycNum), in place.  Returns the pivot columns in
+    order; row i then has a leading 1 in column pivots[i] and zeros in
+    every other pivot column, and the rows past the pivots vanish on the
+    first ncols columns."""
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        for pivot in range(rank, len(rows)):
+            if not rows[pivot][col].is_zero():
+                break
+        else:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][col].inv()
+        prow = rows[rank] = [x * inv for x in rows[rank]]
+        for r, row in enumerate(rows):
+            if r != rank and not row[col].is_zero():
+                factor = row[col]
+                rows[r] = [a - factor * b for a, b in zip(row, prow)]
+        pivots.append(col)
+    return pivots

@@ -14,26 +14,86 @@ from fractions import Fraction
 from .cyclotomic import CycNum, one, rational
 from .errors import VerificationFailure
 from .groups import f_ball
-from .matched_pair import CheckResult, MatchedPairCtx, VerifyReport
+from .matched_pair import CheckResult, MatchedPairCtx, VerifyReport, run_check
 from .cocycles import SigmaCocycle, TauCocycle, is_unitary
 
 _ONE = one()
 
 
-class HElem:
-    """Finitely supported map from basis keys (g, f) to coefficients."""
+def _add_term(out: dict, key, c: CycNum) -> None:
+    """Add c to the coefficient at key, dropping the key when it sums to zero.
+
+    The structure maps call it from plain loops: feeding _accumulate a
+    generator costs them about 1 us more per call on one-term inputs."""
+    if key in out:
+        s = out[key] + c
+        if s.is_zero():
+            del out[key]
+        else:
+            out[key] = s
+    elif not c.is_zero():
+        out[key] = c
+
+
+def _accumulate(pairs, start=()) -> dict:
+    """Sum (key, coefficient) pairs onto a copy of start."""
+    out = dict(start)
+    for key, c in pairs:
+        _add_term(out, key, c)
+    return out
+
+
+class _Sparse:
+    """Finitely supported map from keys to nonzero coefficients."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
         clean = {}
-        if terms:
-            for k, v in terms.items():
-                if not isinstance(v, CycNum):
-                    v = rational(v)
-                if not v.is_zero():
-                    clean[k] = v
+        for k, v in (terms or {}).items():
+            if not isinstance(v, CycNum):
+                v = rational(v)
+            if not v.is_zero():
+                clean[k] = v
         self.terms = clean
+
+    @classmethod
+    def _of(cls, terms: dict):
+        res = cls.__new__(cls)
+        res.terms = terms
+        return res
+
+    @classmethod
+    def from_pairs(cls, pairs):
+        """The sum of (key, coefficient) pairs; repeated keys add up."""
+        return cls._of(_accumulate(pairs))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        return self._of(_accumulate(other.terms.items(), self.terms))
+
+    def __neg__(self):
+        return self._of({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if set(self.terms) != set(other.terms):
+            return False
+        return all(v == other.terms[k] for k, v in self.terms.items())
+
+    __hash__ = None
+
+
+class HElem(_Sparse):
+    """Finitely supported map from basis keys (g, f) to coefficients."""
+
+    __slots__ = ()
 
     @staticmethod
     def basis(g: int, f, coeff=1) -> "HElem":
@@ -49,52 +109,15 @@ class HElem:
     def support(self):
         return set(self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
-
-    def __add__(self, other: "HElem") -> "HElem":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            if k in out:
-                s = out[k] + v
-                if s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
-            else:
-                out[k] = v
-        res = HElem.__new__(HElem)
-        res.terms = out
-        return res
-
-    def __neg__(self) -> "HElem":
-        res = HElem.__new__(HElem)
-        res.terms = {k: -v for k, v in self.terms.items()}
-        return res
-
-    def __sub__(self, other: "HElem") -> "HElem":
-        return self + (-other)
 
     def scale(self, c) -> "HElem":
         if not isinstance(c, CycNum):
             c = rational(c)
         if c.is_zero():
             return HElem.zero()
-        res = HElem.__new__(HElem)
-        res.terms = {k: v * c for k, v in self.terms.items()}
-        return res
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HElem):
-            return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(v == other.terms[k] for k, v in self.terms.items())
-
-    __hash__ = None
+        return HElem._of({k: v * c for k, v in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -103,52 +126,10 @@ class HElem:
         return "HElem(" + " + ".join(sorted(parts)) + ")"
 
 
-class HTensor:
+class HTensor(_Sparse):
     """Finitely supported element of H (x) H keyed by pairs of basis keys."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        clean = {}
-        if terms:
-            for k, v in terms.items():
-                if not isinstance(v, CycNum):
-                    v = rational(v)
-                if not v.is_zero():
-                    clean[k] = v
-        self.terms = clean
-
-    def __add__(self, other: "HTensor") -> "HTensor":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            if k in out:
-                s = out[k] + v
-                if s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
-            else:
-                out[k] = v
-        res = HTensor.__new__(HTensor)
-        res.terms = out
-        return res
-
-    def __sub__(self, other: "HTensor") -> "HTensor":
-        neg = HTensor.__new__(HTensor)
-        neg.terms = {k: -v for k, v in other.terms.items()}
-        return self + neg
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HTensor):
-            return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(v == other.terms[k] for k, v in self.terms.items())
-
-    __hash__ = None
+    __slots__ = ()
 
     def __repr__(self):
         return f"HTensor({len(self.terms)} terms)"
@@ -182,10 +163,10 @@ class BicrossedHopf:
     # -- scalars ------------------------------------------------------------
 
     def sigma_at(self, g, f, f2) -> CycNum:
-        return self.sigma.eval(self.ctx, g, f, f2)
+        return self.sigma.eval(g, f, f2)
 
     def tau_at(self, g, g2, f) -> CycNum:
-        return self.tau.eval(self.ctx, g, g2, f)
+        return self.tau.eval(g, g2, f)
 
     # -- structure maps -------------------------------------------------------
 
@@ -208,21 +189,9 @@ class BicrossedHopf:
         for (g, f), va in a.terms.items():
             partner = act_left(g, f)
             for (g2, f2), vb in b.terms.items():
-                if g2 != partner:
-                    continue
-                key = (g, fmul(f, f2))
-                c = va * vb * self.sigma_at(g, f, f2)
-                if key in out:
-                    s = out[key] + c
-                    if s.is_zero():
-                        del out[key]
-                    else:
-                        out[key] = s
-                elif not c.is_zero():
-                    out[key] = c
-        res = HElem.__new__(HElem)
-        res.terms = out
-        return res
+                if g2 == partner:
+                    _add_term(out, (g, fmul(f, f2)), va * vb * self.sigma_at(g, f, f2))
+        return HElem._of(out)
 
     def comul_basis(self, key):
         """Coproduct terms of a basis element: list of ((k1, k2), coeff)."""
@@ -239,18 +208,8 @@ class BicrossedHopf:
         out: dict = {}
         for key, v in a.terms.items():
             for pair, c in self.comul_basis(key):
-                w = v * c
-                if pair in out:
-                    s = out[pair] + w
-                    if s.is_zero():
-                        del out[pair]
-                    else:
-                        out[pair] = s
-                elif not w.is_zero():
-                    out[pair] = w
-        res = HTensor.__new__(HTensor)
-        res.terms = out
-        return res
+                _add_term(out, pair, v * c)
+        return HTensor._of(out)
 
     def counit(self, a: HElem) -> CycNum:
         e = self.G.identity
@@ -273,18 +232,8 @@ class BicrossedHopf:
         out: dict = {}
         for key, v in a.terms.items():
             k2, c = self.antipode_basis(key)
-            w = v * c
-            if k2 in out:
-                s = out[k2] + w
-                if s.is_zero():
-                    del out[k2]
-                else:
-                    out[k2] = s
-            else:
-                out[k2] = w
-        res = HElem.__new__(HElem)
-        res.terms = out
-        return res
+            _add_term(out, k2, v * c)
+        return HElem._of(out)
 
     def require_unitary(self, radius: int = 4) -> None:
         if self._unitary is None:
@@ -308,18 +257,8 @@ class BicrossedHopf:
         out: dict = {}
         for key, v in a.terms.items():
             k2, c = self.star_basis(key)
-            w = v.conj() * c
-            if k2 in out:
-                s = out[k2] + w
-                if s.is_zero():
-                    del out[k2]
-                else:
-                    out[k2] = s
-            else:
-                out[k2] = w
-        res = HElem.__new__(HElem)
-        res.terms = out
-        return res
+            _add_term(out, k2, v.conj() * c)
+        return HElem._of(out)
 
     def integral(self, a: HElem) -> CycNum:
         """The normalized left integral: <T, p_g # f> = delta(f, 1)/|G|."""
@@ -367,41 +306,25 @@ class BicrossedHopf:
                 if p1 is None:
                     continue
                 p2 = self.basis_mul(k2, l2)
-                if p2 is None:
-                    continue
-                key = (p1[0], p2[0])
-                c = v * w * p1[1] * p2[1]
-                if key in out:
-                    s2 = out[key] + c
-                    if s2.is_zero():
-                        del out[key]
-                    else:
-                        out[key] = s2
-                elif not c.is_zero():
-                    out[key] = c
-        res = HTensor.__new__(HTensor)
-        res.terms = out
-        return res
+                if p2 is not None:
+                    _add_term(out, (p1[0], p2[0]), v * w * p1[1] * p2[1])
+        return HTensor._of(out)
 
     def comul_left(self, t: HTensor) -> dict:
         """(Delta (x) id) applied to a tensor; keyed by triples."""
-        out: dict = {}
-        for (k1, k2), v in t.terms.items():
-            for (m1, m2), c in self.comul_basis(k1):
-                key = (m1, m2, k2)
-                w = v * c
-                out[key] = out[key] + w if key in out else w
-        return {k: v for k, v in out.items() if not v.is_zero()}
+        return _accumulate(
+            ((m1, m2, k2), v * c)
+            for (k1, k2), v in t.terms.items()
+            for (m1, m2), c in self.comul_basis(k1)
+        )
 
     def comul_right(self, t: HTensor) -> dict:
         """(id (x) Delta) applied to a tensor; keyed by triples."""
-        out: dict = {}
-        for (k1, k2), v in t.terms.items():
-            for (m1, m2), c in self.comul_basis(k2):
-                key = (k1, m1, m2)
-                w = v * c
-                out[key] = out[key] + w if key in out else w
-        return {k: v for k, v in out.items() if not v.is_zero()}
+        return _accumulate(
+            ((k1, m1, m2), v * c)
+            for (k1, k2), v in t.terms.items()
+            for (m1, m2), c in self.comul_basis(k2)
+        )
 
 
 def pair_check_radius(H: BicrossedHopf, radius: int, budget: int = 90) -> int:
@@ -414,6 +337,40 @@ def pair_check_radius(H: BicrossedHopf, radius: int, budget: int = 90) -> int:
     while r > 1 and len(f_ball(H.F, r)) * H.G.order > budget:
         r -= 1
     return r
+
+
+class _Sweep:
+    """The basis keys a verifier sweeps and the checks it has run.
+
+    keys cover the ball of the full radius, pair_keys the possibly smaller
+    ball chosen by pair_check_radius for binary and ternary laws."""
+
+    def __init__(self, H: BicrossedHopf, radius: int, pair_budget: int, max_violations: int):
+        G, F = H.G, H.F
+        ball = f_ball(F, radius)
+        self.keys = [(g, f) for f in ball for g in G.elements()]
+        r_pair = pair_check_radius(H, radius, pair_budget)
+        self.pair_keys = [(g, f) for f in f_ball(F, r_pair) for g in G.elements()]
+        self.scope_elem = "all elements" if F.is_finite else f"ball radius {radius}"
+        self.scope_pair = "all elements" if F.is_finite else f"ball radius {r_pair}"
+        self.label = F.label
+        self.max_violations = max_violations
+        self.checks: list[CheckResult] = []
+
+    def name_key(self, k):
+        return {"g": k[0], "f": self.label(k[1])}
+
+    def run(self, name, scope, instances, witnesses):
+        self.checks.append(run_check(name, scope, instances, witnesses, self.max_violations))
+
+    def per_element(self, name, holds):
+        """A law on single basis elements, holds(key) -> bool."""
+        witnesses = (self.name_key(k) for k in self.keys if not holds(k))
+        self.run(name, self.scope_elem, len(self.keys), witnesses)
+
+    def per_pair(self, name, law):
+        """A law on pairs of basis elements; law() yields the witnesses."""
+        self.run(name, self.scope_pair, len(self.pair_keys) ** 2, law())
 
 
 def verify_hopf(
@@ -433,211 +390,140 @@ def verify_hopf(
     the polyadic axioms: on basis elements associativity at a triple is
     equivalent to the right-action law plus the sigma law there.
     """
-    G, F = H.G, H.F
-    ball = f_ball(F, radius)
-    keys = [(g, f) for f in ball for g in G.elements()]
-    r_pair = pair_check_radius(H, radius, pair_budget)
-    pair_ball = f_ball(F, r_pair)
-    pair_keys = [(g, f) for f in pair_ball for g in G.elements()]
-    scope_elem = "all elements" if F.is_finite else f"ball radius {radius}"
-    scope_pair = "all elements" if F.is_finite else f"ball radius {r_pair}"
-    lab = F.label
-
-    def name_key(k):
-        return {"g": k[0], "f": lab(k[1])}
-
-    checks: list[CheckResult] = []
+    sweep = _Sweep(H, radius, pair_budget, max_violations)
+    pair_keys, name_key = sweep.pair_keys, sweep.name_key
+    basis = HElem.basis
     unit = H.unit()
 
-    # unit laws
-    viols = []
-    nviol = 0
-    for k in keys:
-        b = HElem.basis(*k)
-        if H.mul(unit, b) != b or H.mul(b, unit) != b:
-            nviol += 1
-            if len(viols) < max_violations:
-                viols.append(name_key(k))
-    checks.append(CheckResult("unit laws", scope_elem, len(keys), viols, nviol))
+    def unit_laws(k):
+        b = basis(*k)
+        return H.mul(unit, b) == b and H.mul(b, unit) == b
 
-    # associativity on basis triples
-    viols = []
-    nviol = 0
-    count = 0
-    for k1 in pair_keys:
-        for k2 in pair_keys:
-            p12 = H.basis_mul(k1, k2)
-            for k3 in pair_keys:
-                count += 1
-                left = None
-                if p12 is not None:
-                    q = H.basis_mul(p12[0], k3)
-                    if q is not None:
-                        left = (q[0], p12[1] * q[1])
-                p23 = H.basis_mul(k2, k3)
-                right = None
-                if p23 is not None:
-                    q = H.basis_mul(k1, p23[0])
-                    if q is not None:
-                        right = (q[0], q[1] * p23[1])
-                same = (
-                    left is None
-                    and right is None
-                    or left is not None
-                    and right is not None
-                    and left[0] == right[0]
-                    and left[1] == right[1]
-                )
-                if not same:
-                    nviol += 1
-                    if len(viols) < max_violations:
-                        viols.append({"a": name_key(k1), "b": name_key(k2), "c": name_key(k3)})
-    checks.append(CheckResult("associativity", scope_pair, count, viols, nviol))
+    sweep.per_element("unit laws", unit_laws)
+
+    def associativity():
+        for k1 in pair_keys:
+            for k2 in pair_keys:
+                p12 = H.basis_mul(k1, k2)
+                for k3 in pair_keys:
+                    left = None
+                    if p12 is not None:
+                        q = H.basis_mul(p12[0], k3)
+                        if q is not None:
+                            left = (q[0], p12[1] * q[1])
+                    p23 = H.basis_mul(k2, k3)
+                    right = None
+                    if p23 is not None:
+                        q = H.basis_mul(k1, p23[0])
+                        if q is not None:
+                            right = (q[0], q[1] * p23[1])
+                    same = (
+                        left is None
+                        and right is None
+                        or left is not None
+                        and right is not None
+                        and left[0] == right[0]
+                        and left[1] == right[1]
+                    )
+                    if not same:
+                        yield {"a": name_key(k1), "b": name_key(k2), "c": name_key(k3)}
+
+    sweep.run("associativity", sweep.scope_pair, len(pair_keys) ** 3, associativity())
 
     # counit laws: (eps (x) id) Delta = id = (id (x) eps) Delta
-    viols = []
-    nviol = 0
-    e = G.identity
-    for k in keys:
-        left = HElem.zero()
-        right = HElem.zero()
-        for (k1, k2), c in H.comul_basis(k):
-            if k1[0] == e:
-                left = left + HElem.basis(*k2, coeff=c)
-            if k2[0] == e:
-                right = right + HElem.basis(*k1, coeff=c)
-        b = HElem.basis(*k)
-        if left != b or right != b:
-            nviol += 1
-            if len(viols) < max_violations:
-                viols.append(name_key(k))
-    checks.append(CheckResult("counit laws", scope_elem, len(keys), viols, nviol))
+    e = H.G.identity
 
-    # coassociativity
-    viols = []
-    nviol = 0
-    for k in keys:
-        t = H.comul(HElem.basis(*k))
+    def counit_laws(k):
+        terms = H.comul_basis(k)
+        b = basis(*k)
+        left = HElem.from_pairs((k2, c) for (k1, k2), c in terms if k1[0] == e)
+        right = HElem.from_pairs((k1, c) for (k1, k2), c in terms if k2[0] == e)
+        return left == b and right == b
+
+    sweep.per_element("counit laws", counit_laws)
+
+    def coassociativity(k):
+        t = H.comul(basis(*k))
         lhs = H.comul_left(t)
         rhs = H.comul_right(t)
-        if set(lhs) != set(rhs) or any(lhs[x] != rhs[x] for x in lhs):
-            nviol += 1
-            if len(viols) < max_violations:
-                viols.append(name_key(k))
-    checks.append(CheckResult("coassociativity", scope_elem, len(keys), viols, nviol))
+        return set(lhs) == set(rhs) and all(lhs[x] == rhs[x] for x in lhs)
+
+    sweep.per_element("coassociativity", coassociativity)
 
     # Delta and eps are algebra maps
-    viols = []
-    nviol = 0
-    count = 0
-    if H.comul(unit) != HTensor.of(unit, unit):
-        nviol += 1
-        viols.append({"pair": "unit"})
-    for k1 in pair_keys:
-        a = HElem.basis(*k1)
-        da = H.comul(a)
-        ea = H.counit(a)
-        for k2 in pair_keys:
-            count += 1
-            b = HElem.basis(*k2)
-            ab = H.mul(a, b)
-            if H.comul(ab) != H.tensor_mul(da, H.comul(b)):
-                nviol += 1
-                if len(viols) < max_violations:
-                    viols.append({"law": "Delta", "a": name_key(k1), "b": name_key(k2)})
-            if H.counit(ab) != ea * H.counit(b):
-                nviol += 1
-                if len(viols) < max_violations:
-                    viols.append({"law": "eps", "a": name_key(k1), "b": name_key(k2)})
-    checks.append(CheckResult("bialgebra compatibility", scope_pair, count, viols, nviol))
+    def bialgebra():
+        if H.comul(unit) != HTensor.of(unit, unit):
+            yield {"pair": "unit"}
+        for k1 in pair_keys:
+            a = basis(*k1)
+            da = H.comul(a)
+            ea = H.counit(a)
+            for k2 in pair_keys:
+                b = basis(*k2)
+                ab = H.mul(a, b)
+                if H.comul(ab) != H.tensor_mul(da, H.comul(b)):
+                    yield {"law": "Delta", "a": name_key(k1), "b": name_key(k2)}
+                if H.counit(ab) != ea * H.counit(b):
+                    yield {"law": "eps", "a": name_key(k1), "b": name_key(k2)}
+
+    sweep.per_pair("bialgebra compatibility", bialgebra)
 
     # antipode law: m(S (x) id)Delta = m(id (x) S)Delta = eps * unit
-    viols = []
-    nviol = 0
-    for k in keys:
-        b = HElem.basis(*k)
-        target = unit.scale(H.counit(b))
-        left = HElem.zero()
-        right = HElem.zero()
+    def antipode_law(k):
+        target = unit.scale(H.counit(basis(*k)))
+        left = right = HElem.zero()
         for (k1, k2), c in H.comul_basis(k):
-            left = left + H.mul(H.antipode(HElem.basis(*k1)), HElem.basis(*k2)).scale(c)
-            right = right + H.mul(HElem.basis(*k1), H.antipode(HElem.basis(*k2))).scale(c)
-        if left != target or right != target:
-            nviol += 1
-            if len(viols) < max_violations:
-                viols.append(name_key(k))
-    checks.append(CheckResult("antipode law", scope_elem, len(keys), viols, nviol))
+            left = left + H.mul(H.antipode(basis(*k1)), basis(*k2)).scale(c)
+            right = right + H.mul(basis(*k1), H.antipode(basis(*k2))).scale(c)
+        return left == target and right == target
 
-    # S is antimultiplicative on basis pairs
-    viols = []
-    nviol = 0
-    count = 0
-    for k1 in pair_keys:
-        a = HElem.basis(*k1)
-        sa = H.antipode(a)
-        for k2 in pair_keys:
-            count += 1
-            b = HElem.basis(*k2)
-            if H.antipode(H.mul(a, b)) != H.mul(H.antipode(b), sa):
-                nviol += 1
-                if len(viols) < max_violations:
-                    viols.append({"a": name_key(k1), "b": name_key(k2)})
-    checks.append(CheckResult("antipode antimultiplicative", scope_pair, count, viols, nviol))
+    sweep.per_element("antipode law", antipode_law)
+
+    def antimultiplicative():
+        for k1 in pair_keys:
+            a = basis(*k1)
+            sa = H.antipode(a)
+            for k2 in pair_keys:
+                b = basis(*k2)
+                if H.antipode(H.mul(a, b)) != H.mul(H.antipode(b), sa):
+                    yield {"a": name_key(k1), "b": name_key(k2)}
+
+    sweep.per_pair("antipode antimultiplicative", antimultiplicative)
 
     # S is a coalgebra antihomomorphism: Delta(S(b)) = (S (x) S) flip Delta(b)
-    viols = []
-    nviol = 0
-    for k in keys:
-        b = HElem.basis(*k)
-        lhs = H.comul(H.antipode(b))
-        rhs_terms: dict = {}
-        for (k1, k2), c in H.comul_basis(k):
-            s2, c2 = H.antipode_basis(k2)
-            s1, c1 = H.antipode_basis(k1)
-            key = (s2, s1)
-            w = c * c1 * c2
-            rhs_terms[key] = rhs_terms[key] + w if key in rhs_terms else w
-        if lhs != HTensor(rhs_terms):
-            nviol += 1
-            if len(viols) < max_violations:
-                viols.append(name_key(k))
-    checks.append(
-        CheckResult("antipode coalgebra antihomomorphism", scope_elem, len(keys), viols, nviol)
-    )
+    def coalgebra_antihomomorphism(k):
+        rhs = HTensor.from_pairs(
+            ((s2, s1), c * c1 * c2)
+            for (k1, k2), c in H.comul_basis(k)
+            for (s2, c2), (s1, c1) in [(H.antipode_basis(k2), H.antipode_basis(k1))]
+        )
+        return H.comul(H.antipode(basis(*k))) == rhs
 
-    # S^2 = id
-    viols = []
-    nviol = 0
-    for k in keys:
-        b = HElem.basis(*k)
-        if H.antipode(H.antipode(b)) != b:
-            nviol += 1
-            if len(viols) < max_violations:
-                viols.append(name_key(k))
-    checks.append(CheckResult("S^2 = id", scope_elem, len(keys), viols, nviol))
+    sweep.per_element("antipode coalgebra antihomomorphism", coalgebra_antihomomorphism)
+
+    def antipode_squared(k):
+        b = basis(*k)
+        return H.antipode(H.antipode(b)) == b
+
+    sweep.per_element("S^2 = id", antipode_squared)
 
     # left integral law: h1 <T, h2> = <T, h> unit
-    viols = []
-    nviol = 0
-    for k in keys:
-        b = HElem.basis(*k)
-        lhs = HElem.zero()
-        for (k1, k2), c in H.comul_basis(k):
-            tval = H.integral(HElem.basis(*k2))
-            if not tval.is_zero():
-                lhs = lhs + HElem.basis(*k1, coeff=c * tval)
-        if lhs != unit.scale(H.integral(b)):
-            nviol += 1
-            if len(viols) < max_violations:
-                viols.append(name_key(k))
-    checks.append(CheckResult("left integral law", scope_elem, len(keys), viols, nviol))
+    def left_integral(k):
+        lhs = HElem.from_pairs(
+            (k1, c * tval)
+            for (k1, k2), c in H.comul_basis(k)
+            for tval in [H.integral(basis(*k2))]
+            if not tval.is_zero()
+        )
+        return lhs == unit.scale(H.integral(basis(*k)))
 
-    viols = []
-    if not H.integral(unit).is_one():
-        viols.append({"value": H.integral(unit).literal()})
-    checks.append(CheckResult("<T, unit> = 1", "single", 1, viols))
+    sweep.per_element("left integral law", left_integral)
 
-    return VerifyReport("hopf axioms", checks)
+    t_unit = H.integral(unit)
+    witnesses = [] if t_unit.is_one() else [{"value": t_unit.literal()}]
+    sweep.run("<T, unit> = 1", "single", 1, witnesses)
+
+    return VerifyReport("hopf axioms", sweep.checks)
 
 
 def verify_star(
@@ -652,95 +538,59 @@ def verify_star(
     Callers should run is_unitary first; this raises on non-unitary data.
     """
     H.require_unitary(radius)
-    G, F = H.G, H.F
-    ball = f_ball(F, radius)
-    keys = [(g, f) for f in ball for g in G.elements()]
-    r_pair = pair_check_radius(H, radius, pair_budget)
-    pair_keys = [(g, f) for f in f_ball(F, r_pair) for g in G.elements()]
-    scope_elem = "all elements" if F.is_finite else f"ball radius {radius}"
-    scope_pair = "all elements" if F.is_finite else f"ball radius {r_pair}"
-    lab = F.label
-
-    def name_key(k):
-        return {"g": k[0], "f": lab(k[1])}
-
-    checks: list[CheckResult] = []
+    sweep = _Sweep(H, radius, pair_budget, max_violations)
+    pair_keys, name_key = sweep.pair_keys, sweep.name_key
+    basis = HElem.basis
     unit = H.unit()
 
-    viols = []
-    if H.star(unit) != unit:
-        viols.append({"element": "unit"})
-    checks.append(CheckResult("star fixes the unit", "single", 1, viols))
+    witnesses = [] if H.star(unit) == unit else [{"element": "unit"}]
+    sweep.run("star fixes the unit", "single", 1, witnesses)
 
-    viols = []
-    nviol = 0
-    for k in keys:
-        b = HElem.basis(*k)
-        if H.star(H.star(b)) != b:
-            nviol += 1
-            if len(viols) < max_violations:
-                viols.append(name_key(k))
-    checks.append(CheckResult("star involution", scope_elem, len(keys), viols, nviol))
+    def involution(k):
+        b = basis(*k)
+        return H.star(H.star(b)) == b
 
-    viols = []
-    nviol = 0
-    for k in keys:
-        b = HElem.basis(*k)
-        lhs = H.comul(H.star(b))
-        rhs = HTensor(
-            {
-                (H.star_basis(k1)[0], H.star_basis(k2)[0]): (
-                    v.conj() * H.star_basis(k1)[1] * H.star_basis(k2)[1]
-                )
-                for (k1, k2), v in H.comul(b).terms.items()
-            }
+    sweep.per_element("star involution", involution)
+
+    def comul_star(k):
+        b = basis(*k)
+        rhs = HTensor.from_pairs(
+            ((s1, s2), v.conj() * c1 * c2)
+            for (k1, k2), v in H.comul(b).terms.items()
+            for (s1, c1), (s2, c2) in [(H.star_basis(k1), H.star_basis(k2))]
         )
-        if lhs != rhs:
-            nviol += 1
-            if len(viols) < max_violations:
-                viols.append(name_key(k))
-    checks.append(CheckResult("Delta is a star map", scope_elem, len(keys), viols, nviol))
+        return H.comul(H.star(b)) == rhs
 
-    viols = []
-    nviol = 0
-    count = 0
-    for k1 in pair_keys:
-        a = HElem.basis(*k1)
-        sa = H.star(a)
-        for k2 in pair_keys:
-            count += 1
-            b = HElem.basis(*k2)
-            if H.star(H.mul(a, b)) != H.mul(H.star(b), sa):
-                nviol += 1
-                if len(viols) < max_violations:
-                    viols.append({"a": name_key(k1), "b": name_key(k2)})
-    checks.append(CheckResult("star antimultiplicative", scope_pair, count, viols, nviol))
+    sweep.per_element("Delta is a star map", comul_star)
+
+    def antimultiplicative():
+        for k1 in pair_keys:
+            a = basis(*k1)
+            sa = H.star(a)
+            for k2 in pair_keys:
+                b = basis(*k2)
+                if H.star(H.mul(a, b)) != H.mul(H.star(b), sa):
+                    yield {"a": name_key(k1), "b": name_key(k2)}
+
+    sweep.per_pair("star antimultiplicative", antimultiplicative)
 
     # Haar form: <b, b>_r = 1/|G| on basis elements, 0 across distinct ones
-    viols = []
-    nviol = 0
-    expected = rational(Fraction(1, G.order))
-    for k in keys:
-        b = HElem.basis(*k)
-        if H.haar_gram(b, b) != expected:
-            nviol += 1
-            if len(viols) < max_violations:
-                viols.append(name_key(k))
-    checks.append(CheckResult("haar_gram(b,b) = 1/|G|", scope_elem, len(keys), viols, nviol))
+    expected = rational(Fraction(1, H.G.order))
 
-    viols = []
-    nviol = 0
-    count = 0
-    for k1 in pair_keys:
-        b1 = HElem.basis(*k1)
-        for k2 in pair_keys:
-            if k1 == k2:
-                continue
-            count += 1
-            if not H.haar_gram(b1, HElem.basis(*k2)).is_zero():
-                nviol += 1
-                if len(viols) < max_violations:
-                    viols.append({"a": name_key(k1), "b": name_key(k2)})
-    checks.append(CheckResult("haar_gram off-diagonal = 0", scope_pair, count, viols, nviol))
+    def haar_diagonal(k):
+        b = basis(*k)
+        return H.haar_gram(b, b) == expected
 
-    return VerifyReport("star structure", checks)
+    sweep.per_element("haar_gram(b,b) = 1/|G|", haar_diagonal)
+
+    def haar_off_diagonal():
+        for k1 in pair_keys:
+            b1 = basis(*k1)
+            for k2 in pair_keys:
+                if k1 != k2 and not H.haar_gram(b1, basis(*k2)).is_zero():
+                    yield {"a": name_key(k1), "b": name_key(k2)}
+
+    n = len(pair_keys)
+    sweep.run("haar_gram off-diagonal = 0", sweep.scope_pair, n * (n - 1), haar_off_diagonal())
+
+    return VerifyReport("star structure", sweep.checks)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from .errors import ConfigError
 from .groups import FiniteGroup, FiniteF, FreeAbelianF, f_ball
@@ -217,11 +218,7 @@ class CheckResult:
     scope: str
     instances: int
     violations: list
-    violation_count: int = -1
-
-    def __post_init__(self):
-        if self.violation_count < 0:
-            self.violation_count = len(self.violations)
+    violation_count: int
 
     @property
     def ok(self) -> bool:
@@ -254,6 +251,14 @@ class VerifyReport:
         }
 
 
+def run_check(name: str, scope: str, instances: int, witnesses, max_violations: int) -> CheckResult:
+    """Build the result of one law from the witnesses of its failing
+    instances: all of them are counted, the first max_violations kept."""
+    witnesses = iter(witnesses)
+    kept = list(islice(witnesses, max_violations))
+    return CheckResult(name, scope, instances, kept, len(kept) + sum(1 for _ in witnesses))
+
+
 def verify_matched_pair(ctx: MatchedPairCtx, radius: int = 4, max_violations: int = 20) -> VerifyReport:
     """Check the action laws, the two matched-pair laws and the derived
     inverse identities.
@@ -265,36 +270,33 @@ def verify_matched_pair(ctx: MatchedPairCtx, radius: int = 4, max_violations: in
     """
     G, F = ctx.G, ctx.F
     checks: list[CheckResult] = []
+    n = G.order
 
     if isinstance(ctx.action, LinearAction):
-        viols = []
-        nviol = 0
+        mats = ctx.action.matrices
         r = F.rank
         ident = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
-        if ctx.action.matrices[G.identity] != ident:
-            nviol += 1
-            viols.append({"law": "identity matrix", "g": G.identity})
-        count = 0
-        for g in G.elements():
-            for g2 in G.elements():
-                count += 1
-                Mg = ctx.action.matrices[g]
-                Mg2 = ctx.action.matrices[g2]
-                prod = tuple(
-                    tuple(sum(Mg[i][k] * Mg2[k][j] for k in range(r)) for j in range(r))
-                    for i in range(r)
-                )
-                if prod != ctx.action.matrices[G.mul(g, g2)]:
-                    nviol += 1
-                    if len(viols) < max_violations:
-                        viols.append({"law": "matrix homomorphism", "g": g, "g2": g2})
+
+        def homomorphism():
+            if mats[G.identity] != ident:
+                yield {"law": "identity matrix", "g": G.identity}
+            for g in G.elements():
+                for g2 in G.elements():
+                    Mg, Mg2 = mats[g], mats[g2]
+                    prod = tuple(
+                        tuple(sum(Mg[i][k] * Mg2[k][j] for k in range(r)) for j in range(r))
+                        for i in range(r)
+                    )
+                    if prod != mats[G.mul(g, g2)]:
+                        yield {"law": "matrix homomorphism", "g": g, "g2": g2}
+
         checks.append(
-            CheckResult(
+            run_check(
                 "linear action homomorphism (implies all laws globally)",
                 "global",
-                count,
-                viols,
-                nviol,
+                n * n,
+                homomorphism(),
+                max_violations,
             )
         )
         ball = f_ball(F, min(radius, 2))
@@ -304,78 +306,76 @@ def verify_matched_pair(ctx: MatchedPairCtx, radius: int = 4, max_violations: in
         scope = "global" if F.is_finite else f"ball radius {radius}"
 
     lab = F.label
+    nb = len(ball)
 
-    def check(name, gen):
-        viols = []
-        nviol = 0
-        count = 0
-        for witness in gen:
-            count += 1
-            if witness is not None:
-                nviol += 1
-                if len(viols) < max_violations:
-                    viols.append(witness)
-        checks.append(CheckResult(name, scope, count, viols, nviol))
+    def check(name, instances, witnesses):
+        checks.append(run_check(name, scope, instances, witnesses, max_violations))
 
     check(
         "right action law",
+        n * n * nb,
         (
-            None
-            if ctx.act_right(G.identity, f) == f
-            and ctx.act_right(G.mul(g, g2), f) == ctx.act_right(g, ctx.act_right(g2, f))
-            else {"g": g, "g2": g2, "f": lab(f)}
+            {"g": g, "g2": g2, "f": lab(f)}
             for g in G.elements()
             for g2 in G.elements()
             for f in ball
+            if not (
+                ctx.act_right(G.identity, f) == f
+                and ctx.act_right(G.mul(g, g2), f) == ctx.act_right(g, ctx.act_right(g2, f))
+            )
         ),
     )
     check(
         "left action law",
+        n * nb * nb,
         (
-            None
-            if ctx.act_left(g, F.identity) == g
-            and ctx.act_left(g, F.mul(f, f2)) == ctx.act_left(ctx.act_left(g, f), f2)
-            else {"g": g, "f": lab(f), "f2": lab(f2)}
+            {"g": g, "f": lab(f), "f2": lab(f2)}
             for g in G.elements()
             for f in ball
             for f2 in ball
+            if not (
+                ctx.act_left(g, F.identity) == g
+                and ctx.act_left(g, F.mul(f, f2)) == ctx.act_left(ctx.act_left(g, f), f2)
+            )
         ),
     )
     check(
         "compatibility: g>(f f') = (g>f)((g<f)>f')",
+        n * nb * nb,
         (
-            None
-            if ctx.act_right(g, F.mul(f, f2))
-            == F.mul(ctx.act_right(g, f), ctx.act_right(ctx.act_left(g, f), f2))
-            else {"g": g, "f": lab(f), "f2": lab(f2)}
+            {"g": g, "f": lab(f), "f2": lab(f2)}
             for g in G.elements()
             for f in ball
             for f2 in ball
+            if ctx.act_right(g, F.mul(f, f2))
+            != F.mul(ctx.act_right(g, f), ctx.act_right(ctx.act_left(g, f), f2))
         ),
     )
     check(
         "compatibility: (g g')<f = (g<(g'>f))(g'<f)",
+        n * n * nb,
         (
-            None
-            if ctx.act_left(G.mul(g, g2), f)
-            == G.mul(ctx.act_left(g, ctx.act_right(g2, f)), ctx.act_left(g2, f))
-            else {"g": g, "g2": g2, "f": lab(f)}
+            {"g": g, "g2": g2, "f": lab(f)}
             for g in G.elements()
             for g2 in G.elements()
             for f in ball
+            if ctx.act_left(G.mul(g, g2), f)
+            != G.mul(ctx.act_left(g, ctx.act_right(g2, f)), ctx.act_left(g2, f))
         ),
     )
     check(
         "inverse identities",
+        n * nb,
         (
-            None
-            if ctx.act_right(g, F.identity) == F.identity
-            and ctx.act_left(g, F.identity) == g
-            and F.inv(ctx.act_right(g, f)) == ctx.act_right(ctx.act_left(g, f), F.inv(f))
-            and G.inv(ctx.act_left(g, f)) == ctx.act_left(G.inv(g), ctx.act_right(g, f))
-            else {"g": g, "f": lab(f)}
+            {"g": g, "f": lab(f)}
             for g in G.elements()
             for f in ball
+            if not (
+                ctx.act_right(g, F.identity) == F.identity
+                and ctx.act_left(g, F.identity) == g
+                and F.inv(ctx.act_right(g, f)) == ctx.act_right(ctx.act_left(g, f), F.inv(f))
+                and G.inv(ctx.act_left(g, f)) == ctx.act_left(G.inv(g), ctx.act_right(g, f))
+            )
         ),
     )
     return VerifyReport("matched pair", checks)

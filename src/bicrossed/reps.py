@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .cyclotomic import CycNum, rational, root_of_unity
+from .cyclotomic import CycNum, rational, root_of_unity, row_reduce
 from .errors import ConfigError, InternalInconsistencyError
 from .groups import (
     FiniteGroup,
@@ -162,36 +162,44 @@ def _matmul_fp(A, B, p):
                     row[j] = (row[j] + a * Bt[j]) % p
     return out
 
-def _nullspace_fp(A, p):
-    """Basis of the right nullspace of A over F_p (rows of the result)."""
-    n = len(A)
-    m = len(A[0]) if n else 0
-    rows = [row[:] for row in A]
-    pivots = {}
-    rank = 0
-    for col in range(m):
-        piv = None
-        for r in range(rank, n):
-            if rows[r][col] % p:
-                piv = r
+
+def _row_reduce_fp(rows, ncols: int, p: int) -> list[int]:
+    """Gauss-Jordan elimination over F_p on the first ncols columns of
+    rows, in place; returns the pivot columns in order (row i has its
+    leading 1 in column pivots[i])."""
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        for piv in range(rank, len(rows)):
+            if rows[piv][col] % p:
                 break
-        if piv is None:
+        else:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for r in range(n):
-            if r != rank and rows[r][col] % p:
-                f = rows[r][col]
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
-        pivots[col] = rank
-        rank += 1
-    free = [c for c in range(m) if c not in pivots]
+        prow = rows[rank] = [(x * inv) % p for x in rows[rank]]
+        for r, row in enumerate(rows):
+            if r != rank and row[col] % p:
+                f = row[col]
+                rows[r] = [(a - f * b) % p for a, b in zip(row, prow)]
+        pivots.append(col)
+    return pivots
+
+
+def _nullspace_fp(A, p):
+    """Basis of the right nullspace of A over F_p (rows of the result)."""
+    m = len(A[0]) if A else 0
+    rows = [row[:] for row in A]
+    pivots = _row_reduce_fp(rows, m, p)
     basis = []
-    for fc in free:
+    for fc in range(m):
+        if fc in pivots:
+            continue
         vec = [0] * m
         vec[fc] = 1
-        for col, r in pivots.items():
+        for r, col in enumerate(pivots):
             vec[col] = (-rows[r][fc]) % p
         basis.append(vec)
     return basis
@@ -199,30 +207,11 @@ def _nullspace_fp(A, p):
 
 def _solve_fp(B, rhs_list, p):
     """Solve B x = rhs for each rhs (columns); B has full column rank."""
-    n = len(B)
     m = len(B[0])
     k = len(rhs_list)
-    aug = [[B[i][j] for j in range(m)] + [rhs[i] for rhs in rhs_list] for i in range(n)]
-    rank = 0
-    pivots = []
-    for col in range(m):
-        piv = None
-        for r in range(rank, n):
-            if aug[r][col] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = pow(aug[rank][col], p - 2, p)
-        aug[rank] = [(x * inv) % p for x in aug[rank]]
-        for r in range(n):
-            if r != rank and aug[r][col] % p:
-                f = aug[r][col]
-                aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    if rank < m:
+    aug = [[B[i][j] for j in range(m)] + [rhs[i] for rhs in rhs_list] for i in range(len(B))]
+    pivots = _row_reduce_fp(aug, m, p)
+    if len(pivots) < m:
         raise InternalInconsistencyError("dependent basis in F_p solve")
     sols = [[0] * m for _ in range(k)]
     for r, col in enumerate(pivots):
@@ -410,7 +399,7 @@ def verify_char_table(group: FiniteGroup, table: CharTable, to_parent=None, twis
     for c, row in zip(table.chars, rows):
         if row[group.identity] != rational(c.dim):
             raise InternalInconsistencyError("character value at identity differs from dim")
-    if _cyc_rank([list(r) for r in rows]) != len(table.chars):
+    if len(row_reduce([list(r) for r in rows], n)) != len(table.chars):
         raise InternalInconsistencyError("characters are linearly dependent")
     if not twisted:
         inv_g = [group.inv(g) for g in range(n)]
@@ -424,31 +413,6 @@ def verify_char_table(group: FiniteGroup, table: CharTable, to_parent=None, twis
                     raise InternalInconsistencyError(
                         f"orthogonality fails for characters {i},{j} ({table.provenance})"
                     )
-
-
-def _cyc_rank(rows) -> int:
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if not rows[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inv()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for rr in range(len(rows)):
-            if rr != rank and not rows[rr][col].is_zero():
-                f = rows[rr][col]
-                rows[rr] = [a - f * b for a, b in zip(rows[rr], rows[rank])]
-        rank += 1
-    return rank
 
 
 def ordinary_char_table(G: FiniteGroup, to_parent=None) -> CharTable:
@@ -552,7 +516,7 @@ def twisted_char_table(G: FiniteGroup, elements, beta) -> CharTable:
             f"twisted table dimension sum {total} != |G_f| {ns}"
         )
     rows_vals = [[c.value(g) for g in c.elements] for c in table.chars]
-    if _cyc_rank(rows_vals) != len(table.chars):
+    if len(row_reduce(rows_vals, ns)) != len(table.chars):
         raise InternalInconsistencyError("twisted characters are linearly dependent")
     return table
 

@@ -32,10 +32,9 @@ def test_trivial_cocycles_pass():
 
 
 def test_trivial_eval_is_one():
-    ctx = trivial_ctx()
     s, t = SigmaCocycle.trivial(), TauCocycle.trivial()
-    assert s.eval(ctx, 1, (3,), (4,)).is_one()
-    assert t.eval(ctx, 1, 1, (9,)).is_one()
+    assert s.eval(1, (3,), (4,)).is_one()
+    assert t.eval(1, 1, (9,)).is_one()
 
 
 def test_normalization_rejected():
@@ -84,11 +83,11 @@ def test_broken_compat_fails_with_witness():
 
 def test_quotient_lift_factors_through_quotient():
     build = build_config(twisted_tau_config())
-    tau, ctx = build.tau, build.ctx
+    tau = build.tau
     for f in [(1,), (3,), (-5,), (17,)]:
-        assert tau.eval(ctx, 1, 1, f) == rational(-1)
+        assert tau.eval(1, 1, f) == rational(-1)
     for f in [(0,), (2,), (-4,)]:
-        assert tau.eval(ctx, 1, 1, f).is_one()
+        assert tau.eval(1, 1, f).is_one()
 
 
 def test_beta_for_orbit_trivial_tau():

@@ -12,6 +12,7 @@ from bicrossed.matched_pair import (
     TableActions,
     g_f_finv,
     orbit_product,
+    run_check,
     verify_matched_pair,
 )
 
@@ -194,3 +195,13 @@ def test_inverse_lemma_identities():
             assert ctx.act_left(g, F.identity) == g
             assert F.inv(ctx.act_right(g, f)) == ctx.act_right(ctx.act_left(g, f), F.inv(f))
             assert G.inv(ctx.act_left(g, f)) == ctx.act_left(G.inv(g), ctx.act_right(g, f))
+
+
+@pytest.mark.parametrize("n_witnesses", [0, 3, 7])
+def test_run_check_counts_all_and_keeps_first(n_witnesses):
+    # 0: no violation; 3: exactly max_violations kept; 7: truncated to 3.
+    res = run_check("law", "global", 50, ({"i": i} for i in range(n_witnesses)), 3)
+    assert (res.name, res.scope, res.instances) == ("law", "global", 50)
+    assert res.violation_count == n_witnesses
+    assert res.violations == [{"i": i} for i in range(min(n_witnesses, 3))]
+    assert res.ok == (n_witnesses == 0)
