@@ -59,7 +59,6 @@ from .comodules import (
     SimpleIndex,
     cf_subcoalgebra,
     coefficient_basis,
-    enumerate_simples,
     irreducible_character,
     simples_for_orbit,
 )

@@ -1,10 +1,10 @@
 """Exact linear-algebra certifications over Q(zeta_N).
 
 These back the counting and independence claims used elsewhere: rank by
-exact Gaussian elimination on finite supports, exact solves against an
-independent candidate set, direct-sum bookkeeping of the coefficient
-subcoalgebras, and the per-orbit dimension audit.  No numeric fallback
-is permitted in this module.
+exact Gaussian elimination on finite supports, coefficients in an
+orthonormal set certified by a sparse exact residual, direct-sum
+bookkeeping of the coefficient subcoalgebras, and the per-orbit
+dimension audit.  No numeric fallback is permitted in this module.
 """
 
 from __future__ import annotations
@@ -37,19 +37,10 @@ class LinearCert:
         }
 
 
-def _sorted_support(vectors, key_order=None):
-    keys = set()
-    for v in vectors:
-        keys |= v.support()
-    if key_order is None:
-        return sorted(keys)
-    return sorted(keys, key=key_order)
-
-
-def exact_rank(vectors, description: str = "exact rank", key_order=None) -> LinearCert:
+def exact_rank(vectors, description: str = "exact rank") -> LinearCert:
     """Rank of a list of H-elements by exact elimination."""
     vectors = list(vectors)
-    keys = _sorted_support(vectors, key_order)
+    keys = sorted(set().union(*(v.terms for v in vectors)))
     pos = {k: i for i, k in enumerate(keys)}
     rows = []
     for v in vectors:
@@ -61,32 +52,21 @@ def exact_rank(vectors, description: str = "exact rank", key_order=None) -> Line
     return LinearCert(description, len(vectors), len(keys), rank, ok=True)
 
 
-def solve_in_span(basis, target: HElem, description: str = "solve"):
-    """Solve sum_i c_i b_i = target exactly.
+def solve_in_span(basis, target: HElem, pair, description: str = "solve"):
+    """The coefficients of target in an orthonormal basis, certified.
 
-    The basis vectors must be linearly independent; raises
-    InternalInconsistencyError when the system is inconsistent (nonzero
-    residual) or the basis is dependent.  Returns the coefficient list.
+    Each coefficient is c_i = pair(target, b_i), which is exact when the
+    b_i are orthonormal for pair and target lies in their span; the caller
+    certifies orthonormality.  The sparse residual target - sum c_i b_i
+    must vanish, otherwise InternalInconsistencyError is raised.  Returns
+    the coefficient list.
     """
-    basis = list(basis)
-    keys = _sorted_support(list(basis) + [target])
-    pos = {k: i for i, k in enumerate(keys)}
-    n = len(basis)
-    rows = []
-    for k in keys:
-        row = [b.coeff(k) for b in basis]
-        row.append(target.coeff(k))
-        rows.append(row)
-    pivots = row_reduce(rows, n)
-    rank = len(pivots)
-    if rank < n:
-        raise InternalInconsistencyError(f"{description}: candidate set is linearly dependent")
-    for r in range(rank, len(rows)):
-        if not rows[r][n].is_zero():
-            raise InternalInconsistencyError(f"{description}: nonzero residual")
-    coeffs = [rational(0)] * n
-    for r, col in enumerate(pivots):
-        coeffs[col] = rows[r][n]
+    coeffs = [pair(target, b) for b in basis]
+    residual = target - HElem.from_pairs(
+        (k, c * v) for b, c in zip(basis, coeffs) if not c.is_zero() for k, v in b.terms.items()
+    )
+    if not residual.is_zero():
+        raise InternalInconsistencyError(f"{description}: nonzero residual")
     return coeffs
 
 

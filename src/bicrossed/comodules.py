@@ -122,7 +122,7 @@ def irreducible_character(hopf: BicrossedHopf, d: SimpleDesc) -> HElem:
             if val.is_zero():
                 continue
             zgz = G.mul(G.mul(zinv, g), z)
-            coeff = hopf.tau_at(zinv, g, f).inv() * hopf.tau_at(zgz, zinv, f) * val
+            coeff = hopf.tau.eval(zinv, g, f).inv() * hopf.tau.eval(zgz, zinv, f) * val
             key = (zgz, fz)
             acc[key] = acc[key] + coeff if key in acc else coeff
     return HElem(acc)
@@ -168,8 +168,8 @@ def coefficient_basis(hopf: BicrossedHopf, d: SimpleDesc, matrices=None) -> list
                             continue
                         zgz = G.mul(G.mul(z2inv, g), z)
                         coeff = (
-                            hopf.tau_at(z2inv, g, f).inv()
-                            * hopf.tau_at(zgz, zinv, f)
+                            hopf.tau.eval(z2inv, g, f).inv()
+                            * hopf.tau.eval(zgz, zinv, f)
                             * a
                         )
                         key = (zgz, fz)
@@ -225,12 +225,6 @@ def _check_coaction_matrices(hopf, d, beta: Beta2Cocycle, matrices):
                         raise ConfigError(
                             f"coaction matrices are not projectively multiplicative at ({a},{b})"
                         )
-
-
-def enumerate_simples(hopf: BicrossedHopf, radius: int) -> list[SimpleDesc]:
-    """Deduplicated simples over every orbit meeting the ball, sorted by
-    (orbit representative, character index).  Complete for finite F."""
-    return SimpleIndex(hopf).enumerate(radius)
 
 
 class SimpleIndex:

@@ -346,15 +346,14 @@ class CycNum:
     def is_modulus_one(self) -> bool:
         return (self * self.conj()).is_one()
 
-    def root_of_unity_order(self, bound: int | None = None) -> int | None:
+    def root_of_unity_order(self) -> int | None:
         """Multiplicative order if self is a root of unity, else None.
 
         Roots of unity inside Q(zeta_N) all have order dividing N (N even)
-        or 2N (N odd), so only that bound is probed unless overridden.
+        or 2N (N odd), so only that bound is probed.
         """
         n = self.level
-        if bound is None:
-            bound = n if n % 2 == 0 else 2 * n
+        bound = n if n % 2 == 0 else 2 * n
         if self.is_zero():
             return None
         acc = self

@@ -1,10 +1,13 @@
 """The Grothendieck ring on irreducible characters.
 
-Products decompose by an exact linear solve of the character product
-against the candidate characters supplied by the orbit product; the
-multiplicities must come out as nonnegative integers with zero residual,
-and violations abort loudly.  Duality goes through the antipode, the
-degree-2 indicator through the integral of m(Delta(chi)).
+H is cosemisimple, so its normalized integral T gives every fusion
+multiplicity as one Haar pairing, N_ab^c = <T, chi_a chi_b S(chi_c)>
+(Larson's character orthogonality).  The characters of each orbit are
+certified orthonormal for this pairing once, and each product row by a
+zero sparse residual; the multiplicities must come out as nonnegative
+integers matching the dimensions, and violations abort loudly.  Duality
+goes through the antipode, the degree-2 indicator through the integral
+of m(Delta(chi)).
 """
 
 from __future__ import annotations
@@ -15,8 +18,11 @@ from .certs import solve_in_span
 from .comodules import SimpleDesc, SimpleIndex
 from .cyclotomic import rational
 from .errors import InternalInconsistencyError
-from .hopf import BicrossedHopf
-from .matched_pair import orbit_product
+from .hopf import BicrossedHopf, HElem
+from .matched_pair import Orbit, orbit_product
+
+# Triples sampled by the associativity law of verify_based_ring.
+SAMPLE_TRIPLES = 60
 
 
 @dataclass(frozen=True)
@@ -51,6 +57,36 @@ class FusionRing:
         self.index = index if index is not None else SimpleIndex(hopf)
         self._row_cache: dict = {}
         self._dual_cache: dict = {}
+        self._antipodes: dict = {}  # id(chi) -> (chi, S(chi))
+        self._orthonormal: set = set()
+
+    # -- the Haar pairing ------------------------------------------------------
+
+    def pair(self, x: HElem, chi: HElem):
+        """<x, chi> = <T, x S(chi)> for a character chi of self.index, with
+        S(chi) kept per character object, that is once per simple."""
+        entry = self._antipodes.get(id(chi))
+        if entry is None:
+            entry = self._antipodes[id(chi)] = (chi, self.hopf.antipode(chi))
+        return self.hopf.integral_of_product(x, entry[1])
+
+    def _certify_orthonormal(self, orbit: Orbit) -> None:
+        """The Gram matrix <chi_c, chi_c'> of the orbit's simples must be
+        the identity.  Characters over distinct orbits have disjoint
+        f-supports and pair to zero, so this makes every candidate set
+        of a product orthonormal, hence independent."""
+        if orbit.representative in self._orthonormal:
+            return
+        chars = [self.index.character(d) for d in self.index.simples_for_orbit(orbit)]
+        for i, x in enumerate(chars):
+            for j, y in enumerate(chars):
+                value = self.pair(x, y)
+                if not (value.is_one() if i == j else value.is_zero()):
+                    raise InternalInconsistencyError(
+                        f"characters over the orbit of {self.hopf.F.label(orbit.representative)} "
+                        "are not orthonormal for the Haar pairing"
+                    )
+        self._orthonormal.add(orbit.representative)
 
     # -- product decomposition ------------------------------------------------
 
@@ -63,10 +99,12 @@ class FusionRing:
         candidates: list[SimpleDesc] = []
         for orb in orbit_product(H.ctx, d1.orbit, d2.orbit):
             index.require_in_ball(orb, radius)
+            self._certify_orthonormal(orb)
             candidates.extend(index.simples_for_orbit(orb))
         coeffs = solve_in_span(
             [index.character(c) for c in candidates],
             product,
+            self.pair,
             description=f"fusion {d1.uid} * {d2.uid}",
         )
         summands = []
@@ -118,16 +156,10 @@ class FusionRing:
         """nu_2 = <T, m(Delta(chi))>, asserted to land in {-1, 0, 1} and to
         vanish exactly off the self-dual simples."""
         H = self.hopf
-        chi = self.index.character(d)
         total = rational(0)
-        for key, v in chi.terms.items():
+        for key, v in self.index.character(d).terms.items():
             for (k1, k2), c in H.comul_basis(key):
-                prod = H.basis_mul(k1, k2)
-                if prod is None:
-                    continue
-                (g_out, f_out), w = prod
-                if f_out == H.F.identity:
-                    total = total + v * c * w * rational(H._inv_g_order)
+                total = total + H.integral_of_product(HElem.basis(*k1, v * c), HElem.basis(*k2))
         if not total.is_integer():
             raise InternalInconsistencyError(
                 f"indicator of {d.uid} is not an integer: {total.literal()}"
@@ -170,7 +202,7 @@ class FusionRing:
             noncommutative_pairs=asym,
         )
 
-    def verify_based_ring(self, table: FusionTable, sample_triples: int = 60) -> dict:
+    def verify_based_ring(self, table: FusionTable) -> dict:
         """Unit laws, the unit-multiplicity/duality pairing, duality as an
         anti-involution, and associativity on sampled triples."""
         unit_uid = self.index.unit_simple().uid
@@ -205,7 +237,7 @@ class FusionRing:
         for a in range(n):
             for b in range(n):
                 for c in range(n):
-                    if (a * 7 + b * 3 + c) % max(1, (n * n * n) // sample_triples + 1):
+                    if (a * 7 + b * 3 + c) % max(1, (n * n * n) // SAMPLE_TRIPLES + 1):
                         continue
                     count += 1
                     da, db, dc = (self.index.find(uids[x]) for x in (a, b, c))
@@ -243,7 +275,7 @@ class FusionRing:
         abelian G, trivial left action, matching stabilizers).
 
         Returns None when a hypothesis fails; otherwise the row, verified
-        against the generic exact solve."""
+        against the generic Haar-pairing row."""
         if not self.smash_applicable():
             return None
         H, index = self.hopf, self.index
@@ -306,6 +338,6 @@ class FusionRing:
         generic = self.decompose_product(d1, d2)
         if shortcut.summands != generic.summands:
             raise InternalInconsistencyError(
-                f"smash closed form disagrees with the exact solve on {d1.uid} * {d2.uid}"
+                f"smash closed form disagrees with the generic row on {d1.uid} * {d2.uid}"
             )
         return shortcut

@@ -103,12 +103,6 @@ class HElem(_Sparse):
     def zero() -> "HElem":
         return HElem()
 
-    def coeff(self, key) -> CycNum:
-        return self.terms.get(key, rational(0))
-
-    def support(self):
-        return set(self.terms)
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -160,14 +154,6 @@ class BicrossedHopf:
         self._unitary: bool | None = None
         self._inv_g_order = Fraction(1, self.G.order)
 
-    # -- scalars ------------------------------------------------------------
-
-    def sigma_at(self, g, f, f2) -> CycNum:
-        return self.sigma.eval(g, f, f2)
-
-    def tau_at(self, g, g2, f) -> CycNum:
-        return self.tau.eval(g, g2, f)
-
     # -- structure maps -------------------------------------------------------
 
     def unit(self) -> HElem:
@@ -180,7 +166,7 @@ class BicrossedHopf:
         g2, f2 = k2
         if self.ctx.act_left(g, f) != g2:
             return None
-        return (g, self.F.mul(f, f2)), self.sigma_at(g, f, f2)
+        return (g, self.F.mul(f, f2)), self.sigma.eval(g, f, f2)
 
     def mul(self, a: HElem, b: HElem) -> HElem:
         out: dict = {}
@@ -190,7 +176,7 @@ class BicrossedHopf:
             partner = act_left(g, f)
             for (g2, f2), vb in b.terms.items():
                 if g2 == partner:
-                    _add_term(out, (g, fmul(f, f2)), va * vb * self.sigma_at(g, f, f2))
+                    _add_term(out, (g, fmul(f, f2)), va * vb * self.sigma.eval(g, f, f2))
         return HElem._of(out)
 
     def comul_basis(self, key):
@@ -200,7 +186,7 @@ class BicrossedHopf:
         G = self.G
         for x in G.elements():
             gx = G.mul(g, G.inv(x))
-            c = self.tau_at(gx, x, f)
+            c = self.tau.eval(gx, x, f)
             out.append((((gx, self.ctx.act_right(x, f)), (x, f)), c))
         return out
 
@@ -225,7 +211,7 @@ class BicrossedHopf:
         ginv = G.inv(g)
         gf = ctx.act_right(g, f)
         gf_inv = self.F.inv(gf)
-        coeff = (self.sigma_at(ginv, gf, gf_inv) * self.tau_at(ginv, g, f)).inv()
+        coeff = (self.sigma.eval(ginv, gf, gf_inv) * self.tau.eval(ginv, g, f)).inv()
         return (G.inv(ctx.act_left(g, f)), gf_inv), coeff
 
     def antipode(self, a: HElem) -> HElem:
@@ -248,7 +234,7 @@ class BicrossedHopf:
     def star_basis(self, key):
         g, f = key
         finv = self.F.inv(f)
-        coeff = self.sigma_at(g, f, finv).conj()
+        coeff = self.sigma.eval(g, f, finv).conj()
         return (self.ctx.act_left(g, f), finv), coeff
 
     def star(self, a: HElem) -> HElem:
@@ -269,9 +255,22 @@ class BicrossedHopf:
                 total = total + v
         return total * rational(self._inv_g_order)
 
+    def integral_of_product(self, x: HElem, y: HElem) -> CycNum:
+        """<T, xy> without forming xy: in one pass over the terms of x, the
+        only term of y whose product with p_g # f lands on an f-part 1 is
+        the one at (g < f, f^-1), with weight sigma(g; f, f^-1)/|G|."""
+        act_left, finv, y_terms = self.ctx.act_left, self.F.inv, y.terms
+        total = rational(0)
+        for (g, f), v in x.terms.items():
+            fi = finv(f)
+            w = y_terms.get((act_left(g, f), fi))
+            if w is not None:
+                total = total + v * w * self.sigma.eval(g, f, fi)
+        return total * rational(self._inv_g_order)
+
     def haar_gram(self, x: HElem, y: HElem) -> CycNum:
         """<x, y>_r = <T, y* x>; positive definite in the unitary case."""
-        return self.integral(self.mul(self.star(y), x))
+        return self.integral_of_product(self.star(y), x)
 
     def haar_positivity(self, x: HElem, precision: int = 30) -> dict:
         """Self-pairing <x, x>_r with a positivity certificate.
@@ -327,14 +326,17 @@ class BicrossedHopf:
         )
 
 
-def pair_check_radius(H: BicrossedHopf, radius: int, budget: int = 90) -> int:
-    """Largest radius <= radius whose basis-element count stays within the
-    budget for pairwise/triple sweeps; at least 1.  Finite F always uses
-    the full element list."""
+PAIR_BUDGET = 90
+
+
+def pair_check_radius(H: BicrossedHopf, radius: int) -> int:
+    """Largest radius <= radius whose basis-element count stays within
+    PAIR_BUDGET for pairwise/triple sweeps; at least 1.  Finite F always
+    uses the full element list."""
     if H.F.is_finite:
         return radius
     r = radius
-    while r > 1 and len(f_ball(H.F, r)) * H.G.order > budget:
+    while r > 1 and len(f_ball(H.F, r)) * H.G.order > PAIR_BUDGET:
         r -= 1
     return r
 
@@ -345,11 +347,11 @@ class _Sweep:
     keys cover the ball of the full radius, pair_keys the possibly smaller
     ball chosen by pair_check_radius for binary and ternary laws."""
 
-    def __init__(self, H: BicrossedHopf, radius: int, pair_budget: int, max_violations: int):
+    def __init__(self, H: BicrossedHopf, radius: int, max_violations: int):
         G, F = H.G, H.F
         ball = f_ball(F, radius)
         self.keys = [(g, f) for f in ball for g in G.elements()]
-        r_pair = pair_check_radius(H, radius, pair_budget)
+        r_pair = pair_check_radius(H, radius)
         self.pair_keys = [(g, f) for f in f_ball(F, r_pair) for g in G.elements()]
         self.scope_elem = "all elements" if F.is_finite else f"ball radius {radius}"
         self.scope_pair = "all elements" if F.is_finite else f"ball radius {r_pair}"
@@ -376,7 +378,6 @@ class _Sweep:
 def verify_hopf(
     H: BicrossedHopf,
     radius: int = 3,
-    pair_budget: int = 90,
     max_violations: int = 10,
 ) -> VerifyReport:
     """Axiom sweep over basis elements with f-parts in the ball.
@@ -390,7 +391,7 @@ def verify_hopf(
     the polyadic axioms: on basis elements associativity at a triple is
     equivalent to the right-action law plus the sigma law there.
     """
-    sweep = _Sweep(H, radius, pair_budget, max_violations)
+    sweep = _Sweep(H, radius, max_violations)
     pair_keys, name_key = sweep.pair_keys, sweep.name_key
     basis = HElem.basis
     unit = H.unit()
@@ -529,7 +530,6 @@ def verify_hopf(
 def verify_star(
     H: BicrossedHopf,
     radius: int = 3,
-    pair_budget: int = 90,
     max_violations: int = 10,
 ) -> VerifyReport:
     """Star-structure sweep: involution, conjugate linearity against the
@@ -538,7 +538,7 @@ def verify_star(
     Callers should run is_unitary first; this raises on non-unitary data.
     """
     H.require_unitary(radius)
-    sweep = _Sweep(H, radius, pair_budget, max_violations)
+    sweep = _Sweep(H, radius, max_violations)
     pair_keys, name_key = sweep.pair_keys, sweep.name_key
     basis = HElem.basis
     unit = H.unit()

@@ -50,11 +50,6 @@ class TwistedChar:
     def sort_key(self):
         return (self.dim, tuple(v.literal() for v in self.values))
 
-    def restrict(self, sub_elements) -> "TwistedChar":
-        sub = tuple(sorted(sub_elements))
-        vals = tuple(self.value(g) for g in sub)
-        return TwistedChar(sub, vals, self.dim)
-
 
 @dataclass(frozen=True)
 class CharTable:

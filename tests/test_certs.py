@@ -8,6 +8,7 @@ from bicrossed.certs import dimension_audit, direct_sum_check, exact_rank, solve
 from bicrossed.comodules import SimpleIndex, coefficient_basis
 from bicrossed.cyclotomic import rational, root_of_unity
 from bicrossed.errors import InternalInconsistencyError
+from bicrossed.fusion import FusionRing
 from bicrossed.hopf import HElem
 
 
@@ -45,27 +46,31 @@ def test_exact_rank_order_independent(perm):
 
 
 def test_solve_in_span(h_z_z2):
-    H = h_z_z2.hopf
-    index = SimpleIndex(H)
-    chars = [index.character(d) for d in index.enumerate(2)]
+    ring = FusionRing(h_z_z2.hopf)
+    chars = [ring.index.character(d) for d in ring.index.enumerate(2)]
     target = chars[0].scale(rational(2)) + chars[3]
-    coeffs = solve_in_span(chars, target)
+    coeffs = solve_in_span(chars, target, ring.pair)
     assert [c.literal() for c in coeffs] == ["2", "0", "0", "1"]
 
 
 def test_solve_in_span_rejects_residual(h_z_z2):
-    H = h_z_z2.hopf
-    index = SimpleIndex(H)
-    chars = [index.character(d) for d in index.enumerate(1)]
+    ring = FusionRing(h_z_z2.hopf)
+    chars = [ring.index.character(d) for d in ring.index.enumerate(1)]
     outside = HElem.basis(0, (2,))
-    with pytest.raises(InternalInconsistencyError):
-        solve_in_span(chars, outside)
+    with pytest.raises(InternalInconsistencyError, match="nonzero residual"):
+        solve_in_span(chars, outside, ring.pair)
 
 
-def test_solve_in_span_rejects_dependent():
-    v = HElem.basis(0, 0)
-    with pytest.raises(InternalInconsistencyError):
-        solve_in_span([v, v.scale(rational(2))], v)
+def test_solve_in_span_rejects_non_orthonormal_orbit(drinfeld_s3, monkeypatch):
+    """A candidate orbit whose simples repeat one character fails the
+    per-orbit Gram certificate before any coefficient is trusted."""
+    ring = FusionRing(drinfeld_s3.hopf)
+    index = ring.index
+    d = index.enumerate(0)[0]
+    real = index.simples_for_orbit
+    monkeypatch.setattr(index, "simples_for_orbit", lambda orb: real(orb)[:1] * 2)
+    with pytest.raises(InternalInconsistencyError, match="not orthonormal"):
+        ring.decompose_product(d, d)
 
 
 def test_direct_sum_drinfeld(drinfeld_s3):

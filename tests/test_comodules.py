@@ -114,8 +114,8 @@ def test_intro_form_of_character_agrees():
                     ginv = G.inv(g)
                     zgz = G.mul(G.mul(zinv, ginv), z)
                     coeff = (
-                        H.tau_at(zinv, ginv, rep).inv()
-                        * H.tau_at(zgz, zinv, rep)
+                        H.tau.eval(zinv, ginv, rep).inv()
+                        * H.tau.eval(zgz, zinv, rep)
                         * chimap[ginv]
                     )
                     key = (zgz, fz)

@@ -4,11 +4,14 @@ import random
 
 import pytest
 
-from conftest import build_preset, twisted_tau_config
+from conftest import build_preset, twisted_sigma_config, twisted_tau_config
+from test_deep_twisted import s3_factorization_config, sigma_and_tau_config, z4_twisted_config
 
 from bicrossed.config import build_config
+from bicrossed.cyclotomic import rational, row_reduce
 from bicrossed.errors import BallTooSmallError
 from bicrossed.fusion import FusionRing, FusionRow
+from bicrossed.matched_pair import orbit_product
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +174,55 @@ def test_fs_invariant_under_duality():
     ring = FusionRing(build.hopf)
     for d in ring.index.enumerate(3):
         assert ring.fs_indicator(d) == ring.fs_indicator(ring.dual_of(d))
+
+
+def _dense_solve_row(ring, d1, d2):
+    """The summands of d1 * d2 by a dense exact solve of the character
+    product against every candidate character, asserting independence
+    and a zero residual: the oracle for the Haar-pairing rows."""
+    H, index = ring.hopf, ring.index
+    product = H.mul(index.character(d1), index.character(d2))
+    candidates = [
+        c for orb in orbit_product(H.ctx, d1.orbit, d2.orbit) for c in index.simples_for_orbit(orb)
+    ]
+    basis = [index.character(c) for c in candidates]
+    keys = sorted(set(product.terms).union(*(b.terms for b in basis)))
+    zero = rational(0)
+    rows = [[b.terms.get(k, zero) for b in basis] + [product.terms.get(k, zero)] for k in keys]
+    pivots = row_reduce(rows, len(basis))
+    assert pivots == list(range(len(basis))), "candidate characters are dependent"
+    assert all(row[-1].is_zero() for row in rows[len(basis):]), "nonzero residual"
+    return tuple(
+        sorted(
+            (c.uid, int(row[-1].as_fraction()))
+            for c, row in zip(candidates, rows)
+            if not row[-1].is_zero()
+        )
+    )
+
+
+_ORACLE_CONFIGS = {
+    "h_z_z2n:2": (lambda: build_preset("h_z_z2n:2"), 3),
+    "drinfeld:S3": (lambda: build_preset("drinfeld:S3"), 0),
+    "drinfeld:A4": (lambda: build_preset("drinfeld:A4"), 0),
+    "z_poly_zp:2": (lambda: build_preset("z_poly_zp:2"), 2),
+    "twisted_tau": (lambda: build_config(twisted_tau_config()), 3),
+    "twisted_sigma": (lambda: build_config(twisted_sigma_config()), 3),
+    "z4_twisted": (lambda: build_config(z4_twisted_config()), 3),
+    "s3_factorization": (lambda: build_config(s3_factorization_config()), 0),
+    "sigma_and_tau": (lambda: build_config(sigma_and_tau_config()), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_CONFIGS))
+def test_rows_match_dense_solve(name):
+    build, radius = _ORACLE_CONFIGS[name]
+    ring = FusionRing(build().hopf)
+    simples = ring.index.enumerate(radius)
+    mismatches = [
+        (d1.uid, d2.uid)
+        for d1 in simples
+        for d2 in simples
+        if ring.decompose_product(d1, d2).summands != _dense_solve_row(ring, d1, d2)
+    ]
+    assert mismatches == []

@@ -3,10 +3,19 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import broken_compat_config, sigma_two_config, twisted_sigma_config, twisted_tau_config
+from conftest import (
+    broken_compat_config,
+    build_preset,
+    sigma_two_config,
+    twisted_sigma_config,
+    twisted_tau_config,
+)
 
 from bicrossed.config import build_config
+from bicrossed.groups import f_ball
 from bicrossed.cyclotomic import rational, root_of_unity
 from bicrossed.errors import VerificationFailure
 from bicrossed.hopf import HElem, HTensor, pair_check_radius, verify_hopf, verify_star
@@ -180,3 +189,38 @@ def test_haar_positivity_certificates(h_z_z2):
     assert H.haar_gram(y, y) == rational(1)  # |z8|^2/2 + 1/2
     zero_rep = H.haar_positivity(HElem.zero())
     assert zero_rep["certified"] and not zero_rep["positive"]
+
+
+_PAIRING_BUILDS = {
+    "h_z_z2n:2": lambda: build_preset("h_z_z2n:2"),
+    "drinfeld:S3": lambda: build_preset("drinfeld:S3"),
+    "twisted_tau": lambda: build_config(twisted_tau_config()),
+    "twisted_sigma": lambda: build_config(twisted_sigma_config()),
+}
+_pairing_cache: dict = {}
+
+_coefficients = st.sampled_from(
+    [rational(1), rational(-2), rational(Fraction(1, 3)), root_of_unity(1, 4), root_of_unity(2, 3)]
+)
+
+
+@pytest.mark.parametrize("name", sorted(_PAIRING_BUILDS))
+@given(data=st.data())
+def test_integral_of_product_matches_integral_of_mul(name, data):
+    """<T, xy> from one pass over x equals the integral of the formed
+    product, on random sparse x and y; y also gets the partners of some
+    terms of x, so terms that pair to a nonzero value are drawn often."""
+    if name not in _pairing_cache:
+        _pairing_cache[name] = _PAIRING_BUILDS[name]().hopf
+    H = _pairing_cache[name]
+    keys = [(g, f) for f in f_ball(H.F, 1) for g in H.G.elements()]
+    terms = st.tuples(st.sampled_from(keys), _coefficients)
+
+    x = HElem.from_pairs(data.draw(st.lists(terms, max_size=6)))
+    partners = [
+        ((H.ctx.act_left(g, f), H.F.inv(f)), c)
+        for (g, f) in x.terms
+        for c in data.draw(st.lists(_coefficients, max_size=1))
+    ]
+    y = HElem.from_pairs(data.draw(st.lists(terms, max_size=6)) + partners)
+    assert H.integral_of_product(x, y) == H.integral(H.mul(x, y))
