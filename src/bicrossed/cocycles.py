@@ -228,44 +228,50 @@ def verify_cocycles(
     )
     lab = F.label
     n, nd = G.order, len(domain)
+    act_r, act_l = ctx.act_right, ctx.act_left
+    fmul, gmul = F.mul, G.mul
+    elems = G.elements()
 
     def sigma_law():
-        for g in G.elements():
+        for g in elems:
             for f in domain:
-                gf = ctx.act_left(g, f)
+                gf = act_l(g, f)
                 for f2 in domain:
                     sf = sigma.eval(g, f, f2)
-                    ff2 = F.mul(f, f2)
+                    ff2 = fmul(f, f2)
                     for f3 in domain:
-                        lhs = sigma.eval(gf, f2, f3) * sigma.eval(g, f, F.mul(f2, f3))
+                        lhs = sigma.eval(gf, f2, f3) * sigma.eval(g, f, fmul(f2, f3))
                         if lhs != sf * sigma.eval(g, ff2, f3):
                             yield {"g": g, "f": lab(f), "f2": lab(f2), "f3": lab(f3)}
 
     def tau_law():
-        for g in G.elements():
-            for g2 in G.elements():
-                gg2 = G.mul(g, g2)
-                for g3 in G.elements():
-                    g2g3 = G.mul(g2, g3)
-                    for f in domain:
-                        lhs = tau.eval(g, g2, ctx.act_right(g3, f)) * tau.eval(gg2, g3, f)
+        # image[g3][k] = g3 > domain[k], the same for every (g, g2).
+        image = [[act_r(g3, f) for f in domain] for g3 in elems]
+        for g in elems:
+            for g2 in elems:
+                gg2 = gmul(g, g2)
+                for g3 in elems:
+                    g2g3 = gmul(g2, g3)
+                    for f, g3f in zip(domain, image[g3]):
+                        lhs = tau.eval(g, g2, g3f) * tau.eval(gg2, g3, f)
                         if lhs != tau.eval(g, g2g3, f) * tau.eval(g2, g3, f):
                             yield {"g": g, "g2": g2, "g3": g3, "f": lab(f)}
 
     def compatibility():
-        for g in G.elements():
-            for g2 in G.elements():
-                gg2 = G.mul(g, g2)
+        for g in elems:
+            for g2 in elems:
+                gg2 = gmul(g, g2)
                 for f in domain:
-                    g2f_r = ctx.act_right(g2, f)
-                    g2f_l = ctx.act_left(g2, f)
+                    g2f_r = act_r(g2, f)
+                    g2f_l = act_l(g2, f)
+                    g_g2f = act_l(g, g2f_r)
                     for f2 in domain:
-                        lhs = sigma.eval(gg2, f, f2) * tau.eval(g, g2, F.mul(f, f2))
+                        lhs = sigma.eval(gg2, f, f2) * tau.eval(g, g2, fmul(f, f2))
                         rhs = (
-                            sigma.eval(g, g2f_r, ctx.act_right(g2f_l, f2))
+                            sigma.eval(g, g2f_r, act_r(g2f_l, f2))
                             * sigma.eval(g2, f, f2)
                             * tau.eval(g, g2, f)
-                            * tau.eval(ctx.act_left(g, g2f_r), g2f_l, f2)
+                            * tau.eval(g_g2f, g2f_l, f2)
                         )
                         if lhs != rhs:
                             yield {"g": g, "g2": g2, "f": lab(f), "f2": lab(f2)}

@@ -270,7 +270,13 @@ class CycNum:
         other = CycNum._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _mul(*self._common(other))
+        a, b = self._common(other)
+        # Both are canonical at the common level, so x * 1 is x itself.
+        if b.is_one():
+            return a
+        if a.is_one():
+            return b
+        return _mul(a, b)
 
     __rmul__ = __mul__
 

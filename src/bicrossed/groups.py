@@ -10,6 +10,7 @@ extension point for further backends.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from math import gcd
 
@@ -377,10 +378,10 @@ class FreeAbelianF:
         return (0,) * self.rank
 
     def mul(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def inv(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(operator.neg, a))
 
     def order_key(self, a):
         return (max(abs(x) for x in a), a)

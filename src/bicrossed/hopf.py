@@ -390,6 +390,11 @@ def verify_hopf(
     its scope.  Combined with the global cocycle-law checks these cover
     the polyadic axioms: on basis elements associativity at a triple is
     equivalent to the right-action law plus the sigma law there.
+
+    "bialgebra compatibility" counts pairs of basis elements as its
+    instances, but checks each pair against two laws (Delta and eps, each
+    with its own witness) and checks Delta(1) = 1 (x) 1 once more, so its
+    violation_count can reach 2 * instances + 1.
     """
     sweep = _Sweep(H, radius, max_violations)
     pair_keys, name_key = sweep.pair_keys, sweep.name_key

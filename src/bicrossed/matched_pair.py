@@ -5,6 +5,10 @@ The right action sends (g, f) to an element of F, the left action sends
 tables for finite F, and a homomorphism G -> GL_r(Z) for free-abelian F
 (with the left action constantly trivial, the only decidable shape the
 matched-pair laws leave open on Z^r).
+
+Each context binds ctx.act_right and ctx.act_left once, at construction:
+closures over the tables, or each M_g compiled to sparse integer rows
+applied by a plain loop, so no call dispatches on the backend.
 """
 
 from __future__ import annotations
@@ -83,6 +87,7 @@ class MatchedPairCtx:
                     for x in row:
                         if not 0 <= x < rng:
                             raise ConfigError(f"{what} action table entry {x} out of range")
+            self._bind_tables(action.right, action.left)
         elif isinstance(action, LinearAction):
             if not isinstance(F, FreeAbelianF):
                 raise ConfigError("linear actions require a free-abelian F")
@@ -94,21 +99,33 @@ class MatchedPairCtx:
                     raise ConfigError(f"action matrices must be {r}x{r}")
                 if _int_det(M) not in (1, -1):
                     raise ConfigError("action matrix is not invertible over the integers")
+            self._bind_linear(action.matrices)
         else:
             raise ConfigError(f"unknown action spec {type(action).__name__}")
 
-    # -- the two actions ----------------------------------------------------
+    # -- the two actions: act_right(g, f) = g > f in F, act_left(g, f) = g < f in G
 
-    def act_right(self, g: int, f):
-        if isinstance(self.action, TableActions):
-            return self.action.right[g][f]
-        M = self.action.matrices[g]
-        return tuple(sum(M[i][j] * f[j] for j in range(len(f))) for i in range(len(f)))
+    def _bind_tables(self, right, left) -> None:
+        self.act_right = lambda g, f: right[g][f]
+        self.act_left = lambda g, f: left[g][f]
 
-    def act_left(self, g: int, f) -> int:
-        if isinstance(self.action, TableActions):
-            return self.action.left[g][f]
-        return g
+    def _bind_linear(self, matrices) -> None:
+        # Row i of M_g as its nonzero (j, M_g[i][j]) pairs.
+        kernels = tuple(
+            tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in M) for M in matrices
+        )
+
+        def act_right(g, f):
+            out = []
+            for row in kernels[g]:
+                s = 0
+                for j, c in row:
+                    s += c * f[j]
+                out.append(s)
+            return tuple(out)
+
+        self.act_right = act_right
+        self.act_left = lambda g, f: g
 
     @property
     def left_action_trivial(self) -> bool:
@@ -307,75 +324,66 @@ def verify_matched_pair(ctx: MatchedPairCtx, radius: int = 4, max_violations: in
 
     lab = F.label
     nb = len(ball)
+    act_r, act_l = ctx.act_right, ctx.act_left
+    fmul, finv, gmul, ginv = F.mul, F.inv, G.mul, G.inv
+    e_f, e_g = F.identity, G.identity
+    elems = G.elements()
+    # image[g][k] = g > ball[k], shared by the sweeps.
+    image = [[act_r(g, f) for f in ball] for g in elems]
+    unit_fixes = [x == f for x, f in zip(image[e_g], ball)]
 
-    def check(name, instances, witnesses):
+    def right_action_law():
+        for g in elems:
+            for g2 in elems:
+                img_gg2, img_g2 = image[gmul(g, g2)], image[g2]
+                for k, f in enumerate(ball):
+                    if not (unit_fixes[k] and img_gg2[k] == act_r(g, img_g2[k])):
+                        yield {"g": g, "g2": g2, "f": lab(f)}
+
+    def left_action_law():
+        for g in elems:
+            g_one = act_l(g, e_f)
+            for f in ball:
+                g_f = act_l(g, f)
+                for f2 in ball:
+                    if not (g_one == g and act_l(g, fmul(f, f2)) == act_l(g_f, f2)):
+                        yield {"g": g, "f": lab(f), "f2": lab(f2)}
+
+    def right_compatibility():
+        for g in elems:
+            for f, gf in zip(ball, image[g]):
+                img_g_f = image[act_l(g, f)]
+                for k, f2 in enumerate(ball):
+                    if act_r(g, fmul(f, f2)) != fmul(gf, img_g_f[k]):
+                        yield {"g": g, "f": lab(f), "f2": lab(f2)}
+
+    def left_compatibility():
+        for g in elems:
+            for g2 in elems:
+                gg2 = gmul(g, g2)
+                for f, g2f in zip(ball, image[g2]):
+                    if act_l(gg2, f) != gmul(act_l(g, g2f), act_l(g2, f)):
+                        yield {"g": g, "g2": g2, "f": lab(f)}
+
+    def inverse_identities():
+        for g in elems:
+            units_fixed = act_r(g, e_f) == e_f and act_l(g, e_f) == g
+            g_inv = ginv(g)
+            for f, gf in zip(ball, image[g]):
+                g_f = act_l(g, f)
+                if not (
+                    units_fixed
+                    and finv(gf) == act_r(g_f, finv(f))
+                    and ginv(g_f) == act_l(g_inv, gf)
+                ):
+                    yield {"g": g, "f": lab(f)}
+
+    for name, instances, witnesses in (
+        ("right action law", n * n * nb, right_action_law()),
+        ("left action law", n * nb * nb, left_action_law()),
+        ("compatibility: g>(f f') = (g>f)((g<f)>f')", n * nb * nb, right_compatibility()),
+        ("compatibility: (g g')<f = (g<(g'>f))(g'<f)", n * n * nb, left_compatibility()),
+        ("inverse identities", n * nb, inverse_identities()),
+    ):
         checks.append(run_check(name, scope, instances, witnesses, max_violations))
-
-    check(
-        "right action law",
-        n * n * nb,
-        (
-            {"g": g, "g2": g2, "f": lab(f)}
-            for g in G.elements()
-            for g2 in G.elements()
-            for f in ball
-            if not (
-                ctx.act_right(G.identity, f) == f
-                and ctx.act_right(G.mul(g, g2), f) == ctx.act_right(g, ctx.act_right(g2, f))
-            )
-        ),
-    )
-    check(
-        "left action law",
-        n * nb * nb,
-        (
-            {"g": g, "f": lab(f), "f2": lab(f2)}
-            for g in G.elements()
-            for f in ball
-            for f2 in ball
-            if not (
-                ctx.act_left(g, F.identity) == g
-                and ctx.act_left(g, F.mul(f, f2)) == ctx.act_left(ctx.act_left(g, f), f2)
-            )
-        ),
-    )
-    check(
-        "compatibility: g>(f f') = (g>f)((g<f)>f')",
-        n * nb * nb,
-        (
-            {"g": g, "f": lab(f), "f2": lab(f2)}
-            for g in G.elements()
-            for f in ball
-            for f2 in ball
-            if ctx.act_right(g, F.mul(f, f2))
-            != F.mul(ctx.act_right(g, f), ctx.act_right(ctx.act_left(g, f), f2))
-        ),
-    )
-    check(
-        "compatibility: (g g')<f = (g<(g'>f))(g'<f)",
-        n * n * nb,
-        (
-            {"g": g, "g2": g2, "f": lab(f)}
-            for g in G.elements()
-            for g2 in G.elements()
-            for f in ball
-            if ctx.act_left(G.mul(g, g2), f)
-            != G.mul(ctx.act_left(g, ctx.act_right(g2, f)), ctx.act_left(g2, f))
-        ),
-    )
-    check(
-        "inverse identities",
-        n * nb,
-        (
-            {"g": g, "f": lab(f)}
-            for g in G.elements()
-            for f in ball
-            if not (
-                ctx.act_right(g, F.identity) == F.identity
-                and ctx.act_left(g, F.identity) == g
-                and F.inv(ctx.act_right(g, f)) == ctx.act_right(ctx.act_left(g, f), F.inv(f))
-                and G.inv(ctx.act_left(g, f)) == ctx.act_left(G.inv(g), ctx.act_right(g, f))
-            )
-        ),
-    )
     return VerifyReport("matched pair", checks)

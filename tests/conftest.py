@@ -16,6 +16,8 @@ settings.register_profile(
 settings.load_profile("ci")
 
 from bicrossed.config import build_config
+from bicrossed.groups import FiniteF, permutation_group
+from bicrossed.matched_pair import MatchedPairCtx, TableActions
 from bicrossed.presets import generate_preset
 
 
@@ -128,6 +130,21 @@ def broken_compat_config() -> dict:
     }
 
 
+def broken_linear_config() -> dict:
+    """Z2 acting on Z^2 by the shear [[1,1],[0,1]]: unimodular, so it is
+    accepted, but not an involution, so the matrices are no homomorphism
+    and the right action law fails on the spot ball."""
+    return {
+        "name": "broken_linear",
+        "group": {"type": "table", "table": [[0, 1], [1, 0]], "name": "Z2"},
+        "f_group": {"type": "free_abelian", "rank": 2},
+        "action": {"type": "linear", "matrices": [[[1, 0], [0, 1]], [[1, 1], [0, 1]]]},
+        "sigma": {"type": "trivial"},
+        "tau": {"type": "trivial"},
+        "radius": 2,
+    }
+
+
 def sigma_two_config() -> dict:
     """One sigma value set to 2: rejected by the unitarity gate."""
     one = "1"
@@ -144,3 +161,24 @@ def sigma_two_config() -> dict:
         "tau": {"type": "trivial"},
         "radius": 4,
     }
+
+
+def s4_factorization_ctx():
+    """S4 = F G with F = <(0 1 2 3)> and G = S3 fixing 3: g f = (g > f)(g < f)
+    defines a matched pair in which neither action is trivial."""
+    # Element tuples in permutation_group's index order, which is sorted.
+    Fl = [tuple((i + k) % 4 for i in range(4)) for k in range(4)]
+    Gl = sorted(p for p in itertools.permutations(range(4)) if p[3] == 3)
+    split = {
+        tuple(f[g[i]] for i in range(4)): (fi, gi)
+        for fi, f in enumerate(Fl)
+        for gi, g in enumerate(Gl)
+    }
+    right, left = [], []
+    for g in Gl:
+        pairs = [split[tuple(g[f[i]] for i in range(4))] for f in Fl]
+        right.append(tuple(fi for fi, _ in pairs))
+        left.append(tuple(gi for _, gi in pairs))
+    G = permutation_group([(1, 0, 2, 3), (1, 2, 0, 3)], name="S3")
+    F = FiniteF(permutation_group([(1, 2, 3, 0)], name="Z4"))
+    return MatchedPairCtx(G, F, TableActions(right=tuple(right), left=tuple(left)))

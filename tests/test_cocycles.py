@@ -1,8 +1,15 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from conftest import broken_compat_config, twisted_sigma_config, twisted_tau_config
+from conftest import (
+    broken_compat_config,
+    s4_factorization_ctx,
+    twisted_sigma_config,
+    twisted_tau_config,
+)
 
 from bicrossed.cocycles import (
     Beta2Cocycle,
@@ -13,7 +20,7 @@ from bicrossed.cocycles import (
     verify_cocycles,
 )
 from bicrossed.config import build_config
-from bicrossed.cyclotomic import one, rational
+from bicrossed.cyclotomic import one, rational, root_of_unity
 from bicrossed.errors import ConfigError, InternalInconsistencyError
 from bicrossed.groups import FreeAbelianF, cyclic_group, direct_product
 from bicrossed.matched_pair import LinearAction, MatchedPairCtx
@@ -152,3 +159,61 @@ def test_unitary_root_of_unity_table():
     ok, _ = is_unitary(build.sigma, build.tau, build.ctx, 2)
     assert ok
     assert build.level == 8  # session level lifted to hold the literal
+
+
+def naive_cocycle_laws(ctx, sigma, tau):
+    """The three laws of verify_cocycles over all of a finite F, written
+    out from their definitions: (name, instances, witnesses in order)."""
+    G, F, R, L = ctx.G, ctx.F, ctx.act_right, ctx.act_left
+    Gs, Fs, lab = list(G.elements()), F.ball(0), F.label
+    s, t = sigma.eval, tau.eval
+    return [
+        ("sigma cocycle law", len(Gs) * len(Fs) ** 3, [
+            {"g": g, "f": lab(f), "f2": lab(f2), "f3": lab(f3)}
+            for g in Gs for f in Fs for f2 in Fs for f3 in Fs
+            if s(L(g, f), f2, f3) * s(g, f, F.mul(f2, f3))
+            != s(g, f, f2) * s(g, F.mul(f, f2), f3)
+        ]),
+        ("tau cocycle law", len(Gs) ** 3 * len(Fs), [
+            {"g": g, "g2": g2, "g3": g3, "f": lab(f)}
+            for g in Gs for g2 in Gs for g3 in Gs for f in Fs
+            if t(g, g2, R(g3, f)) * t(G.mul(g, g2), g3, f)
+            != t(g, G.mul(g2, g3), f) * t(g2, g3, f)
+        ]),
+        ("sigma/tau compatibility", len(Gs) ** 2 * len(Fs) ** 2, [
+            {"g": g, "g2": g2, "f": lab(f), "f2": lab(f2)}
+            for g in Gs for g2 in Gs for f in Fs for f2 in Fs
+            if s(G.mul(g, g2), f, f2) * t(g, g2, F.mul(f, f2))
+            != s(g, R(g2, f), R(L(g2, f), f2)) * s(g2, f, f2) * t(g, g2, f)
+            * t(L(g, R(g2, f)), L(g2, f), f2)
+        ]),
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sweeps_match_naive_laws(seed):
+    # Random normalized tables on a matched pair with both actions nontrivial:
+    # every law fails somewhere, and the witnesses must match the definitions.
+    ctx = s4_factorization_ctx()
+    G, e_f = ctx.G, ctx.F.identity
+    n, m = G.order, ctx.F.group.order
+    rnd = random.Random(seed)
+    values = (one(), rational(-1), root_of_unity(1, 4))
+
+    def value(trivial):
+        return one() if trivial else rnd.choice(values)
+
+    sigma = SigmaCocycle.finite_table(ctx, [
+        [[value(g == G.identity or e_f in (f, f2)) for f2 in range(m)] for f in range(m)]
+        for g in range(n)
+    ])
+    tau = TauCocycle.finite_table(ctx, [
+        [[value(G.identity in (g, g2) or f == e_f) for f in range(m)] for g2 in range(n)]
+        for g in range(n)
+    ])
+    rep = verify_cocycles(ctx, sigma, tau, 0, max_violations=10**6)
+    got = [(c.name, c.instances, c.violations) for c in rep.checks]
+    expected = naive_cocycle_laws(ctx, sigma, tau)
+    assert got == expected
+    assert all(witnesses for _name, _n, witnesses in expected)
+

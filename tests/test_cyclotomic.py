@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bicrossed.cyclotomic import (
     CycNum,
+    _mul,
     cyclotomic_polynomial,
     one,
     phi,
@@ -235,6 +236,21 @@ def test_equal_values_have_equal_num_den(a, b):
         assert x.level == y.level
         assert (x.num, x.den) == (y.num, y.den)
         assert x == y
+
+
+UNIT_LEVELS = (1, 3, 4, 6, 12)
+
+
+@given(cycnums(levels=UNIT_LEVELS), st.sampled_from(UNIT_LEVELS))
+def test_mul_by_one_matches_general_product(x, level):
+    # x * 1 and 1 * x return the other operand: that must be the general
+    # product of the operands lifted to the common level, field by field.
+    u = one(level)
+    m = lcm(x.level, level)
+    expected = _mul(x.lift(m), u.lift(m))
+    for prod in (x * u, u * x):
+        assert (prod.level, prod.num, prod.den) == (expected.level, expected.num, expected.den)
+        assert prod.literal() == expected.literal()
 
 
 def test_canonical_zero_and_sign():

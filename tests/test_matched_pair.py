@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import s4_factorization_ctx
+
 from bicrossed.errors import ConfigError
 from bicrossed.groups import FiniteF, FreeAbelianF, cyclic_group, f_ball, permutation_group
 from bicrossed.matched_pair import (
@@ -61,6 +63,131 @@ def test_actions_z_poly():
     assert ctx.act_right(1, (1, 2, 3)) == (3, 1, 2)
     assert ctx.act_right(2, (1, 2, 3)) == (2, 3, 1)
     assert ctx.act_left(2, (1, 2, 3)) == 2
+
+
+# Unimodular matrices that are not monomial, indexed by G = Z3 and Z2.
+SHEARS_RANK2 = (((1, 0), (0, 1)), ((1, 1), (0, 1)), ((2, 1), (1, 1)))
+SHEARS_RANK3 = (((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((2, 1, 0), (1, 1, 0), (0, 3, 1)))
+
+
+def naive_act(M, f):
+    return tuple(sum(M[i][j] * f[j] for j in range(len(f))) for i in range(len(M)))
+
+
+@given(st.data())
+def test_linear_kernels_match_matrix_product(data):
+    for mats in (SHEARS_RANK2, SHEARS_RANK3):
+        r = len(mats[0])
+        ctx = MatchedPairCtx(cyclic_group(len(mats)), FreeAbelianF(r), LinearAction(mats))
+        f = tuple(data.draw(st.lists(st.integers(-50, 50), min_size=r, max_size=r)))
+        for g, M in enumerate(mats):
+            assert ctx.act_right(g, f) == naive_act(M, f)
+            assert ctx.act_left(g, f) == g
+
+
+def test_table_kernels_match_tables():
+    Z2, Z4 = cyclic_group(2), cyclic_group(4)
+    S3 = permutation_group([(1, 0, 2), (1, 2, 0)])
+    not_an_action = TableActions(
+        right=((0, 1, 2, 3), (0, 3, 1, 2)), left=((0, 1, 0, 1), (1, 1, 0, 0))
+    )
+    for ctx in (make_conjugation(S3), MatchedPairCtx(Z2, FiniteF(Z4), not_an_action)):
+        action = ctx.action
+        for g in ctx.G.elements():
+            for f in range(ctx.F.group.order):
+                assert ctx.act_right(g, f) == action.right[g][f]
+                assert ctx.act_left(g, f) == action.left[g][f]
+
+
+@st.composite
+def vector_pairs(draw):
+    r = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-9, 9), min_size=r, max_size=r).map(tuple)
+    return draw(vec), draw(vec)
+
+
+@given(vector_pairs())
+def test_free_abelian_mul_inv_match_generator_forms(pair):
+    a, b = pair
+    F = FreeAbelianF(len(a))
+    assert F.mul(a, b) == tuple(x + y for x, y in zip(a, b))
+    assert F.inv(a) == tuple(-x for x in a)
+
+
+def naive_matched_pair_laws(ctx, ball):
+    """The five laws of verify_matched_pair, written out from their
+    definitions: (name, instances, witnesses in enumeration order)."""
+    G, F, R, L = ctx.G, ctx.F, ctx.act_right, ctx.act_left
+    Gs, lab = list(G.elements()), F.label
+    return [
+        ("right action law", len(Gs) ** 2 * len(ball), [
+            {"g": g, "g2": g2, "f": lab(f)}
+            for g in Gs for g2 in Gs for f in ball
+            if not (R(G.identity, f) == f and R(G.mul(g, g2), f) == R(g, R(g2, f)))
+        ]),
+        ("left action law", len(Gs) * len(ball) ** 2, [
+            {"g": g, "f": lab(f), "f2": lab(f2)}
+            for g in Gs for f in ball for f2 in ball
+            if not (L(g, F.identity) == g and L(g, F.mul(f, f2)) == L(L(g, f), f2))
+        ]),
+        ("compatibility: g>(f f') = (g>f)((g<f)>f')", len(Gs) * len(ball) ** 2, [
+            {"g": g, "f": lab(f), "f2": lab(f2)}
+            for g in Gs for f in ball for f2 in ball
+            if R(g, F.mul(f, f2)) != F.mul(R(g, f), R(L(g, f), f2))
+        ]),
+        ("compatibility: (g g')<f = (g<(g'>f))(g'<f)", len(Gs) ** 2 * len(ball), [
+            {"g": g, "g2": g2, "f": lab(f)}
+            for g in Gs for g2 in Gs for f in ball
+            if L(G.mul(g, g2), f) != G.mul(L(g, R(g2, f)), L(g2, f))
+        ]),
+        ("inverse identities", len(Gs) * len(ball), [
+            {"g": g, "f": lab(f)}
+            for g in Gs for f in ball
+            if not (
+                R(g, F.identity) == F.identity
+                and L(g, F.identity) == g
+                and F.inv(R(g, f)) == R(L(g, f), F.inv(f))
+                and G.inv(L(g, f)) == L(G.inv(g), R(g, f))
+            )
+        ]),
+    ]
+
+
+def _swap_entries(ctx, which, g, a, b):
+    """ctx with action[which][g][a] and [g][b] exchanged: no longer a matched pair."""
+    tables = {
+        "right": [list(r) for r in ctx.action.right],
+        "left": [list(r) for r in ctx.action.left],
+    }
+    row = tables[which][g]
+    row[a], row[b] = row[b], row[a]
+    action = TableActions(**{k: tuple(map(tuple, v)) for k, v in tables.items()})
+    return MatchedPairCtx(ctx.G, ctx.F, action)
+
+
+def test_sweeps_match_naive_laws():
+    s4 = s4_factorization_ctx()
+    assert not s4.left_action_trivial
+    assert any(s4.act_right(g, f) != f for g in s4.G.elements() for f in s4.F.ball(0))
+    shear = MatchedPairCtx(cyclic_group(3), FreeAbelianF(2), LinearAction(SHEARS_RANK2))
+    cases = [
+        (s4, 0),
+        (_swap_entries(s4, "right", 1, 1, 3), 0),
+        (_swap_entries(s4, "right", s4.G.identity, 1, 3), 0),
+        (_swap_entries(s4, "left", 2, 0, 1), 0),
+        (shear, 2),
+        (make_z_poly(3), 1),
+    ]
+    verdicts = []
+    for ctx, radius in cases:
+        rep = verify_matched_pair(ctx, radius, max_violations=10**6)
+        laws = rep.checks if ctx.F.is_finite else rep.checks[1:]
+        ball = f_ball(ctx.F, radius if ctx.F.is_finite else min(radius, 2))
+        got = [(c.name, c.instances, c.violations) for c in laws]
+        assert got == naive_matched_pair_laws(ctx, ball)
+        assert all(c.violation_count == len(c.violations) for c in laws)
+        verdicts.append(rep.ok)
+    assert verdicts == [True, False, False, False, False, True]
 
 
 def test_verify_matched_pair_pass():

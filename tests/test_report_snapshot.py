@@ -16,7 +16,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import broken_compat_config, build_preset, twisted_sigma_config, twisted_tau_config
+from conftest import (
+    broken_compat_config,
+    broken_linear_config,
+    build_preset,
+    twisted_sigma_config,
+    twisted_tau_config,
+)
 
 from bicrossed.cocycles import is_unitary, verify_cocycles
 from bicrossed.config import build_config
@@ -32,6 +38,8 @@ CASES = {
     "twisted_tau": (lambda: build_config(twisted_tau_config()), None),
     "twisted_sigma": (lambda: build_config(twisted_sigma_config()), None),
     "drinfeld:S3": (lambda: build_preset("drinfeld:S3"), None),
+    "broken_linear": (lambda: build_config(broken_linear_config()), None),
+    "z_poly_zp:2": (lambda: build_preset("z_poly_zp:2"), None),
 }
 
 
