@@ -7,7 +7,6 @@ compact-quantum-group certification, all in exact cyclotomic arithmetic.
 
 from .cyclotomic import CycNum, one, rational, root_of_unity, zero
 from .errors import (
-    BallTooSmallError,
     BicrossedError,
     ConfigError,
     InternalInconsistencyError,

@@ -18,12 +18,7 @@ from .cocycles import is_unitary, verify_cocycles
 from .comodules import SimpleIndex
 from .config import Build, build_config, load_config_file
 from .cyclotomic import rational
-from .errors import (
-    BallTooSmallError,
-    ConfigError,
-    InternalInconsistencyError,
-    VerificationFailure,
-)
+from .errors import ConfigError, InternalInconsistencyError, VerificationFailure
 from .fusion import FusionRing
 from .hopf import HElem, verify_hopf, verify_star
 from .matched_pair import verify_matched_pair
@@ -179,7 +174,7 @@ def cmd_fuse(build: Build, id1: str, id2: str, radius: int) -> tuple[str, dict, 
     index = SimpleIndex(build.hopf)
     ring = FusionRing(build.hopf, index)
     d1, d2 = index.find(id1), index.find(id2)
-    row = ring.decompose_product(d1, d2, radius=None)
+    row = ring.decompose_product(d1, d2)
     payload = {
         "row": row.to_payload(),
         "dimension_product": d1.dim_total * d2.dim_total,
@@ -365,8 +360,8 @@ def run(argv=None) -> int:
             raise ConfigError(f"unknown command {args.command!r}")
         _emit(_report(build, args.command, status, payload), fmt)
         return code
-    except (ConfigError, BallTooSmallError) as exc:
-        _emit_error(args, fmt, "invalid-config", str(exc), getattr(exc, "representative", None))
+    except ConfigError as exc:
+        _emit_error(args, fmt, "invalid-config", str(exc), None)
         return EXIT_CONFIG
     except VerificationFailure as exc:
         _emit_error(args, fmt, "verification-failure", str(exc), exc.witness)

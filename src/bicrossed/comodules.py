@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .cocycles import Beta2Cocycle, beta_for_orbit
 from .cyclotomic import CycNum, rational
-from .errors import BallTooSmallError, ConfigError, InternalInconsistencyError
+from .errors import ConfigError, InternalInconsistencyError
 from .groups import f_ball, subgroup_of
 from .hopf import BicrossedHopf, HElem
 from .matched_pair import Orbit
@@ -105,27 +105,32 @@ def simples_for_orbit(hopf: BicrossedHopf, orbit: Orbit) -> tuple[SimpleDesc, ..
     return tuple(out)
 
 
-def irreducible_character(hopf: BicrossedHopf, d: SimpleDesc) -> HElem:
-    """The induced-comodule character.
-
-    Sums tau(z^-1, g; f)^-1 tau(z^-1 g z, z^-1; f) chi(g) p_{z^-1 g z}
-    over the transversal and the stabilizer, placed at f-part z^-1 > f."""
-    ctx, G, F = hopf.ctx, hopf.G, hopf.F
-    f = d.orbit.representative
-    chimap = d.chi.value_map()
+def _induced_terms(hopf: BicrossedHopf, orbit: Orbit, z2, z, a: dict) -> dict:
+    """The terms of sum_g tau(z2^-1, g; f)^-1 tau(z2^-1 g z, z^-1; f) a(g)
+    p_{z2^-1 g z} # (z^-1 > f) over the stabilizer; g -> z2^-1 g z is
+    injective, so every g gives its own key."""
+    G, f = hopf.G, orbit.representative
+    z2inv, zinv = G.inv(z2), G.inv(z)
+    fz = hopf.ctx.act_right(zinv, f)
     acc: dict = {}
+    for g in orbit.stabilizer:
+        val = a[g]
+        if val.is_zero():
+            continue
+        zgz = G.mul(G.mul(z2inv, g), z)
+        acc[(zgz, fz)] = hopf.tau.eval(z2inv, g, f).inv() * hopf.tau.eval(zgz, zinv, f) * val
+    return acc
+
+
+def irreducible_character(hopf: BicrossedHopf, d: SimpleDesc) -> HElem:
+    """The induced-comodule character: the diagonal blocks z2 = z of the
+    coefficient basis with a = chi, summed over the transversal (their
+    f-parts z^-1 > f are distinct)."""
+    chimap = d.chi.value_map()
+    terms: dict = {}
     for z in d.orbit.transversal:
-        zinv = G.inv(z)
-        fz = ctx.act_right(zinv, f)
-        for g in d.orbit.stabilizer:
-            val = chimap[g]
-            if val.is_zero():
-                continue
-            zgz = G.mul(G.mul(zinv, g), z)
-            coeff = hopf.tau.eval(zinv, g, f).inv() * hopf.tau.eval(zgz, zinv, f) * val
-            key = (zgz, fz)
-            acc[key] = acc[key] + coeff if key in acc else coeff
-    return HElem(acc)
+        terms.update(_induced_terms(hopf, d.orbit, z, z, chimap))
+    return HElem(terms)
 
 
 def coefficient_basis(hopf: BicrossedHopf, d: SimpleDesc, matrices=None) -> list[HElem]:
@@ -140,9 +145,7 @@ def coefficient_basis(hopf: BicrossedHopf, d: SimpleDesc, matrices=None) -> list
     """
     from .certs import exact_rank
 
-    ctx, G = hopf.ctx, hopf.G
-    f = d.orbit.representative
-    beta = beta_for_orbit(ctx, hopf.tau, d.orbit)
+    beta = beta_for_orbit(hopf.ctx, hopf.tau, d.orbit)
     m = d.dim_v
     if matrices is None:
         if m != 1:
@@ -150,31 +153,20 @@ def coefficient_basis(hopf: BicrossedHopf, d: SimpleDesc, matrices=None) -> list
                 "coaction matrices are required for characters of dimension > 1"
             )
         matrices = {g: ((d.chi.value_map()[g],),) for g in d.orbit.stabilizer}
+    matrices = {
+        g: tuple(tuple(a if isinstance(a, CycNum) else rational(a) for a in row) for row in M)
+        for g, M in matrices.items()
+        if g in d.orbit.stabilizer
+    }
     _check_coaction_matrices(hopf, d, beta, matrices)
-    out = []
-    for z2 in d.orbit.transversal:
-        z2inv = G.inv(z2)
-        for z in d.orbit.transversal:
-            zinv = G.inv(z)
-            fz = ctx.act_right(zinv, f)
-            for j in range(m):
-                for i in range(m):
-                    acc: dict = {}
-                    for g in d.orbit.stabilizer:
-                        a = matrices[g][j][i]
-                        if not isinstance(a, CycNum):
-                            a = rational(a)
-                        if a.is_zero():
-                            continue
-                        zgz = G.mul(G.mul(z2inv, g), z)
-                        coeff = (
-                            hopf.tau.eval(z2inv, g, f).inv()
-                            * hopf.tau.eval(zgz, zinv, f)
-                            * a
-                        )
-                        key = (zgz, fz)
-                        acc[key] = acc[key] + coeff if key in acc else coeff
-                    out.append(HElem(acc))
+    transversal = d.orbit.transversal
+    out = [
+        HElem(_induced_terms(hopf, d.orbit, z2, z, {g: M[j][i] for g, M in matrices.items()}))
+        for z2 in transversal
+        for z in transversal
+        for j in range(m)
+        for i in range(m)
+    ]
     cert = exact_rank(out, f"coefficient basis of {d.uid}")
     if cert.rank != d.dim_total**2 or len(out) != d.dim_total**2:
         raise InternalInconsistencyError(
@@ -193,35 +185,21 @@ def _check_coaction_matrices(hopf, d, beta: Beta2Cocycle, matrices):
         M = matrices[g]
         if len(M) != m or any(len(row) != m for row in M):
             raise ConfigError("coaction matrices must be dim_v x dim_v")
-        tr = rational(0)
-        for i in range(m):
-            v = M[i][i]
-            tr = tr + (v if isinstance(v, CycNum) else rational(v))
-        if tr != chimap[g]:
+        if sum((M[i][i] for i in range(m)), rational(0)) != chimap[g]:
             raise ConfigError(f"coaction trace at {g} disagrees with the character")
     ident = G.identity
     for i in range(m):
         for j in range(m):
-            v = matrices[ident][i][j]
-            want = rational(1 if i == j else 0)
-            if (v if isinstance(v, CycNum) else rational(v)) != want:
+            if matrices[ident][i][j] != rational(1 if i == j else 0):
                 raise ConfigError("coaction matrix at the identity must be the unit matrix")
     for a in d.orbit.stabilizer:
         for b in d.orbit.stabilizer:
-            ab = G.mul(a, b)
             lam = beta.eval(a, b)
+            A, B, AB = matrices[a], matrices[b], matrices[G.mul(a, b)]
             for i in range(m):
                 for j in range(m):
-                    s = rational(0)
-                    for t in range(m):
-                        x = matrices[a][i][t]
-                        y = matrices[b][t][j]
-                        x = x if isinstance(x, CycNum) else rational(x)
-                        y = y if isinstance(y, CycNum) else rational(y)
-                        s = s + x * y
-                    w = matrices[ab][i][j]
-                    w = w if isinstance(w, CycNum) else rational(w)
-                    if s != lam * w:
+                    s = sum((A[i][t] * B[t][j] for t in range(m)), rational(0))
+                    if s != lam * AB[i][j]:
                         raise ConfigError(
                             f"coaction matrices are not projectively multiplicative at ({a},{b})"
                         )
@@ -231,7 +209,7 @@ class SimpleIndex:
     """Cache of orbits and their simples; the uid -> descriptor registry.
 
     Computation is on demand per orbit, so fusion candidates outside any
-    enumerated ball still resolve unless the caller pins a radius."""
+    enumerated ball still resolve."""
 
     def __init__(self, hopf: BicrossedHopf):
         self.hopf = hopf
@@ -296,14 +274,3 @@ class SimpleIndex:
             if self.character(d) == unit:
                 return d
         raise InternalInconsistencyError("no simple with the unit character")
-
-    def require_in_ball(self, orbit: Orbit, radius: int | None):
-        if radius is None or self.hopf.F.is_finite:
-            return
-        rep = orbit.representative
-        norm = max(abs(x) for x in rep)
-        if norm > radius:
-            raise BallTooSmallError(
-                f"orbit of {self.hopf.F.label(rep)} lies outside the radius-{radius} ball",
-                representative=rep,
-            )

@@ -159,25 +159,50 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _build_group(spec: dict):
+def _kind(spec, what: str) -> str:
     if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigError("group spec must be an object with a 'type'")
-    kind = spec["type"]
+        raise ConfigError(f"{what} spec must be an object with a 'type'")
+    return spec["type"]
+
+
+def _field(spec: dict, key: str, what: str):
+    if key not in spec:
+        raise ConfigError(f"{what} spec is missing the {key!r} field")
+    return spec[key]
+
+
+def _as_int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be an integer, not {value!r}") from None
+
+
+def _int_rows(rows, what: str) -> tuple:
+    try:
+        return tuple(tuple(_as_int(x, f"{what} entry") for x in row) for row in rows)
+    except TypeError:
+        raise ConfigError(f"{what} must be a list of lists of integers") from None
+
+
+def _build_group(spec: dict):
+    kind = _kind(spec, "group")
     if kind == "table":
-        return finite_group(spec["table"], name=spec.get("name", "G"))
+        table = _int_rows(_field(spec, "table", "group"), "group table")
+        return finite_group(table, name=spec.get("name", "G"))
     if kind == "permutations":
-        return permutation_group(spec["generators"], name=spec.get("name", "G"))
+        gens = _int_rows(_field(spec, "generators", "group"), "permutation generators")
+        return permutation_group(gens, name=spec.get("name", "G"))
     raise ConfigError(f"unknown group type {kind!r}")
 
 
 def _build_f(spec: dict):
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigError("f_group spec must be an object with a 'type'")
-    kind = spec["type"]
+    kind = _kind(spec, "f_group")
     if kind == "finite":
-        return FiniteF(finite_group(spec["table"], name=spec.get("name", "F")))
+        table = _int_rows(_field(spec, "table", "f_group"), "f_group table")
+        return FiniteF(finite_group(table, name=spec.get("name", "F")))
     if kind == "free_abelian":
-        rank = int(spec["rank"])
+        rank = _as_int(_field(spec, "rank", "f_group"), "free abelian rank")
         if rank < 1:
             raise ConfigError("free abelian rank must be >= 1")
         return FreeAbelianF(rank)
@@ -185,61 +210,57 @@ def _build_f(spec: dict):
 
 
 def _build_action(spec: dict, G, F):
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigError("action spec must be an object with a 'type'")
-    kind = spec["type"]
+    kind = _kind(spec, "action")
     if kind == "tables":
         return TableActions(
-            right=tuple(tuple(int(x) for x in row) for row in spec["right"]),
-            left=tuple(tuple(int(x) for x in row) for row in spec["left"]),
+            right=_int_rows(_field(spec, "right", "action"), "right action table"),
+            left=_int_rows(_field(spec, "left", "action"), "left action table"),
         )
     if kind == "linear":
-        mats = tuple(
-            tuple(tuple(int(x) for x in row) for row in M) for M in spec["matrices"]
-        )
+        try:
+            mats = tuple(_int_rows(M, "action matrix") for M in _field(spec, "matrices", "action"))
+        except TypeError:
+            raise ConfigError("action matrices must be a list of integer matrices") from None
         return LinearAction(matrices=mats)
     raise ConfigError(f"unknown action type {kind!r}")
 
 
 def _parse_table_scalars(values, levels: list):
     out = []
-    for block in values:
-        rows = []
-        for row in block:
-            vals = []
-            for v in row:
-                c = parse_scalar(v)
-                levels.append(c.level)
-                vals.append(c)
-            rows.append(vals)
-        out.append(rows)
+    try:
+        for block in values:
+            rows = []
+            for row in block:
+                vals = []
+                for v in row:
+                    c = parse_scalar(v)
+                    levels.append(c.level)
+                    vals.append(c)
+                rows.append(vals)
+            out.append(rows)
+    except TypeError:
+        raise ConfigError("cocycle values must be a list of lists of lists of scalars") from None
     return out
 
 
-def _build_sigma(spec: dict | None, ctx, levels: list) -> SigmaCocycle:
-    if spec is None or spec.get("type", "trivial") == "trivial":
-        return SigmaCocycle.trivial()
-    kind = spec["type"]
+def _build_cocycle(cls, spec: dict | None, ctx, levels: list):
+    """A SigmaCocycle or TauCocycle from its spec; no spec, or no type,
+    means the trivial cocycle."""
+    what = cls.__name__.removesuffix("Cocycle").lower()
+    if spec is None:
+        return cls.trivial()
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{what} spec must be an object")
+    kind = spec.get("type", "trivial")
+    if kind == "trivial":
+        return cls.trivial()
     if kind == "table":
-        return SigmaCocycle.finite_table(ctx, _parse_table_scalars(spec["values"], levels))
+        return cls.finite_table(ctx, _parse_table_scalars(_field(spec, "values", what), levels))
     if kind == "quotient_lift":
-        return SigmaCocycle.quotient_lift(
-            ctx, tuple(int(m) for m in spec["moduli"]), _parse_table_scalars(spec["values"], levels)
-        )
-    raise ConfigError(f"unknown sigma type {kind!r}")
-
-
-def _build_tau(spec: dict | None, ctx, levels: list) -> TauCocycle:
-    if spec is None or spec.get("type", "trivial") == "trivial":
-        return TauCocycle.trivial()
-    kind = spec["type"]
-    if kind == "table":
-        return TauCocycle.finite_table(ctx, _parse_table_scalars(spec["values"], levels))
-    if kind == "quotient_lift":
-        return TauCocycle.quotient_lift(
-            ctx, tuple(int(m) for m in spec["moduli"]), _parse_table_scalars(spec["values"], levels)
-        )
-    raise ConfigError(f"unknown tau type {kind!r}")
+        moduli = tuple(_as_int(m, f"{what} modulus") for m in _field(spec, "moduli", what))
+        values = _parse_table_scalars(_field(spec, "values", what), levels)
+        return cls.quotient_lift(ctx, moduli, values)
+    raise ConfigError(f"unknown {what} type {kind!r}")
 
 
 def build_config(cfg: dict) -> Build:
@@ -259,21 +280,21 @@ def build_config(cfg: dict) -> Build:
     F = _build_f(cfg["f_group"])
     ctx = MatchedPairCtx(G, F, _build_action(cfg["action"], G, F))
     levels: list[int] = []
-    sigma = _build_sigma(cfg.get("sigma"), ctx, levels)
-    tau = _build_tau(cfg.get("tau"), ctx, levels)
+    sigma = _build_cocycle(SigmaCocycle, cfg.get("sigma"), ctx, levels)
+    tau = _build_cocycle(TauCocycle, cfg.get("tau"), ctx, levels)
     level = G.exponent()
     for lv in levels:
         level = level // gcd(level, lv) * lv
     declared = cfg.get("level")
     if declared is not None:
-        declared = int(declared)
+        declared = _as_int(declared, "level")
         if declared % level != 0:
             raise ConfigError(
                 f"declared level {declared} cannot hold the session scalars "
                 f"(need a multiple of {level})"
             )
         level = declared
-    radius = int(cfg.get("radius", DEFAULT_RADIUS))
+    radius = _as_int(cfg.get("radius", DEFAULT_RADIUS), "radius")
     if radius < 0:
         raise ConfigError("radius must be >= 0")
     hopf = BicrossedHopf(ctx, sigma, tau)

@@ -1,9 +1,9 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto its exit codes: ConfigError and BallTooSmallError
-are usage problems (exit 2), VerificationFailure carries witnesses
-(exit 1), InternalInconsistencyError flags impossible states such as a
-non-integer fusion multiplicity (exit 3).
+The CLI maps these onto its exit codes: ConfigError is a usage problem
+(exit 2), VerificationFailure carries witnesses (exit 1),
+InternalInconsistencyError flags impossible states such as a non-integer
+fusion multiplicity (exit 3).
 """
 
 from __future__ import annotations
@@ -15,14 +15,6 @@ class BicrossedError(Exception):
 
 class ConfigError(BicrossedError):
     """Invalid configuration or input data."""
-
-
-class BallTooSmallError(BicrossedError):
-    """A computation needs orbits outside the enumerated ball."""
-
-    def __init__(self, message: str, representative=None):
-        super().__init__(message)
-        self.representative = representative
 
 
 class VerificationFailure(BicrossedError):

@@ -90,7 +90,7 @@ class FusionRing:
 
     # -- product decomposition ------------------------------------------------
 
-    def decompose_product(self, d1: SimpleDesc, d2: SimpleDesc, radius: int | None = None) -> FusionRow:
+    def decompose_product(self, d1: SimpleDesc, d2: SimpleDesc) -> FusionRow:
         key = (d1.uid, d2.uid)
         if key in self._row_cache:
             return self._row_cache[key]
@@ -98,7 +98,6 @@ class FusionRing:
         product = H.mul(index.character(d1), index.character(d2))
         candidates: list[SimpleDesc] = []
         for orb in orbit_product(H.ctx, d1.orbit, d2.orbit):
-            index.require_in_ball(orb, radius)
             self._certify_orthonormal(orb)
             candidates.extend(index.simples_for_orbit(orb))
         coeffs = solve_in_span(
@@ -184,7 +183,7 @@ class FusionRing:
             for d2 in simples:
                 # candidates resolve on demand beyond the ball; the radius
                 # only selects which simples get rows
-                row = self.decompose_product(d1, d2, radius=None)
+                row = self.decompose_product(d1, d2)
                 rows.append(row)
                 row_of[(d1.uid, d2.uid)] = row.summands
         for d1 in simples:
@@ -258,86 +257,3 @@ class FusionRing:
             "problems": problems[:20],
             "associativity_triples": count,
         }
-
-    # -- smash-product closed forms --------------------------------------------
-
-    def smash_applicable(self) -> bool:
-        H = self.hopf
-        return (
-            H.sigma.is_trivial
-            and H.tau.is_trivial
-            and H.G.is_abelian()
-            and H.ctx.left_action_trivial
-        )
-
-    def smash_shortcuts(self, d1: SimpleDesc, d2: SimpleDesc) -> FusionRow | None:
-        """Closed-form product rows in the smash case (trivial cocycles,
-        abelian G, trivial left action, matching stabilizers).
-
-        Returns None when a hypothesis fails; otherwise the row, verified
-        against the generic Haar-pairing row."""
-        if not self.smash_applicable():
-            return None
-        H, index = self.hopf, self.index
-        G, F, ctx = H.G, H.F, H.ctx
-        x = d1.orbit.representative
-        y = d2.orbit.representative
-        unit_f = F.identity
-        x_unit = x == unit_f
-        y_unit = y == unit_f
-
-        def match_on(elements, values, orbit) -> SimpleDesc:
-            for cand in index.simples_for_orbit(orbit):
-                cm = cand.chi.value_map()
-                if all(cm[g] == values[g] for g in elements):
-                    return cand
-            raise InternalInconsistencyError("no stabilizer character matches the product")
-
-        c1 = d1.chi.value_map()
-        c2 = d2.chi.value_map()
-        if x_unit and y_unit:
-            values = {g: c1[g] * c2[g] for g in G.elements()}
-            row = [(match_on(tuple(G.elements()), values, d1.orbit).uid, 1)]
-        elif x_unit or y_unit:
-            dn = d2 if x_unit else d1
-            cu, cn = (c1, c2) if x_unit else (c2, c1)
-            stab = dn.orbit.stabilizer
-            values = {g: cu[g] * cn[g] for g in stab}
-            row = [(match_on(stab, values, dn.orbit).uid, 1)]
-        else:
-            if set(d1.orbit.stabilizer) != set(d2.orbit.stabilizer):
-                return None
-            stab = d1.orbit.stabilizer
-            values = {g: c1[g] * c2[g] for g in stab}
-            orbs = orbit_product(ctx, d1.orbit, d2.orbit)
-            has_unit = any(o.representative == unit_f for o in orbs)
-            # Hypothesis: every product value is hit once, except that the
-            # unit element is hit |O_x| times (diagonal transversal pairs).
-            expected = sum(o.size for o in orbs if o.representative != unit_f)
-            if has_unit:
-                expected += d1.orbit.size
-            if expected != d1.orbit.size * d2.orbit.size:
-                return None
-            row = []
-            for orb in orbs:
-                if orb.representative == unit_f:
-                    # the |O_x| G-characters restricting to the product character
-                    hits = []
-                    for cand in index.simples_for_orbit(orb):
-                        cm = cand.chi.value_map()
-                        if all(cm[g] == values[g] for g in stab):
-                            hits.append((cand.uid, 1))
-                    if len(hits) != d1.orbit.size:
-                        return None
-                    row.extend(hits)
-                else:
-                    if set(orb.stabilizer) != set(stab):
-                        return None
-                    row.append((match_on(stab, values, orb).uid, 1))
-        shortcut = FusionRow(d1.uid, d2.uid, tuple(sorted(row)))
-        generic = self.decompose_product(d1, d2)
-        if shortcut.summands != generic.summands:
-            raise InternalInconsistencyError(
-                f"smash closed form disagrees with the generic row on {d1.uid} * {d2.uid}"
-            )
-        return shortcut

@@ -74,6 +74,13 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
+def check_group_order(n: int, max_order: int) -> None:
+    """Refuse an order over the bound; callers run it before building
+    anything of that size."""
+    if n > max_order:
+        raise ConfigError(f"group order {n} exceeds the configured bound {max_order}")
+
+
 def finite_group(
     rows,
     name: str = "G",
@@ -91,8 +98,7 @@ def finite_group(
     n = len(table)
     if n == 0:
         raise ConfigError("empty multiplication table")
-    if n > max_order:
-        raise ConfigError(f"group order {n} exceeds the configured bound {max_order}")
+    check_group_order(n, max_order)
     for row in table:
         if len(row) != n:
             raise ConfigError("multiplication table is not square")

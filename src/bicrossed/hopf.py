@@ -348,6 +348,7 @@ class _Sweep:
     ball chosen by pair_check_radius for binary and ternary laws."""
 
     def __init__(self, H: BicrossedHopf, radius: int, max_violations: int):
+        self.H = H
         G, F = H.G, H.F
         ball = f_ball(F, radius)
         self.keys = [(g, f) for f in ball for g in G.elements()]
@@ -373,6 +374,21 @@ class _Sweep:
     def per_pair(self, name, law):
         """A law on pairs of basis elements; law() yields the witnesses."""
         self.run(name, self.scope_pair, len(self.pair_keys) ** 2, law())
+
+    def antimultiplicative(self, name, anti):
+        """anti(ab) = anti(b) anti(a) on pairs of basis elements."""
+        H, basis, pair_keys = self.H, HElem.basis, self.pair_keys
+
+        def law():
+            for k1 in pair_keys:
+                a = basis(*k1)
+                sa = anti(a)
+                for k2 in pair_keys:
+                    b = basis(*k2)
+                    if anti(H.mul(a, b)) != H.mul(anti(b), sa):
+                        yield {"a": self.name_key(k1), "b": self.name_key(k2)}
+
+        self.per_pair(name, law)
 
 
 def verify_hopf(
@@ -485,16 +501,7 @@ def verify_hopf(
 
     sweep.per_element("antipode law", antipode_law)
 
-    def antimultiplicative():
-        for k1 in pair_keys:
-            a = basis(*k1)
-            sa = H.antipode(a)
-            for k2 in pair_keys:
-                b = basis(*k2)
-                if H.antipode(H.mul(a, b)) != H.mul(H.antipode(b), sa):
-                    yield {"a": name_key(k1), "b": name_key(k2)}
-
-    sweep.per_pair("antipode antimultiplicative", antimultiplicative)
+    sweep.antimultiplicative("antipode antimultiplicative", H.antipode)
 
     # S is a coalgebra antihomomorphism: Delta(S(b)) = (S (x) S) flip Delta(b)
     def coalgebra_antihomomorphism(k):
@@ -568,16 +575,7 @@ def verify_star(
 
     sweep.per_element("Delta is a star map", comul_star)
 
-    def antimultiplicative():
-        for k1 in pair_keys:
-            a = basis(*k1)
-            sa = H.star(a)
-            for k2 in pair_keys:
-                b = basis(*k2)
-                if H.star(H.mul(a, b)) != H.mul(H.star(b), sa):
-                    yield {"a": name_key(k1), "b": name_key(k2)}
-
-    sweep.per_pair("star antimultiplicative", antimultiplicative)
+    sweep.antimultiplicative("star antimultiplicative", H.star)
 
     # Haar form: <b, b>_r = 1/|G| on basis elements, 0 across distinct ones
     expected = rational(Fraction(1, H.G.order))

@@ -290,6 +290,10 @@ def verify_matched_pair(ctx: MatchedPairCtx, radius: int = 4, max_violations: in
     n = G.order
 
     if isinstance(ctx.action, LinearAction):
+        # the spot ball first: its budget refuses a large rank before the
+        # r^3 |G|^2 homomorphism sweep runs
+        ball = f_ball(F, min(radius, 2))
+        scope = "global (spot ball)"
         mats = ctx.action.matrices
         r = F.rank
         ident = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
@@ -316,8 +320,6 @@ def verify_matched_pair(ctx: MatchedPairCtx, radius: int = 4, max_violations: in
                 max_violations,
             )
         )
-        ball = f_ball(F, min(radius, 2))
-        scope = "global (spot ball)"
     else:
         ball = f_ball(F, radius)
         scope = "global" if F.is_finite else f"ball radius {radius}"

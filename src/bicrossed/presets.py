@@ -13,7 +13,13 @@ import json
 from importlib import resources
 
 from .errors import ConfigError
-from .groups import cyclic_group, direct_product, permutation_group
+from .groups import (
+    DEFAULT_MAX_GROUP_ORDER,
+    check_group_order,
+    cyclic_group,
+    direct_product,
+    permutation_group,
+)
 
 SHIPPED = [
     "h_z_z2",
@@ -35,6 +41,7 @@ def h_z_z2n_config(n: int) -> dict:
     """G = Z_{2n} acting on Z by sign through the parity of the exponent."""
     if n < 1:
         raise ConfigError("h_z_z2n needs n >= 1")
+    check_group_order(2 * n, DEFAULT_MAX_GROUP_ORDER)
     return {
         "name": f"h_z_z2n:{n}",
         "group": {"type": "table", "table": _cyclic_table(2 * n), "name": f"Z{2 * n}"},
@@ -59,22 +66,16 @@ def z_poly_zp_config(p: int) -> dict:
     """G = Z_p cyclically shifting the coefficient lattice Z^p."""
     if p < 2:
         raise ConfigError("z_poly_zp needs p >= 2")
-    shift = [[1 if i == (j + 1) % p else 0 for j in range(p)] for i in range(p)]
-
-    def mat_pow(k):
-        out = [[1 if i == j else 0 for j in range(p)] for i in range(p)]
-        for _ in range(k):
-            out = [
-                [sum(shift[i][t] * out[t][j] for t in range(p)) for j in range(p)]
-                for i in range(p)
-            ]
-        return out
-
+    check_group_order(p, DEFAULT_MAX_GROUP_ORDER)
+    # M_k is the k-th power of the cyclic shift e_j -> e_{j+1}
+    shifts = [
+        [[1 if i == (j + k) % p else 0 for j in range(p)] for i in range(p)] for k in range(p)
+    ]
     return {
         "name": f"z_poly_zp:{p}",
         "group": {"type": "table", "table": _cyclic_table(p), "name": f"Z{p}"},
         "f_group": {"type": "free_abelian", "rank": p},
-        "action": {"type": "linear", "matrices": [mat_pow(k) for k in range(p)]},
+        "action": {"type": "linear", "matrices": shifts},
         "sigma": {"type": "trivial"},
         "tau": {"type": "trivial"},
         "radius": 2,
@@ -120,10 +121,12 @@ def generate_preset(name: str) -> dict:
     if name == "h_z_z2":
         return h_z_z2_config()
     family, _, param = name.partition(":")
-    if family == "h_z_z2n" and param:
-        return h_z_z2n_config(int(param))
-    if family == "z_poly_zp" and param:
-        return z_poly_zp_config(int(param))
+    if family in ("h_z_z2n", "z_poly_zp") and param:
+        try:
+            n = int(param)
+        except ValueError:
+            raise ConfigError(f"preset parameter {param!r} of {family} is not an integer") from None
+        return h_z_z2n_config(n) if family == "h_z_z2n" else z_poly_zp_config(n)
     if family == "drinfeld" and param:
         return drinfeld_config(param)
     raise ConfigError(

@@ -505,14 +505,7 @@ def twisted_char_table(G: FiniteGroup, elements, beta) -> CharTable:
             elems = tuple(sorted(vals))
             kept.append(TwistedChar(elems, tuple(vals[g] for g in elems), c.dim))
     table = _sorted_table(kept, "central-extension")
-    total = sum(c.dim * c.dim for c in table.chars)
-    if total != ns:
-        raise InternalInconsistencyError(
-            f"twisted table dimension sum {total} != |G_f| {ns}"
-        )
-    rows_vals = [[c.value(g) for g in c.elements] for c in table.chars]
-    if len(row_reduce(rows_vals, ns)) != len(table.chars):
-        raise InternalInconsistencyError("twisted characters are linearly dependent")
+    verify_char_table(sub, table, to_parent=to_parent, twisted=True)
     return table
 
 

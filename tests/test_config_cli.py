@@ -15,7 +15,8 @@ from bicrossed.cli import run
 from bicrossed.config import build_config, config_hash, load_config_file, parse_scalar
 from bicrossed.cyclotomic import one, rational, root_of_unity
 from bicrossed.errors import ConfigError
-from bicrossed.presets import generate_preset, resolve_preset
+from bicrossed import presets
+from bicrossed.presets import SHIPPED, generate_preset, resolve_preset, z_poly_zp_config
 
 
 def capture(args):
@@ -70,6 +71,18 @@ def test_bad_configs_rejected():
     unknown["surprise"] = 1
     with pytest.raises(ConfigError):
         build_config(unknown)
+    # malformed fields are ConfigErrors, not tracebacks
+    for key, value in [
+        ("radius", "abc"),
+        ("group", {"type": "table"}),
+        ("tau", {"type": "quotient_lift", "moduli": [2]}),
+        ("tau", {"type": "quotient_lift", "moduli": [2], "values": 5}),
+        ("action", {"type": "linear", "matrices": [[["a"]], [[-1]]]}),
+    ]:
+        malformed = json.loads(json.dumps(base))
+        malformed[key] = value
+        with pytest.raises(ConfigError):
+            build_config(malformed)
 
 
 def test_declared_level():
@@ -89,13 +102,37 @@ def test_config_hash_stability():
 
 
 def test_resolve_preset_matches_generator():
-    for name in ("h_z_z2", "h_z_z2n:2", "z_poly_zp:3", "drinfeld:S3"):
+    for name in SHIPPED:
         assert resolve_preset(name) == generate_preset(name)
     # unshipped parameters regenerate on the fly
     cfg = resolve_preset("h_z_z2n:5")
     assert cfg["name"] == "h_z_z2n:5"
     with pytest.raises(ConfigError):
         resolve_preset("nope")
+
+
+def test_preset_order_bound_before_tables(monkeypatch):
+    def no_tables(n):
+        raise AssertionError(f"built a table of order {n}")
+
+    monkeypatch.setattr(presets, "_cyclic_table", no_tables)
+    for name in ("z_poly_zp:65", "h_z_z2n:33"):
+        with pytest.raises(ConfigError, match="exceeds the configured bound"):
+            generate_preset(name)
+
+
+def test_z_poly_zp_shifts_are_matrix_powers():
+    for p in range(2, 9):
+        shift = [[1 if i == (j + 1) % p else 0 for j in range(p)] for i in range(p)]
+        power = [[1 if i == j else 0 for j in range(p)] for i in range(p)]
+        powers = []
+        for _ in range(p):
+            powers.append(power)
+            power = [
+                [sum(shift[i][t] * power[t][j] for t in range(p)) for j in range(p)]
+                for i in range(p)
+            ]
+        assert z_poly_zp_config(p)["action"]["matrices"] == powers
 
 
 # -- CLI ------------------------------------------------------------------
@@ -147,6 +184,10 @@ def test_cli_invalid_usage_exit_2():
     assert code == 2
     code, rep = capture_json(["--preset", "h_z_z2", "--config", "x.json", "verify"])
     assert code == 2
+    for preset in ("h_z_z2n:abc", "z_poly_zp:65"):
+        code, rep = capture_json(["--preset", preset, "verify"])
+        assert code == 2
+        assert rep["status"] == "invalid-config"
 
 
 def test_cli_negative_radius_exit_2():
