@@ -13,6 +13,7 @@ of m(Delta(chi)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .certs import solve_in_span
 from .comodules import SimpleDesc, SimpleIndex
@@ -155,10 +156,16 @@ class FusionRing:
         """nu_2 = <T, m(Delta(chi))>, asserted to land in {-1, 0, 1} and to
         vanish exactly off the self-dual simples."""
         H = self.hopf
+        act_left, finv, sigma = H.ctx.act_left, H.F.inv, H.sigma.eval
         total = rational(0)
         for key, v in self.index.character(d).terms.items():
-            for (k1, k2), c in H.comul_basis(key):
-                total = total + H.integral_of_product(HElem.basis(*k1, v * c), HElem.basis(*k2))
+            for ((g, f), k2), c in H.comul_basis(key):
+                # <T, p_g#f . k2> as integral_of_product reads it: nonzero
+                # only at k2 = (g < f, f^-1), with weight sigma(g; f, f^-1)/|G|
+                fi = finv(f)
+                if k2 == (act_left(g, f), fi):
+                    total = total + v * c * sigma(g, f, fi)
+        total = total * rational(Fraction(1, H.G.order))
         if not total.is_integer():
             raise InternalInconsistencyError(
                 f"indicator of {d.uid} is not an integer: {total.literal()}"

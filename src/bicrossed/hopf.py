@@ -130,11 +130,8 @@ class HTensor(_Sparse):
 
     @staticmethod
     def of(a: HElem, b: HElem) -> "HTensor":
-        out = {}
-        for k1, v1 in a.terms.items():
-            for k2, v2 in b.terms.items():
-                out[(k1, k2)] = v1 * v2
-        return HTensor(out)
+        b_terms = b.terms.items()
+        return HTensor({(k1, k2): v1 * v2 for k1, v1 in a.terms.items() for k2, v2 in b_terms})
 
 
 class BicrossedHopf:
@@ -169,26 +166,23 @@ class BicrossedHopf:
         return (g, self.F.mul(f, f2)), self.sigma.eval(g, f, f2)
 
     def mul(self, a: HElem, b: HElem) -> HElem:
+        # p_g#f . p_g2#f2 is 0 unless g2 = g < f: group b's terms by g-part.
+        by_g: dict = {}
+        for (g2, f2), vb in b.terms.items():
+            by_g.setdefault(g2, []).append((f2, vb))
         out: dict = {}
-        act_left = self.ctx.act_left
-        fmul = self.F.mul
+        act_left, fmul, sigma = self.ctx.act_left, self.F.mul, self.sigma.eval
         for (g, f), va in a.terms.items():
-            partner = act_left(g, f)
-            for (g2, f2), vb in b.terms.items():
-                if g2 == partner:
-                    _add_term(out, (g, fmul(f, f2)), va * vb * self.sigma.eval(g, f, f2))
+            for f2, vb in by_g.get(act_left(g, f), ()):
+                _add_term(out, (g, fmul(f, f2)), va * vb * sigma(g, f, f2))
         return HElem._of(out)
 
     def comul_basis(self, key):
         """Coproduct terms of a basis element: list of ((k1, k2), coeff)."""
         g, f = key
-        out = []
-        G = self.G
-        for x in G.elements():
-            gx = G.mul(g, G.inv(x))
-            c = self.tau.eval(gx, x, f)
-            out.append((((gx, self.ctx.act_right(x, f)), (x, f)), c))
-        return out
+        G, act_right, tau = self.G, self.ctx.act_right, self.tau.eval
+        gxs = ((G.mul(g, G.inv(x)), x) for x in G.elements())
+        return [(((gx, act_right(x, f)), (x, f)), tau(gx, x, f)) for gx, x in gxs]
 
     def comul(self, a: HElem) -> HTensor:
         out: dict = {}
@@ -199,17 +193,12 @@ class BicrossedHopf:
 
     def counit(self, a: HElem) -> CycNum:
         e = self.G.identity
-        total = rational(0)
-        for (g, _f), v in a.terms.items():
-            if g == e:
-                total = total + v
-        return total
+        return sum((v for (g, _f), v in a.terms.items() if g == e), rational(0))
 
     def antipode_basis(self, key):
         g, f = key
         G, ctx = self.G, self.ctx
-        ginv = G.inv(g)
-        gf = ctx.act_right(g, f)
+        ginv, gf = G.inv(g), ctx.act_right(g, f)
         gf_inv = self.F.inv(gf)
         coeff = (self.sigma.eval(ginv, gf, gf_inv) * self.tau.eval(ginv, g, f)).inv()
         return (G.inv(ctx.act_left(g, f)), gf_inv), coeff
@@ -223,9 +212,8 @@ class BicrossedHopf:
 
     def require_unitary(self, radius: int = 4) -> None:
         if self._unitary is None:
-            ok, witness = is_unitary(self.sigma, self.tau, self.ctx, radius)
-            self._unitary = ok
-            self._unitary_witness = witness
+            verdict = is_unitary(self.sigma, self.tau, self.ctx, radius)
+            self._unitary, self._unitary_witness = verdict
         if not self._unitary:
             raise VerificationFailure(
                 "star structure needs modulus-one cocycles", self._unitary_witness
@@ -249,10 +237,7 @@ class BicrossedHopf:
     def integral(self, a: HElem) -> CycNum:
         """The normalized left integral: <T, p_g # f> = delta(f, 1)/|G|."""
         f1 = self.F.identity
-        total = rational(0)
-        for (_g, f), v in a.terms.items():
-            if f == f1:
-                total = total + v
+        total = sum((v for (_g, f), v in a.terms.items() if f == f1), rational(0))
         return total * rational(self._inv_g_order)
 
     def integral_of_product(self, x: HElem, y: HElem) -> CycNum:
@@ -298,32 +283,16 @@ class BicrossedHopf:
 
     def tensor_mul(self, s: HTensor, t: HTensor) -> HTensor:
         """(a (x) b)(c (x) d) = ac (x) bd, componentwise on terms."""
+        by_g: dict = {}
+        for (l1, l2), w in t.terms.items():
+            by_g.setdefault((l1[0], l2[0]), []).append((l1, l2, w))
         out: dict = {}
+        act_left = self.ctx.act_left
         for (k1, k2), v in s.terms.items():
-            for (l1, l2), w in t.terms.items():
-                p1 = self.basis_mul(k1, l1)
-                if p1 is None:
-                    continue
-                p2 = self.basis_mul(k2, l2)
-                if p2 is not None:
-                    _add_term(out, (p1[0], p2[0]), v * w * p1[1] * p2[1])
+            for l1, l2, w in by_g.get((act_left(*k1), act_left(*k2)), ()):
+                p1, p2 = self.basis_mul(k1, l1), self.basis_mul(k2, l2)
+                _add_term(out, (p1[0], p2[0]), v * w * p1[1] * p2[1])
         return HTensor._of(out)
-
-    def comul_left(self, t: HTensor) -> dict:
-        """(Delta (x) id) applied to a tensor; keyed by triples."""
-        return _accumulate(
-            ((m1, m2, k2), v * c)
-            for (k1, k2), v in t.terms.items()
-            for (m1, m2), c in self.comul_basis(k1)
-        )
-
-    def comul_right(self, t: HTensor) -> dict:
-        """(id (x) Delta) applied to a tensor; keyed by triples."""
-        return _accumulate(
-            ((k1, m1, m2), v * c)
-            for (k1, k2), v in t.terms.items()
-            for (m1, m2), c in self.comul_basis(k2)
-        )
 
 
 PAIR_BUDGET = 90
@@ -350,8 +319,7 @@ class _Sweep:
     def __init__(self, H: BicrossedHopf, radius: int, max_violations: int):
         self.H = H
         G, F = H.G, H.F
-        ball = f_ball(F, radius)
-        self.keys = [(g, f) for f in ball for g in G.elements()]
+        self.keys = [(g, f) for f in f_ball(F, radius) for g in G.elements()]
         r_pair = pair_check_radius(H, radius)
         self.pair_keys = [(g, f) for f in f_ball(F, r_pair) for g in G.elements()]
         self.scope_elem = "all elements" if F.is_finite else f"ball radius {radius}"
@@ -359,9 +327,17 @@ class _Sweep:
         self.label = F.label
         self.max_violations = max_violations
         self.checks: list[CheckResult] = []
+        self._with_g: dict = {}
 
     def name_key(self, k):
         return {"g": k[0], "f": self.label(k[1])}
+
+    def keys_with_g(self, gs) -> list:
+        """The pair_keys whose g-part lies in gs, in pair_keys order."""
+        gs = frozenset(gs)
+        if gs not in self._with_g:
+            self._with_g[gs] = [k for k in self.pair_keys if k[0] in gs]
+        return self._with_g[gs]
 
     def run(self, name, scope, instances, witnesses):
         self.checks.append(run_check(name, scope, instances, witnesses, self.max_violations))
@@ -376,16 +352,25 @@ class _Sweep:
         self.run(name, self.scope_pair, len(self.pair_keys) ** 2, law())
 
     def antimultiplicative(self, name, anti):
-        """anti(ab) = anti(b) anti(a) on pairs of basis elements."""
-        H, basis, pair_keys = self.H, HElem.basis, self.pair_keys
+        """anti(ab) = anti(b) anti(a) on pairs of basis elements, walking only
+        the b with g-part g < f for a = p_g#f (ab) or with a key of anti(b)
+        whose left action is the g-part of a key of anti(a) (anti(b) anti(a))."""
+        H, basis, act_left = self.H, HElem.basis, self.H.ctx.act_left
+        images = {k: anti(basis(*k)) for k in self.pair_keys}
+        position = {k: i for i, k in enumerate(self.pair_keys)}
+        by_image: dict = {}
+        for k, sb in images.items():
+            for s in sb.terms:
+                by_image.setdefault(act_left(*s), []).append(k)
 
         def law():
-            for k1 in pair_keys:
+            for k1, sa in images.items():
                 a = basis(*k1)
-                sa = anti(a)
-                for k2 in pair_keys:
-                    b = basis(*k2)
-                    if anti(H.mul(a, b)) != H.mul(anti(b), sa):
+                walk = set(self.keys_with_g({act_left(*k1)}))
+                for h, _f in sa.terms:
+                    walk.update(by_image.get(h, ()))
+                for k2 in sorted(walk, key=position.__getitem__):
+                    if anti(H.mul(a, basis(*k2))) != H.mul(images[k2], sa):
                         yield {"a": self.name_key(k1), "b": self.name_key(k2)}
 
         self.per_pair(name, law)
@@ -401,15 +386,17 @@ def verify_hopf(
     Per-element laws (unit laws, counit, coassociativity, antipode law,
     S^2, left integral) run on every basis element at the full radius.
     Binary and ternary laws (associativity, multiplicativity of Delta and
-    of the counit, antimultiplicativity of S) enumerate tuples from a
+    of the counit, antimultiplicativity of S) cover every tuple from a
     possibly smaller ball chosen by pair_check_radius; each check reports
-    its scope.  Combined with the global cocycle-law checks these cover
-    the polyadic axioms: on basis elements associativity at a triple is
-    equivalent to the right-action law plus the sigma law there.
+    its scope.  They are support-indexed: p_g#f . p_g2#f2 is 0 unless
+    g2 = g < f, so they walk only the tuples where, by the definitions of
+    basis_mul and comul_basis, a side can be nonzero; the rest are 0 == 0.
+    With the global cocycle-law checks these cover the polyadic axioms:
+    on basis elements associativity at a triple is equivalent to the
+    right-action law plus the sigma law there.
 
-    "bialgebra compatibility" counts pairs of basis elements as its
-    instances, but checks each pair against two laws (Delta and eps, each
-    with its own witness) and checks Delta(1) = 1 (x) 1 once more, so its
+    "bialgebra compatibility" checks each pair against Delta and eps, each
+    with its own witness, and Delta(1) = 1 (x) 1 once more, so its
     violation_count can reach 2 * instances + 1.
     """
     sweep = _Sweep(H, radius, max_violations)
@@ -423,31 +410,27 @@ def verify_hopf(
 
     sweep.per_element("unit laws", unit_laws)
 
+    act_left = H.ctx.act_left
+
     def associativity():
+        # k1 k2 = 0 unless k2's g-part is g < f for k1 = p_g#f, and then
+        # both sides vanish, since k2 k3 keeps k2's g-part.  Otherwise
+        # (k1 k2) k3 needs g3 = (k1 k2)'s g < f, k1 (k2 k3) needs g3 = k2's
+        # g < f, and every other k3 gives 0 == 0.
         for k1 in pair_keys:
-            for k2 in pair_keys:
+            for k2 in sweep.keys_with_g({act_left(*k1)}):
                 p12 = H.basis_mul(k1, k2)
-                for k3 in pair_keys:
-                    left = None
-                    if p12 is not None:
-                        q = H.basis_mul(p12[0], k3)
-                        if q is not None:
-                            left = (q[0], p12[1] * q[1])
+                for k3 in sweep.keys_with_g((act_left(*p12[0]), act_left(*k2))):
+                    left = right = None
+                    q = H.basis_mul(p12[0], k3)
+                    if q is not None:
+                        left = (q[0], p12[1] * q[1])
                     p23 = H.basis_mul(k2, k3)
-                    right = None
                     if p23 is not None:
                         q = H.basis_mul(k1, p23[0])
                         if q is not None:
                             right = (q[0], q[1] * p23[1])
-                    same = (
-                        left is None
-                        and right is None
-                        or left is not None
-                        and right is not None
-                        and left[0] == right[0]
-                        and left[1] == right[1]
-                    )
-                    if not same:
+                    if left != right:
                         yield {"a": name_key(k1), "b": name_key(k2), "c": name_key(k3)}
 
     sweep.run("associativity", sweep.scope_pair, len(pair_keys) ** 3, associativity())
@@ -465,9 +448,11 @@ def verify_hopf(
     sweep.per_element("counit laws", counit_laws)
 
     def coassociativity(k):
-        t = H.comul(basis(*k))
-        lhs = H.comul_left(t)
-        rhs = H.comul_right(t)
+        # (Delta (x) id) Delta = (id (x) Delta) Delta, keyed by triples
+        t = H.comul(basis(*k)).terms.items()
+        cb = H.comul_basis
+        lhs = _accumulate(((m1, m2, k2), v * c) for (k1, k2), v in t for (m1, m2), c in cb(k1))
+        rhs = _accumulate(((k1, m1, m2), v * c) for (k1, k2), v in t for (m1, m2), c in cb(k2))
         return set(lhs) == set(rhs) and all(lhs[x] == rhs[x] for x in lhs)
 
     sweep.per_element("coassociativity", coassociativity)
@@ -476,14 +461,22 @@ def verify_hopf(
     def bialgebra():
         if H.comul(unit) != HTensor.of(unit, unit):
             yield {"pair": "unit"}
-        for k1 in pair_keys:
+        gmul = H.G.mul
+        comuls = {k: H.comul(basis(*k)) for k in pair_keys}
+        for k1, da in comuls.items():
             a = basis(*k1)
-            da = H.comul(a)
             ea = H.counit(a)
-            for k2 in pair_keys:
+            # b must have g-part g < f (ab), or (m1's g < f)(m2's g < f) for
+            # a term m1 (x) m2 of Delta(a) (Delta(a) Delta(b)), or e with
+            # g = e (eps(a) eps(b)); for every other b each side is 0.
+            gs = {act_left(*k1)}
+            gs.update(gmul(act_left(*m1), act_left(*m2)) for m1, m2 in da.terms)
+            if k1[0] == e:
+                gs.add(e)
+            for k2 in sweep.keys_with_g(gs):
                 b = basis(*k2)
                 ab = H.mul(a, b)
-                if H.comul(ab) != H.tensor_mul(da, H.comul(b)):
+                if H.comul(ab) != H.tensor_mul(da, comuls[k2]):
                     yield {"law": "Delta", "a": name_key(k1), "b": name_key(k2)}
                 if H.counit(ab) != ea * H.counit(b):
                     yield {"law": "eps", "a": name_key(k1), "b": name_key(k2)}
@@ -587,9 +580,16 @@ def verify_star(
     sweep.per_element("haar_gram(b,b) = 1/|G|", haar_diagonal)
 
     def haar_off_diagonal():
+        # <b1, b2>_r = <T, b2* b1> reads b1 only at the partner
+        # (h < e, e^-1) of a key (h, e) of b2*, as integral_of_product does.
+        act_left, finv = H.ctx.act_left, H.F.inv
+        partners: dict = {}
+        for k2 in pair_keys:
+            for p in {(act_left(h, f), finv(f)) for h, f in H.star(basis(*k2)).terms}:
+                partners.setdefault(p, []).append(k2)
         for k1 in pair_keys:
             b1 = basis(*k1)
-            for k2 in pair_keys:
+            for k2 in partners.get(k1, ()):
                 if k1 != k2 and not H.haar_gram(b1, basis(*k2)).is_zero():
                     yield {"a": name_key(k1), "b": name_key(k2)}
 

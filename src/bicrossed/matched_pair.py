@@ -291,24 +291,23 @@ def verify_matched_pair(ctx: MatchedPairCtx, radius: int = 4, max_violations: in
 
     if isinstance(ctx.action, LinearAction):
         # the spot ball first: its budget refuses a large rank before the
-        # r^3 |G|^2 homomorphism sweep runs
+        # |G|^2 homomorphism sweep runs
         ball = f_ball(F, min(radius, 2))
         scope = "global (spot ball)"
         mats = ctx.action.matrices
         r = F.rank
         ident = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+        # Column j of M_g M_g2 is M_g applied to column j of M_g2, so each
+        # product goes through the compiled kernel of M_g: compare columns.
+        cols = [tuple(zip(*M)) for M in mats]
 
         def homomorphism():
             if mats[G.identity] != ident:
                 yield {"law": "identity matrix", "g": G.identity}
+            act_r = ctx.act_right
             for g in G.elements():
                 for g2 in G.elements():
-                    Mg, Mg2 = mats[g], mats[g2]
-                    prod = tuple(
-                        tuple(sum(Mg[i][k] * Mg2[k][j] for k in range(r)) for j in range(r))
-                        for i in range(r)
-                    )
-                    if prod != mats[G.mul(g, g2)]:
+                    if [act_r(g, c) for c in cols[g2]] != list(cols[G.mul(g, g2)]):
                         yield {"law": "matrix homomorphism", "g": g, "g2": g2}
 
         checks.append(

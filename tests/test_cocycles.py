@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     broken_compat_config,
     s4_factorization_ctx,
+    sigma_two_config,
     twisted_sigma_config,
     twisted_tau_config,
 )
@@ -161,11 +162,13 @@ def test_unitary_root_of_unity_table():
     assert build.level == 8  # session level lifted to hold the literal
 
 
-def naive_cocycle_laws(ctx, sigma, tau):
-    """The three laws of verify_cocycles over all of a finite F, written
-    out from their definitions: (name, instances, witnesses in order)."""
+def naive_cocycle_laws(ctx, sigma, tau, Fs=None):
+    """The three laws of verify_cocycles over the f-domain Fs (all of a
+    finite F by default), written out from their definitions: (name,
+    instances, witnesses in order)."""
     G, F, R, L = ctx.G, ctx.F, ctx.act_right, ctx.act_left
-    Gs, Fs, lab = list(G.elements()), F.ball(0), F.label
+    Gs, lab = list(G.elements()), F.label
+    Fs = F.ball(0) if Fs is None else Fs
     s, t = sigma.eval, tau.eval
     return [
         ("sigma cocycle law", len(Gs) * len(Fs) ** 3, [
@@ -217,3 +220,29 @@ def test_sweeps_match_naive_laws(seed):
     assert got == expected
     assert all(witnesses for _name, _n, witnesses in expected)
 
+
+def test_beta_identity_short_circuit_keeps_messages():
+    # An all-one beta passes at once; one non-one value still runs the full
+    # check and fails with the message of the first failing tuple.
+    K4 = direct_product(cyclic_group(2), cyclic_group(2))
+    ones = {(i, j): one() for i in range(4) for j in range(4)}
+    assert Beta2Cocycle.from_table(K4, (0, 1, 2, 3), ones).is_trivial
+    for key, message in (
+        ((1, 2), "2-cocycle identity fails at (1,1,2)"),
+        ((0, 3), "2-cocycle not normalized at 3"),
+        ((3, 3), "2-cocycle identity fails at (1,2,3)"),
+    ):
+        values = dict(ones)
+        values[key] = rational(-1)
+        with pytest.raises(InternalInconsistencyError) as err:
+            Beta2Cocycle.from_table(K4, (0, 1, 2, 3), values)
+        assert str(err.value) == message
+
+
+def test_unitarity_trivial_identity_and_sigma_two_witness():
+    s4 = s4_factorization_ctx()
+    assert is_unitary(SigmaCocycle.trivial(), TauCocycle.trivial(), s4, 0) == (True, None)
+    bad = build_config(sigma_two_config())
+    assert is_unitary(bad.sigma, bad.tau, bad.ctx, 4) == (False, {
+        "kind": "sigma", "g": 1, "f": "1", "f2": "1", "value": "2", "scope": "global",
+    })

@@ -10,7 +10,9 @@ from test_deep_twisted import s3_factorization_config, sigma_and_tau_config, z4_
 from bicrossed.config import build_config
 from bicrossed.cyclotomic import rational, row_reduce
 from bicrossed.fusion import FusionRing, FusionRow
+from bicrossed.hopf import HElem
 from bicrossed.matched_pair import orbit_product
+from bicrossed.presets import SHIPPED
 
 
 @pytest.fixture(scope="module")
@@ -297,3 +299,44 @@ def test_rows_match_dense_solve(name):
         if ring.decompose_product(d1, d2).summands != _dense_solve_row(ring, d1, d2)
     ]
     assert mismatches == []
+
+
+def _nu2_by_integral_of_product(ring, d):
+    """nu_2 = <T, m(Delta(chi))> summed as <T, k1 k2> over the coproduct
+    terms, each through integral_of_product on two one-term elements: the
+    oracle for the term-level partner lookup of fs_indicator."""
+    H = ring.hopf
+    total = rational(0)
+    for key, v in ring.index.character(d).terms.items():
+        for (k1, k2), c in H.comul_basis(key):
+            total = total + H.integral_of_product(HElem.basis(*k1, v * c), HElem.basis(*k2))
+    return total
+
+
+def sign_sigma_config() -> dict:
+    """Z2 acting on Z by sign with sigma(1; odd, odd) = -1: sigma(g; f, f^-1)
+    enters the indicator of the odd orbits, which is -1."""
+    cfg = twisted_sigma_config()
+    cfg["name"] = "z_z2_sign_sigma"
+    cfg["action"]["matrices"] = [[[1]], [[-1]]]
+    return cfg
+
+
+_FS_CONFIGS = {
+    **{name: (lambda name=name: build_preset(name), 2) for name in SHIPPED},
+    "twisted_tau": (lambda: build_config(twisted_tau_config()), 2),
+    "twisted_sigma": (lambda: build_config(twisted_sigma_config()), 2),
+    "sign_sigma": (lambda: build_config(sign_sigma_config()), 2),
+    "z4_twisted": (lambda: build_config(z4_twisted_config()), 2),
+    "s3_factorization": (lambda: build_config(s3_factorization_config()), 0),
+    "sigma_and_tau": (lambda: build_config(sigma_and_tau_config()), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FS_CONFIGS))
+def test_fs_indicator_matches_integral_of_product(name):
+    build, radius = _FS_CONFIGS[name]
+    ring = FusionRing(build().hopf)
+    simples = ring.index.enumerate(radius)
+    got = [rational(ring.fs_indicator(d)) for d in simples]
+    assert got == [_nu2_by_integral_of_product(ring, d) for d in simples]

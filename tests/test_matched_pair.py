@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import s4_factorization_ctx
+from conftest import broken_linear_config, s4_factorization_ctx
 
+from bicrossed.config import build_config
 from bicrossed.errors import ConfigError
 from bicrossed.groups import FiniteF, FreeAbelianF, cyclic_group, f_ball, permutation_group
 from bicrossed.matched_pair import (
@@ -332,3 +336,66 @@ def test_run_check_counts_all_and_keeps_first(n_witnesses):
     assert res.violation_count == n_witnesses
     assert res.violations == [{"i": i} for i in range(min(n_witnesses, 3))]
     assert res.ok == (n_witnesses == 0)
+
+
+def dense_homomorphism_witnesses(ctx):
+    """The linear-action homomorphism law by the dense product M_g M_g2,
+    written out: the oracle for the column-by-kernel sweep."""
+    G, mats = ctx.G, ctx.action.matrices
+    r = len(mats[0])
+    ident = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+    out = [] if mats[G.identity] == ident else [{"law": "identity matrix", "g": G.identity}]
+    for g in G.elements():
+        for g2 in G.elements():
+            prod = tuple(
+                tuple(sum(mats[g][i][k] * mats[g2][k][j] for k in range(r)) for j in range(r))
+                for i in range(r)
+            )
+            if prod != mats[G.mul(g, g2)]:
+                out.append({"law": "matrix homomorphism", "g": g, "g2": g2})
+    return out
+
+
+def _random_unimodular(rnd, r):
+    """A product of random elementary integer row operations and a sign."""
+    M = [[int(i == j) for j in range(r)] for i in range(r)]
+    for _ in range(3 * r):
+        i, j = rnd.sample(range(r), 2)
+        c = rnd.choice((-2, -1, 1, 2))
+        M[i] = [a + c * b for a, b in zip(M[i], M[j])]
+    M[0] = [-a for a in M[0]]
+    return tuple(map(tuple, M))
+
+
+def test_homomorphism_sweep_matches_dense_product():
+    rnd = random.Random(7)
+    S3 = permutation_group([(1, 0, 2), (1, 2, 0)])
+    # M_p e_j = e_p(j), so M_p M_q = M_pq: a homomorphism of a non-abelian G
+    perms = tuple(
+        tuple(tuple(int(i == p[j]) for j in range(3)) for i in range(3))
+        for p in sorted(itertools.permutations(range(3)))
+    )
+    z_poly = make_z_poly(4)
+    corrupted = list(z_poly.action.matrices)
+    corrupted[1], corrupted[2] = corrupted[2], corrupted[1]
+    cases = [
+        build_config(broken_linear_config()).ctx,
+        z_poly,
+        MatchedPairCtx(z_poly.G, z_poly.F, LinearAction(tuple(corrupted))),
+        make_h_z_z2(),
+        MatchedPairCtx(S3, FreeAbelianF(3), LinearAction(perms)),
+        MatchedPairCtx(S3, FreeAbelianF(3), LinearAction(perms[:3] + perms[4:] + perms[3:4])),
+    ] + [
+        MatchedPairCtx(cyclic_group(n), FreeAbelianF(r), LinearAction(
+            tuple(_random_unimodular(rnd, r) for _ in range(n))
+        ))
+        for n, r in ((2, 2), (3, 3), (4, 2), (3, 4))
+    ]
+    counts = []
+    for ctx in cases:
+        check = verify_matched_pair(ctx, 0, max_violations=10**6).checks[0]
+        expected = dense_homomorphism_witnesses(ctx)
+        assert (check.violation_count, check.violations) == (len(expected), expected)
+        counts.append(len(expected))
+    assert counts[1] == counts[3] == counts[4] == 0
+    assert all(counts[i] for i in (0, 2, 5, 6, 7, 8, 9))
