@@ -53,39 +53,60 @@ class _QuotientIndexer:
         return True
 
 
-class SigmaCocycle:
-    """sigma(g; f, f') with the normalizations sigma(g;1,f) = sigma(g;f,1)
-    = sigma(1;f,f') = 1 enforced at construction."""
+class _CocycleSpec:
+    """One half of the cocycle pair: trivial, a dense table over a finite F,
+    or a table over a quotient prod Z_mi of free-abelian F, lifted to F.
+    Subclasses give the table shape, eval, the normalization laws and the
+    walk of (witness fields, value) over an f-domain."""
+
+    name: str
 
     def __init__(self, kind: str, table=None, moduli=None):
         self.kind = kind
         self.table = table
         self.quot = _QuotientIndexer(moduli) if moduli is not None else None
 
-    @staticmethod
-    def trivial() -> "SigmaCocycle":
-        return SigmaCocycle("trivial")
+    @classmethod
+    def trivial(cls):
+        return cls("trivial")
 
-    @staticmethod
-    def finite_table(ctx: MatchedPairCtx, values) -> "SigmaCocycle":
-        n, m = ctx.G.order, ctx.F.group.order
-        table = _check_3d_table(values, n, m, m, "sigma")
-        s = SigmaCocycle("table", table=table)
-        _check_sigma_normalization(s, ctx, range(m), ctx.F.group.identity)
-        return s
+    @classmethod
+    def finite_table(cls, ctx: MatchedPairCtx, values):
+        m = ctx.F.group.order
+        spec = cls("table", table=_check_3d_table(values, *cls._shape(ctx.G.order, m), cls.name))
+        spec._check_normalization(ctx, range(m), ctx.F.group.identity)
+        return spec
 
-    @staticmethod
-    def quotient_lift(ctx: MatchedPairCtx, moduli, values) -> "SigmaCocycle":
+    @classmethod
+    def quotient_lift(cls, ctx: MatchedPairCtx, moduli, values):
         if ctx.F.is_finite:
             raise ConfigError("quotient-lift cocycles are for free-abelian F; use a table")
-        quot = _QuotientIndexer(moduli)
+        spec = cls("quotient", moduli=moduli)
         if len(moduli) != ctx.F.rank:
             raise ConfigError("moduli vector length must equal the free-abelian rank")
-        table = _check_3d_table(values, ctx.G.order, quot.size, quot.size, "sigma")
-        s = SigmaCocycle("quotient", table=table, moduli=moduli)
-        reps = quot.representatives()
-        _check_sigma_normalization(s, ctx, reps, ctx.F.identity)
-        return s
+        spec.table = _check_3d_table(values, *cls._shape(ctx.G.order, spec.quot.size), cls.name)
+        spec._check_normalization(ctx, spec.quot.representatives(), ctx.F.identity)
+        return spec
+
+    def _check_normalization(self, ctx, f_domain, f_identity) -> None:
+        for message, value in self._normalization(ctx, f_domain, f_identity):
+            if not value.is_one():
+                raise ConfigError(message)
+
+    @property
+    def is_trivial(self) -> bool:
+        return self.kind == "trivial"
+
+
+class SigmaCocycle(_CocycleSpec):
+    """sigma(g; f, f') with the normalizations sigma(g;1,f) = sigma(g;f,1)
+    = sigma(1;f,f') = 1 enforced at construction."""
+
+    name = "sigma"
+
+    @staticmethod
+    def _shape(n: int, m: int):
+        return n, m, m
 
     def eval(self, g: int, f, f2) -> CycNum:
         if self.kind == "trivial":
@@ -95,42 +116,31 @@ class SigmaCocycle:
         q = self.quot
         return self.table[g][q.index(f)][q.index(f2)]
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.kind == "trivial"
+    def _normalization(self, ctx, f_domain, f_identity):
+        for g in ctx.G.elements():
+            for f in f_domain:
+                yield f"sigma(g; 1, f) must be 1, violated at g={g}", self.eval(g, f_identity, f)
+                yield f"sigma(g; f, 1) must be 1, violated at g={g}", self.eval(g, f, f_identity)
+        for f in f_domain:
+            for f2 in f_domain:
+                yield "sigma(1; f, f') must be 1", self.eval(ctx.G.identity, f, f2)
+
+    def _values(self, ctx, domain):
+        lab = ctx.F.label
+        for g in ctx.G.elements():
+            for f in domain:
+                for f2 in domain:
+                    yield {"g": g, "f": lab(f), "f2": lab(f2)}, self.eval(g, f, f2)
 
 
-class TauCocycle:
+class TauCocycle(_CocycleSpec):
     """tau(g, g'; f) with tau(1,g;f) = tau(g,1;f) = tau(g,g';1) = 1."""
 
-    def __init__(self, kind: str, table=None, moduli=None):
-        self.kind = kind
-        self.table = table
-        self.quot = _QuotientIndexer(moduli) if moduli is not None else None
+    name = "tau"
 
     @staticmethod
-    def trivial() -> "TauCocycle":
-        return TauCocycle("trivial")
-
-    @staticmethod
-    def finite_table(ctx: MatchedPairCtx, values) -> "TauCocycle":
-        n, m = ctx.G.order, ctx.F.group.order
-        table = _check_3d_table(values, n, n, m, "tau")
-        t = TauCocycle("table", table=table)
-        _check_tau_normalization(t, ctx, range(m), ctx.F.group.identity)
-        return t
-
-    @staticmethod
-    def quotient_lift(ctx: MatchedPairCtx, moduli, values) -> "TauCocycle":
-        if ctx.F.is_finite:
-            raise ConfigError("quotient-lift cocycles are for free-abelian F; use a table")
-        quot = _QuotientIndexer(moduli)
-        if len(moduli) != ctx.F.rank:
-            raise ConfigError("moduli vector length must equal the free-abelian rank")
-        table = _check_3d_table(values, ctx.G.order, ctx.G.order, quot.size, "tau")
-        t = TauCocycle("quotient", table=table, moduli=moduli)
-        _check_tau_normalization(t, ctx, quot.representatives(), ctx.F.identity)
-        return t
+    def _shape(n: int, m: int):
+        return n, n, m
 
     def eval(self, g: int, g2: int, f) -> CycNum:
         if self.kind == "trivial":
@@ -139,9 +149,22 @@ class TauCocycle:
             return self.table[g][g2][f]
         return self.table[g][g2][self.quot.index(f)]
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.kind == "trivial"
+    def _normalization(self, ctx, f_domain, f_identity):
+        e = ctx.G.identity
+        for g in ctx.G.elements():
+            for f in f_domain:
+                yield f"tau(1, g; f) must be 1, violated at g={g}", self.eval(e, g, f)
+                yield f"tau(g, 1; f) must be 1, violated at g={g}", self.eval(g, e, f)
+            for g2 in ctx.G.elements():
+                message = f"tau(g, g'; 1) must be 1, violated at ({g},{g2})"
+                yield message, self.eval(g, g2, f_identity)
+
+    def _values(self, ctx, domain):
+        lab = ctx.F.label
+        for g in ctx.G.elements():
+            for g2 in ctx.G.elements():
+                for f in domain:
+                    yield {"g": g, "g2": g2, "f": lab(f)}, self.eval(g, g2, f)
 
 
 def _check_3d_table(values, n1, n2, n3, what):
@@ -167,32 +190,7 @@ def _check_3d_table(values, n1, n2, n3, what):
     return tuple(out)
 
 
-def _check_sigma_normalization(s: SigmaCocycle, ctx, f_domain, f_identity):
-    for g in ctx.G.elements():
-        for f in f_domain:
-            if not s.eval(g, f_identity, f).is_one():
-                raise ConfigError(f"sigma(g; 1, f) must be 1, violated at g={g}")
-            if not s.eval(g, f, f_identity).is_one():
-                raise ConfigError(f"sigma(g; f, 1) must be 1, violated at g={g}")
-    for f in f_domain:
-        for f2 in f_domain:
-            if not s.eval(ctx.G.identity, f, f2).is_one():
-                raise ConfigError("sigma(1; f, f') must be 1")
-
-
-def _check_tau_normalization(t: TauCocycle, ctx, f_domain, f_identity):
-    for g in ctx.G.elements():
-        for f in f_domain:
-            if not t.eval(ctx.G.identity, g, f).is_one():
-                raise ConfigError(f"tau(1, g; f) must be 1, violated at g={g}")
-            if not t.eval(g, ctx.G.identity, f).is_one():
-                raise ConfigError(f"tau(g, 1; f) must be 1, violated at g={g}")
-        for g2 in ctx.G.elements():
-            if not t.eval(g, g2, f_identity).is_one():
-                raise ConfigError(f"tau(g, g'; 1) must be 1, violated at ({g},{g2})")
-
-
-def _verification_domain(ctx: MatchedPairCtx, spec_kinds, quots, radius: int):
+def _verification_domain(ctx: MatchedPairCtx, sigma: SigmaCocycle, tau: TauCocycle, radius: int):
     """The f-enumeration for cocycle-law checks and its scope label.
 
     Finite F: everything.  Trivial specs: the laws hold identically, a
@@ -202,9 +200,9 @@ def _verification_domain(ctx: MatchedPairCtx, spec_kinds, quots, radius: int):
     """
     if ctx.F.is_finite:
         return list(ctx.F.ball(0)), "global"
-    if all(k == "trivial" for k in spec_kinds):
+    if sigma.is_trivial and tau.is_trivial:
         return [ctx.F.identity], "global (trivial cocycles)"
-    quots = [q for q in quots if q is not None]
+    quots = [spec.quot for spec in (sigma, tau) if spec.quot is not None]
     if quots and all(q.descends_through(ctx) for q in quots):
         moduli = quots[0].moduli
         if all(q.moduli == moduli for q in quots):
@@ -223,9 +221,7 @@ def verify_cocycles(
     """Check the sigma law, the tau law and the sigma/tau compatibility
     condition that together make the crossed (co)product a bialgebra."""
     G, F = ctx.G, ctx.F
-    domain, scope = _verification_domain(
-        ctx, (sigma.kind, tau.kind), (sigma.quot, tau.quot), radius
-    )
+    domain, scope = _verification_domain(ctx, sigma, tau, radius)
     lab = F.label
     n, nd = G.order, len(domain)
     act_r, act_l = ctx.act_right, ctx.act_left
@@ -278,7 +274,7 @@ def verify_cocycles(
 
     # With sigma = tau = 1 every instance reads 1 * 1 == 1 * 1: the laws
     # hold identically and no tuple is walked.
-    trivial = sigma.kind == tau.kind == "trivial"
+    trivial = sigma.is_trivial and tau.is_trivial
     checks = [
         run_check(name, scope, instances, () if trivial else law(), max_violations)
         for name, instances, law in (
@@ -356,36 +352,11 @@ def is_unitary(
 
     Returns (True, None) or (False, witness); the witness names the first
     offending tuple in enumeration order."""
-    if sigma.kind == tau.kind == "trivial":
+    if sigma.is_trivial and tau.is_trivial:
         return True, None  # every value is 1
-    domain, scope = _verification_domain(
-        ctx, (sigma.kind, tau.kind), (sigma.quot, tau.quot), radius
-    )
-    lab = ctx.F.label
-    for g in ctx.G.elements():
-        for f in domain:
-            for f2 in domain:
-                v = sigma.eval(g, f, f2)
-                if not v.is_modulus_one():
-                    return False, {
-                        "kind": "sigma",
-                        "g": g,
-                        "f": lab(f),
-                        "f2": lab(f2),
-                        "value": v.literal(),
-                        "scope": scope,
-                    }
-    for g in ctx.G.elements():
-        for g2 in ctx.G.elements():
-            for f in domain:
-                v = tau.eval(g, g2, f)
-                if not v.is_modulus_one():
-                    return False, {
-                        "kind": "tau",
-                        "g": g,
-                        "g2": g2,
-                        "f": lab(f),
-                        "value": v.literal(),
-                        "scope": scope,
-                    }
+    domain, scope = _verification_domain(ctx, sigma, tau, radius)
+    for spec in (sigma, tau):
+        for fields, v in spec._values(ctx, domain):
+            if not v.is_modulus_one():
+                return False, {"kind": spec.name, **fields, "value": v.literal(), "scope": scope}
     return True, None

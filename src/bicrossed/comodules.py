@@ -256,12 +256,9 @@ class SimpleIndex:
             raise ConfigError(f"malformed simple id {uid!r}; expected '<f>:<index>'")
         f = self.hopf.F.parse_label(f_label)
         simples = self.simples_for_f(f)
-        try:
-            return simples[int(idx)]
-        except (IndexError, ValueError):
-            raise ConfigError(
-                f"no character index {idx!r} over the orbit of {f_label}"
-            ) from None
+        if not (idx.isdecimal() and int(idx) < len(simples)):
+            raise ConfigError(f"no character index {idx!r} over the orbit of {f_label}")
+        return simples[int(idx)]
 
     def character(self, d: SimpleDesc) -> HElem:
         if d.uid not in self._char_cache:

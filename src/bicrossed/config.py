@@ -246,7 +246,7 @@ def _parse_table_scalars(values, levels: list):
 def _build_cocycle(cls, spec: dict | None, ctx, levels: list):
     """A SigmaCocycle or TauCocycle from its spec; no spec, or no type,
     means the trivial cocycle."""
-    what = cls.__name__.removesuffix("Cocycle").lower()
+    what = cls.name
     if spec is None:
         return cls.trivial()
     if not isinstance(spec, dict):
@@ -288,6 +288,8 @@ def build_config(cfg: dict) -> Build:
     declared = cfg.get("level")
     if declared is not None:
         declared = _as_int(declared, "level")
+        if declared < 1:
+            raise ConfigError("declared level must be >= 1")
         if declared % level != 0:
             raise ConfigError(
                 f"declared level {declared} cannot hold the session scalars "

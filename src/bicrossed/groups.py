@@ -360,7 +360,10 @@ class FiniteF:
         return str(a)
 
     def parse_label(self, s: str):
-        a = int(s)
+        try:
+            a = int(s)
+        except ValueError:
+            raise ConfigError(f"F element label {s!r} is not an integer") from None
         if not self.contains(a):
             raise ConfigError(f"F element index {a} out of range")
         return a
@@ -423,7 +426,10 @@ class FreeAbelianF:
             parts = s[1:-1].split(",")
         else:
             parts = s.split(",")
-        vec = tuple(int(p.strip()) for p in parts if p.strip() != "")
+        try:
+            vec = tuple(int(p.strip()) for p in parts if p.strip() != "")
+        except ValueError:
+            raise ConfigError(f"F element label {s!r} is not an integer vector") from None
         if len(vec) != self.rank:
             raise ConfigError(f"expected a vector of length {self.rank}, got {s!r}")
         return vec

@@ -280,14 +280,18 @@ def verify_matched_pair(ctx: MatchedPairCtx, radius: int = 4, max_violations: in
     """Check the action laws, the two matched-pair laws and the derived
     inverse identities.
 
-    Linear actions with trivial left action are certified globally by the
-    homomorphism property of g -> M_g; table actions over finite F are
-    checked exhaustively.  Only genuinely infinite enumerations fall back
-    to the ball and say so in the scope.
+    Table actions over finite F are checked exhaustively.  A linear action
+    (trivial left action, f -> M_g f additive) satisfies the left action
+    law, both compatibility laws and the inverse identities for any integer
+    matrices, and its right action law is M_e = I with M_{gg'} = M_g M_{g'}:
+    when the homomorphism check finds no witness, the five laws hold on all
+    of F and the spot ball only sets their instance counts.  When it fails,
+    the five laws are walked on the spot ball for their witnesses.
     """
     G, F = ctx.G, ctx.F
     checks: list[CheckResult] = []
     n = G.order
+    implied = False
 
     if isinstance(ctx.action, LinearAction):
         # the spot ball first: its budget refuses a large rank before the
@@ -310,81 +314,69 @@ def verify_matched_pair(ctx: MatchedPairCtx, radius: int = 4, max_violations: in
                     if [act_r(g, c) for c in cols[g2]] != list(cols[G.mul(g, g2)]):
                         yield {"law": "matrix homomorphism", "g": g, "g2": g2}
 
-        checks.append(
-            run_check(
-                "linear action homomorphism (implies all laws globally)",
-                "global",
-                n * n,
-                homomorphism(),
-                max_violations,
-            )
+        hom = run_check(
+            "linear action homomorphism (implies all laws globally)",
+            "global",
+            n * n,
+            homomorphism(),
+            max_violations,
         )
+        checks.append(hom)
+        implied = hom.ok
     else:
         ball = f_ball(F, radius)
         scope = "global" if F.is_finite else f"ball radius {radius}"
 
     lab = F.label
     nb = len(ball)
-    act_r, act_l = ctx.act_right, ctx.act_left
-    fmul, finv, gmul, ginv = F.mul, F.inv, G.mul, G.inv
-    e_f, e_g = F.identity, G.identity
+    R, L = ctx.act_right, ctx.act_left
     elems = G.elements()
-    # image[g][k] = g > ball[k], shared by the sweeps.
-    image = [[act_r(g, f) for f in ball] for g in elems]
-    unit_fixes = [x == f for x, f in zip(image[e_g], ball)]
 
     def right_action_law():
         for g in elems:
             for g2 in elems:
-                img_gg2, img_g2 = image[gmul(g, g2)], image[g2]
-                for k, f in enumerate(ball):
-                    if not (unit_fixes[k] and img_gg2[k] == act_r(g, img_g2[k])):
+                for f in ball:
+                    if not (R(G.identity, f) == f and R(G.mul(g, g2), f) == R(g, R(g2, f))):
                         yield {"g": g, "g2": g2, "f": lab(f)}
 
     def left_action_law():
         for g in elems:
-            g_one = act_l(g, e_f)
             for f in ball:
-                g_f = act_l(g, f)
                 for f2 in ball:
-                    if not (g_one == g and act_l(g, fmul(f, f2)) == act_l(g_f, f2)):
+                    if not (L(g, F.identity) == g and L(g, F.mul(f, f2)) == L(L(g, f), f2)):
                         yield {"g": g, "f": lab(f), "f2": lab(f2)}
 
     def right_compatibility():
         for g in elems:
-            for f, gf in zip(ball, image[g]):
-                img_g_f = image[act_l(g, f)]
-                for k, f2 in enumerate(ball):
-                    if act_r(g, fmul(f, f2)) != fmul(gf, img_g_f[k]):
+            for f in ball:
+                for f2 in ball:
+                    if R(g, F.mul(f, f2)) != F.mul(R(g, f), R(L(g, f), f2)):
                         yield {"g": g, "f": lab(f), "f2": lab(f2)}
 
     def left_compatibility():
         for g in elems:
             for g2 in elems:
-                gg2 = gmul(g, g2)
-                for f, g2f in zip(ball, image[g2]):
-                    if act_l(gg2, f) != gmul(act_l(g, g2f), act_l(g2, f)):
+                for f in ball:
+                    if L(G.mul(g, g2), f) != G.mul(L(g, R(g2, f)), L(g2, f)):
                         yield {"g": g, "g2": g2, "f": lab(f)}
 
     def inverse_identities():
         for g in elems:
-            units_fixed = act_r(g, e_f) == e_f and act_l(g, e_f) == g
-            g_inv = ginv(g)
-            for f, gf in zip(ball, image[g]):
-                g_f = act_l(g, f)
+            for f in ball:
                 if not (
-                    units_fixed
-                    and finv(gf) == act_r(g_f, finv(f))
-                    and ginv(g_f) == act_l(g_inv, gf)
+                    R(g, F.identity) == F.identity
+                    and L(g, F.identity) == g
+                    and F.inv(R(g, f)) == R(L(g, f), F.inv(f))
+                    and G.inv(L(g, f)) == L(G.inv(g), R(g, f))
                 ):
                     yield {"g": g, "f": lab(f)}
 
-    for name, instances, witnesses in (
-        ("right action law", n * n * nb, right_action_law()),
-        ("left action law", n * nb * nb, left_action_law()),
-        ("compatibility: g>(f f') = (g>f)((g<f)>f')", n * nb * nb, right_compatibility()),
-        ("compatibility: (g g')<f = (g<(g'>f))(g'<f)", n * n * nb, left_compatibility()),
-        ("inverse identities", n * nb, inverse_identities()),
+    for name, instances, law in (
+        ("right action law", n * n * nb, right_action_law),
+        ("left action law", n * nb * nb, left_action_law),
+        ("compatibility: g>(f f') = (g>f)((g<f)>f')", n * nb * nb, right_compatibility),
+        ("compatibility: (g g')<f = (g<(g'>f))(g'<f)", n * n * nb, left_compatibility),
+        ("inverse identities", n * nb, inverse_identities),
     ):
-        checks.append(run_check(name, scope, instances, witnesses, max_violations))
+        checks.append(run_check(name, scope, instances, () if implied else law(), max_violations))
     return VerifyReport("matched pair", checks)

@@ -1,3 +1,10 @@
+"""Cocycle specs, the cocycle laws, orbit 2-cocycles and unitarity.
+
+is_unitary walks the sigma values, then the tau values.  Mutations that
+fail test_unitarity_tau_witness: walk the sigma values only, or drop g2
+from a tau witness.
+"""
+
 from __future__ import annotations
 
 import random
@@ -245,4 +252,14 @@ def test_unitarity_trivial_identity_and_sigma_two_witness():
     bad = build_config(sigma_two_config())
     assert is_unitary(bad.sigma, bad.tau, bad.ctx, 4) == (False, {
         "kind": "sigma", "g": 1, "f": "1", "f2": "1", "value": "2", "scope": "global",
+    })
+
+
+def test_unitarity_tau_witness():
+    cfg = twisted_tau_config()
+    cfg["tau"]["values"][1][1][1] = "2"
+    bad = build_config(cfg)
+    assert is_unitary(bad.sigma, bad.tau, bad.ctx, 4) == (False, {
+        "kind": "tau", "g": 1, "g2": 1, "f": "1", "value": "2",
+        "scope": "global (quotient representatives)",
     })

@@ -78,6 +78,8 @@ def test_bad_configs_rejected():
         ("tau", {"type": "quotient_lift", "moduli": [2]}),
         ("tau", {"type": "quotient_lift", "moduli": [2], "values": 5}),
         ("action", {"type": "linear", "matrices": [[["a"]], [[-1]]]}),
+        ("level", 0),
+        ("level", -6),
     ]:
         malformed = json.loads(json.dumps(base))
         malformed[key] = value
@@ -186,6 +188,15 @@ def test_cli_invalid_usage_exit_2():
     assert code == 2
     for preset in ("h_z_z2n:abc", "z_poly_zp:65"):
         code, rep = capture_json(["--preset", preset, "verify"])
+        assert code == 2
+        assert rep["status"] == "invalid-config"
+    # malformed simple ids and F labels
+    for argv in (
+        ["--preset", "drinfeld:S3", "fuse", "x:0", "0:0"],
+        ["--preset", "h_z_z2", "character", "abc", "0"],
+        ["--preset", "drinfeld:S3", "dual", "0:-1"],
+    ):
+        code, rep = capture_json(argv)
         assert code == 2
         assert rep["status"] == "invalid-config"
 

@@ -1,3 +1,15 @@
+"""Matched-pair actions, orbits and the verify_matched_pair laws.
+
+A linear action whose homomorphism check passes reports its five
+spot-ball laws without a walk; a failing check walks them.  Mutations of
+that rule, each of which fails a test here:
+- walk the five laws after a passing check:
+  test_linear_laws_follow_from_homomorphism_check counts 48,780 and 432
+  act_right calls in place of 27 and 36;
+- skip the walk after a failing check as well: test_sweeps_match_naive_laws
+  fails on the shear action and on z_poly(4) with M_1 and M_2 swapped.
+"""
+
 from __future__ import annotations
 
 import itertools
@@ -7,7 +19,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import broken_linear_config, s4_factorization_ctx
+from conftest import broken_linear_config, build_preset, s4_factorization_ctx
 
 from bicrossed.config import build_config
 from bicrossed.errors import ConfigError
@@ -174,6 +186,9 @@ def test_sweeps_match_naive_laws():
     assert not s4.left_action_trivial
     assert any(s4.act_right(g, f) != f for g in s4.G.elements() for f in s4.F.ball(0))
     shear = MatchedPairCtx(cyclic_group(3), FreeAbelianF(2), LinearAction(SHEARS_RANK2))
+    z_poly = make_z_poly(4)
+    swapped = list(z_poly.action.matrices)
+    swapped[1], swapped[2] = swapped[2], swapped[1]
     cases = [
         (s4, 0),
         (_swap_entries(s4, "right", 1, 1, 3), 0),
@@ -181,6 +196,7 @@ def test_sweeps_match_naive_laws():
         (_swap_entries(s4, "left", 2, 0, 1), 0),
         (shear, 2),
         (make_z_poly(3), 1),
+        (MatchedPairCtx(z_poly.G, z_poly.F, LinearAction(tuple(swapped))), 2),
     ]
     verdicts = []
     for ctx, radius in cases:
@@ -191,7 +207,19 @@ def test_sweeps_match_naive_laws():
         assert got == naive_matched_pair_laws(ctx, ball)
         assert all(c.violation_count == len(c.violations) for c in laws)
         verdicts.append(rep.ok)
-    assert verdicts == [True, False, False, False, False, True]
+    assert verdicts == [True, False, False, False, False, True, False]
+
+
+def test_linear_laws_follow_from_homomorphism_check():
+    # With no homomorphism witness the five spot-ball laws are not walked:
+    # act_right runs only in the homomorphism sweep, rank times per (g, g2).
+    for preset, radius, expected in (("z_poly_zp:3", 2, 27), ("h_z_z2n:3", 4, 36)):
+        ctx = build_preset(preset).ctx
+        act_right, calls = ctx.act_right, []
+        ctx.act_right = lambda g, f: calls.append(g) or act_right(g, f)
+        rep = verify_matched_pair(ctx, radius)
+        assert rep.ok
+        assert len(calls) == ctx.G.order**2 * ctx.F.rank == expected
 
 
 def test_verify_matched_pair_pass():

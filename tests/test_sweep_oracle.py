@@ -116,9 +116,7 @@ def brute_haar_off_diagonal(H, keys):
 
 def brute_cocycle_laws(H, radius):
     """The three cocycle laws over the verification domain, every tuple."""
-    domain, _scope = _verification_domain(
-        H.ctx, (H.sigma.kind, H.tau.kind), (H.sigma.quot, H.tau.quot), radius
-    )
+    domain, _scope = _verification_domain(H.ctx, H.sigma, H.tau, radius)
     return naive_cocycle_laws(H.ctx, H.sigma, H.tau, domain)
 
 
