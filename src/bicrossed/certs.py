@@ -57,15 +57,24 @@ def solve_in_span(basis, target: HElem, pair, description: str = "solve"):
 
     Each coefficient is c_i = pair(target, b_i), which is exact when the
     b_i are orthonormal for pair and target lies in their span; the caller
-    certifies orthonormality.  The sparse residual target - sum c_i b_i
-    must vanish, otherwise InternalInconsistencyError is raised.  Returns
-    the coefficient list.
+    certifies orthonormality.  The sparse residual target - sum c_i b_i,
+    built in place on a copy of the target's terms, must vanish, else
+    InternalInconsistencyError is raised.  Returns the coefficient list.
     """
     coeffs = [pair(target, b) for b in basis]
-    residual = target - HElem.from_pairs(
-        (k, c * v) for b, c in zip(basis, coeffs) if not c.is_zero() for k, v in b.terms.items()
-    )
-    if not residual.is_zero():
+    residual = dict(target.terms)
+    for b, c in zip(basis, coeffs):
+        if c.is_zero():
+            continue
+        unit = c.is_one()
+        for k, v in b.terms.items():
+            v = v if unit else c * v
+            r = residual.pop(k, None)
+            if r is None:
+                residual[k] = -v
+            elif r != v:
+                residual[k] = r - v
+    if residual:
         raise InternalInconsistencyError(f"{description}: nonzero residual")
     return coeffs
 

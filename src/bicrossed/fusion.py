@@ -2,12 +2,14 @@
 
 H is cosemisimple, so its normalized integral T gives every fusion
 multiplicity as one Haar pairing, N_ab^c = <T, chi_a chi_b S(chi_c)>
-(Larson's character orthogonality).  The characters of each orbit are
-certified orthonormal for this pairing once, and each product row by a
-zero sparse residual; the multiplicities must come out as nonnegative
-integers matching the dimensions, and violations abort loudly.  Duality
-goes through the antipode, the degree-2 indicator through the integral
-of m(Delta(chi)).
+(Larson's character orthogonality).  Each simple keeps its dual vector
+k -> <T, p_k S(chi)>, so a pairing is one sparse dot product over the
+terms of the product, and a row's candidates resolve once per pair of
+orbits.  The characters of each orbit are certified orthonormal for this
+pairing once, and each product row by a zero sparse residual; the
+multiplicities must come out as nonnegative integers matching the
+dimensions, and violations abort loudly.  Duality goes through the
+antipode, the degree-2 indicator through the integral of m(Delta(chi)).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .matched_pair import Orbit, orbit_product
 
 # Triples sampled by the associativity law of verify_based_ring.
 SAMPLE_TRIPLES = 60
-
 
 @dataclass(frozen=True)
 class FusionRow:
@@ -58,27 +59,43 @@ class FusionRing:
         self.index = index if index is not None else SimpleIndex(hopf)
         self._row_cache: dict = {}
         self._dual_cache: dict = {}
-        self._antipodes: dict = {}  # id(chi) -> (chi, S(chi))
+        self._dual_vectors: dict = {}  # id(chi) -> (chi, dual vector of chi)
+        self._candidates: dict = {}  # (rep1, rep2) -> candidate simples
         self._orthonormal: set = set()
 
     # -- the Haar pairing ------------------------------------------------------
 
-    def pair(self, x: HElem, chi: HElem):
-        """<x, chi> = <T, x S(chi)> for a character chi of self.index, with
-        S(chi) kept per character object, that is once per simple."""
-        entry = self._antipodes.get(id(chi))
-        if entry is None:
-            entry = self._antipodes[id(chi)] = (chi, self.hopf.antipode(chi))
-        return self.hopf.integral_of_product(x, entry[1])
+    def _dual_vector(self, chi: HElem) -> dict:
+        """k -> <T, p_k S(chi)> where nonzero.  As in integral_of_product,
+        p_g#f pairs only with the term of S(chi) at (g < f, f^-1), weight
+        sigma(g; f, f^-1)/|G|; by the left action law (h, e) pairs with (h < e, e^-1)."""
+        H = self.hopf
+        act_left, finv, sigma = H.ctx.act_left, H.F.inv, H.sigma.eval
+        scale = rational(Fraction(1, H.G.order))
+        dual = {}
+        for (h, e), w in H.antipode(chi).terms.items():
+            g, f = act_left(h, e), finv(e)
+            dual[(g, f)] = w * sigma(g, f, e) * scale
+        return dual
 
-    def _certify_orthonormal(self, orbit: Orbit) -> None:
-        """The Gram matrix <chi_c, chi_c'> of the orbit's simples must be
-        the identity.  Characters over distinct orbits have disjoint
-        f-supports and pair to zero, so this makes every candidate set
-        of a product orthonormal, hence independent."""
+    def pair(self, x: HElem, chi: HElem):
+        """<x, chi> = <T, x S(chi)> for a character chi of self.index: x dotted
+        with the dual vector of chi, kept per character object (per simple)."""
+        entry = self._dual_vectors.get(id(chi))
+        if entry is None:
+            entry = self._dual_vectors[id(chi)] = (chi, self._dual_vector(chi))
+        x_terms = x.terms
+        return sum((x_terms[k] * w for k, w in entry[1].items() if k in x_terms), rational(0))
+
+    def _orthonormal_simples(self, orbit: Orbit) -> tuple[SimpleDesc, ...]:
+        """The orbit's simples, once the Gram matrix <chi_c, chi_c'> of their
+        characters is certified to be the identity.  Characters over
+        distinct orbits have disjoint f-supports and pair to zero, so this
+        makes every candidate set of a product orthonormal, hence independent."""
+        simples = self.index.simples_for_orbit(orbit)
         if orbit.representative in self._orthonormal:
-            return
-        chars = [self.index.character(d) for d in self.index.simples_for_orbit(orbit)]
+            return simples
+        chars = [self.index.character(d) for d in simples]
         for i, x in enumerate(chars):
             for j, y in enumerate(chars):
                 value = self.pair(x, y)
@@ -88,8 +105,18 @@ class FusionRing:
                         "are not orthonormal for the Haar pairing"
                     )
         self._orthonormal.add(orbit.representative)
+        return simples
 
     # -- product decomposition ------------------------------------------------
+
+    def _candidates_for(self, o1: Orbit, o2: Orbit) -> list[SimpleDesc]:
+        """The simples over the orbits of O1 O2, each orbit certified
+        orthonormal; they depend only on the pair of orbits."""
+        key = (o1.representative, o2.representative)
+        if key not in self._candidates:
+            orbits = orbit_product(self.hopf.ctx, o1, o2)
+            self._candidates[key] = [c for o in orbits for c in self._orthonormal_simples(o)]
+        return self._candidates[key]
 
     def decompose_product(self, d1: SimpleDesc, d2: SimpleDesc) -> FusionRow:
         key = (d1.uid, d2.uid)
@@ -97,10 +124,7 @@ class FusionRing:
             return self._row_cache[key]
         H, index = self.hopf, self.index
         product = H.mul(index.character(d1), index.character(d2))
-        candidates: list[SimpleDesc] = []
-        for orb in orbit_product(H.ctx, d1.orbit, d2.orbit):
-            self._certify_orthonormal(orb)
-            candidates.extend(index.simples_for_orbit(orb))
+        candidates = self._candidates_for(d1.orbit, d2.orbit)
         coeffs = solve_in_span(
             [index.character(c) for c in candidates],
             product,
@@ -238,29 +262,31 @@ class FusionRing:
             if other is None or sorted(other.items()) != dual_sum:
                 problems.append({"law": "duality antihomomorphism", "left": r.left, "right": r.right})
         # associativity on a deterministic sample of triples
-        count = 0
-        n = len(uids)
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if (a * 7 + b * 3 + c) % max(1, (n * n * n) // SAMPLE_TRIPLES + 1):
-                        continue
-                    count += 1
-                    da, db, dc = (self.index.find(uids[x]) for x in (a, b, c))
-                    lhs: dict = {}
-                    for u, m in self.decompose_product(da, db).summands:
-                        for u2, m2 in self.decompose_product(self.index.find(u), dc).summands:
-                            lhs[u2] = lhs.get(u2, 0) + m * m2
-                    rhs: dict = {}
-                    for u, m in self.decompose_product(db, dc).summands:
-                        for u2, m2 in self.decompose_product(da, self.index.find(u)).summands:
-                            rhs[u2] = rhs.get(u2, 0) + m * m2
-                    if lhs != rhs:
-                        problems.append(
-                            {"law": "associativity", "triple": [uids[a], uids[b], uids[c]]}
-                        )
+        triples = _sampled_triples(len(uids))
+        for a, b, c in triples:
+            da, db, dc = (self.index.find(uids[x]) for x in (a, b, c))
+            lhs: dict = {}
+            for u, m in self.decompose_product(da, db).summands:
+                for u2, m2 in self.decompose_product(self.index.find(u), dc).summands:
+                    lhs[u2] = lhs.get(u2, 0) + m * m2
+            rhs: dict = {}
+            for u, m in self.decompose_product(db, dc).summands:
+                for u2, m2 in self.decompose_product(da, self.index.find(u)).summands:
+                    rhs[u2] = rhs.get(u2, 0) + m * m2
+            if lhs != rhs:
+                triple = [uids[a], uids[b], uids[c]]
+                problems.append({"law": "associativity", "triple": triple})
         return {
             "ok": not problems,
             "problems": problems[:20],
-            "associativity_triples": count,
+            "associativity_triples": len(triples),
         }
+
+
+def _sampled_triples(n: int) -> list:
+    """The triples (a, b, c) in range(n)^3 with 7a + 3b + c divisible by
+    step = n^3 // SAMPLE_TRIPLES + 1, in lexicographic order; each c
+    steps from -(7a + 3b) mod step, so only the sample is walked."""
+    step = n * n * n // SAMPLE_TRIPLES + 1
+    ab = ((a, b) for a in range(n) for b in range(n))
+    return [(a, b, c) for a, b in ab for c in range(-(7 * a + 3 * b) % step, n, step)]

@@ -427,7 +427,7 @@ class FreeAbelianF:
         else:
             parts = s.split(",")
         try:
-            vec = tuple(int(p.strip()) for p in parts if p.strip() != "")
+            vec = tuple(int(p) for p in parts)  # an empty part is an error
         except ValueError:
             raise ConfigError(f"F element label {s!r} is not an integer vector") from None
         if len(vec) != self.rank:

@@ -72,7 +72,7 @@ class MatchedPairCtx:
         self.G = G
         self.F = F
         self.action = action
-        self._orbit_cache: dict = {}
+        self._orbits: dict = {}  # every element of a computed orbit -> its Orbit
         if isinstance(action, TableActions):
             if not isinstance(F, FiniteF):
                 raise ConfigError("table actions require a finite F")
@@ -140,12 +140,11 @@ class MatchedPairCtx:
     # -- orbits -------------------------------------------------------------
 
     def orbit_of(self, f) -> "Orbit":
-        elems = sorted({self.act_right(g, f) for g in self.G.elements()}, key=self.F.order_key)
-        rep = elems[0]
-        key = rep
-        cached = self._orbit_cache.get(key)
+        cached = self._orbits.get(f)
         if cached is not None:
             return cached
+        elems = sorted({self.act_right(g, f) for g in self.G.elements()}, key=self.F.order_key)
+        rep = elems[0]
         stab = tuple(g for g in self.G.elements() if self.act_right(g, rep) == rep)
         stab_set = set(stab)
         transversal = []
@@ -174,7 +173,7 @@ class MatchedPairCtx:
             transversal=tuple(transversal),
             coset_map=coset_map,
         )
-        self._orbit_cache[key] = orbit
+        self._orbits.update(dict.fromkeys(elems, orbit))
         return orbit
 
 

@@ -195,6 +195,8 @@ def test_cli_invalid_usage_exit_2():
         ["--preset", "drinfeld:S3", "fuse", "x:0", "0:0"],
         ["--preset", "h_z_z2", "character", "abc", "0"],
         ["--preset", "drinfeld:S3", "dual", "0:-1"],
+        ["--preset", "z_poly_zp:2", "dual", "(,1,,0):0"],
+        ["--preset", "h_z_z2", "character", "3,", "0"],
     ):
         code, rep = capture_json(argv)
         assert code == 2

@@ -184,3 +184,15 @@ def test_element_labels():
     assert F3.parse_label("1,0,-2") == (1, 0, -2)
     with pytest.raises(ConfigError):
         F3.parse_label("1,0")
+
+
+def test_parse_label_rejects_empty_parts():
+    # an empty part is malformed, not a part to skip: "(,1,,0)" is not (0, 1)
+    for rank, label in ((2, "(,1,,0)"), (1, "3,"), (1, ""), (2, "(1,)"), (2, "1,,0")):
+        with pytest.raises(ConfigError):
+            FreeAbelianF(rank).parse_label(label)
+    # every printed label reads back as its vector
+    for rank in (1, 2, 3):
+        F = FreeAbelianF(rank)
+        for f in F.ball(3):
+            assert F.parse_label(F.label(f)) == f
