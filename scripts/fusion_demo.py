@@ -14,13 +14,13 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from bicrossed.config import build_config
 from bicrossed.cyclotomic import rational, root_of_unity
 from bicrossed.fusion import FusionRing
-from bicrossed.presets import generate_preset
+from bicrossed.presets import resolve_preset
 
 
 def main() -> None:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 2
     jmax = int(sys.argv[2]) if len(sys.argv) > 2 else 3
-    build = build_config(generate_preset(f"h_z_z2n:{n}"))
+    build = build_config(resolve_preset(f"h_z_z2n:{n}"))
     ring = FusionRing(build.hopf)
     index = ring.index
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Run the full verification stack over every shipped preset and print a
-one-line summary per preset: axiom status, simple count, timing."""
+"""Run the full verification stack over every named example in
+presets.SHIPPED and print a one-line summary per preset: axiom status,
+simple count, timing."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from bicrossed.comodules import SimpleIndex
 from bicrossed.config import build_config
 from bicrossed.hopf import verify_hopf, verify_star
 from bicrossed.matched_pair import verify_matched_pair
-from bicrossed.presets import SHIPPED, generate_preset
+from bicrossed.presets import SHIPPED, resolve_preset
 
 
 def main() -> int:
@@ -24,7 +25,7 @@ def main() -> int:
     failures = 0
     for name in SHIPPED:
         t0 = time.time()
-        build = build_config(generate_preset(name))
+        build = build_config(resolve_preset(name))
         ok_mp = verify_matched_pair(build.ctx, radius).ok
         ok_cc = verify_cocycles(build.ctx, build.sigma, build.tau, radius).ok
         ok_hopf = verify_hopf(build.hopf, radius).ok

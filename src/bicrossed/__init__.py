@@ -64,6 +64,6 @@ from .comodules import (
 from .fusion import FusionRing, FusionRow, FusionTable
 from .certs import LinearCert, dimension_audit, direct_sum_check, exact_rank, solve_in_span
 from .config import Build, build_config, load_config_file, parse_scalar
-from .presets import generate_preset, resolve_preset
+from .presets import resolve_preset
 
 __version__ = "0.1.0"

@@ -1,10 +1,14 @@
 """Command-line interface: deterministic JSON reports over one config.
 
 Commands: verify, simples, character, fuse, dual, indicators,
-fusion-table, cqg-check.  Exit codes: 0 success, 1 verification failure
-(the report carries witnesses), 2 invalid config or usage, 3 internal
-inconsistency.  JSON is the machine output; text rendering is a view of
-the same payload.
+fusion-table, cqg-check.  Each is registered once, by the @_command
+decorator on its cmd_* function, with its help and positionals; the
+parser, the leading-config-path test and the dispatch all read that
+registration.  The config comes from --preset NAME (a generator in
+presets.py, never a file) or --config PATH.  Exit codes: 0 success,
+1 verification failure (the report carries witnesses), 2 invalid config
+or usage, 3 internal inconsistency.  JSON is the machine output; text
+rendering is a view of the same payload.
 """
 
 from __future__ import annotations
@@ -44,9 +48,13 @@ def _report(build: Build, command: str, status: str, payload: dict) -> dict:
     }
 
 
+def _write_json(report: dict) -> None:
+    sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+
+
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+        _write_json(report)
     else:
         sys.stdout.write(_render_text(report))
 
@@ -109,7 +117,26 @@ def _simple_payload(build: Build, d) -> dict:
 # Command implementations: each returns (status, payload, exit_code)
 # --------------------------------------------------------------------------
 
+# CLI name -> (help, positionals as (dest, type, help), cmd_* name)
+_COMMAND_TABLE: dict = {}
 
+
+def _command(name: str, help: str, *positionals: tuple):
+    """Register a cmd_* under its CLI name.  run calls it as
+    cmd_*(build, *positionals, radius), looked up by its global name at
+    call time, so a wrapper set on this module is the one called."""
+
+    def register(fn):
+        _COMMAND_TABLE[name] = (help, positionals, fn.__name__)
+        return fn
+
+    return register
+
+
+_SIMPLE_ID = "simple id '<f>:<index>'"
+
+
+@_command("verify", "matched pair + cocycles + Hopf axioms")
 def cmd_verify(build: Build, radius: int) -> tuple[str, dict, int]:
     reports = [
         verify_matched_pair(build.ctx, radius),
@@ -130,6 +157,7 @@ def _require_verified(build: Build, radius: int) -> None:
         raise VerificationFailure("cocycle laws fail", cc.to_payload())
 
 
+@_command("simples", "enumerate simple comodules in the ball")
 def cmd_simples(build: Build, radius: int) -> tuple[str, dict, int]:
     _require_verified(build, radius)
     index = SimpleIndex(build.hopf)
@@ -147,6 +175,12 @@ def cmd_simples(build: Build, radius: int) -> tuple[str, dict, int]:
     return ("pass" if ok else "fail"), payload, (EXIT_OK if ok else EXIT_VERIFICATION)
 
 
+@_command(
+    "character",
+    "irreducible character of one simple",
+    ("f", str, "F element label (e.g. 3, -1, (1,0,2), or a finite index)"),
+    ("chi_index", int, "index into the stabilizer character table"),
+)
 def cmd_character(build: Build, f_label: str, chi_index: int, radius: int) -> tuple[str, dict, int]:
     _require_verified(build, radius)
     index = SimpleIndex(build.hopf)
@@ -169,11 +203,13 @@ def cmd_character(build: Build, f_label: str, chi_index: int, radius: int) -> tu
     return "pass", payload, EXIT_OK
 
 
+@_command(
+    "fuse", "decompose a product of two simples", ("id1", str, _SIMPLE_ID), ("id2", str, _SIMPLE_ID)
+)
 def cmd_fuse(build: Build, id1: str, id2: str, radius: int) -> tuple[str, dict, int]:
     _require_verified(build, radius)
-    index = SimpleIndex(build.hopf)
-    ring = FusionRing(build.hopf, index)
-    d1, d2 = index.find(id1), index.find(id2)
+    ring = FusionRing(build.hopf)
+    d1, d2 = ring.index.find(id1), ring.index.find(id2)
     row = ring.decompose_product(d1, d2)
     payload = {
         "row": row.to_payload(),
@@ -182,22 +218,22 @@ def cmd_fuse(build: Build, id1: str, id2: str, radius: int) -> tuple[str, dict, 
     return "pass", payload, EXIT_OK
 
 
+@_command("dual", "dual of a simple", ("id", str, _SIMPLE_ID))
 def cmd_dual(build: Build, uid: str, radius: int) -> tuple[str, dict, int]:
     _require_verified(build, radius)
-    index = SimpleIndex(build.hopf)
-    ring = FusionRing(build.hopf, index)
-    d = index.find(uid)
+    ring = FusionRing(build.hopf)
+    d = ring.index.find(uid)
     dual = ring.dual_of(d)
     payload = {"id": d.uid, "dual": dual.uid, "self_dual": dual.uid == d.uid}
     return "pass", payload, EXIT_OK
 
 
+@_command("indicators", "Frobenius-Schur indicators in the ball")
 def cmd_indicators(build: Build, radius: int) -> tuple[str, dict, int]:
     _require_verified(build, radius)
-    index = SimpleIndex(build.hopf)
-    ring = FusionRing(build.hopf, index)
+    ring = FusionRing(build.hopf)
     items = []
-    for d in index.enumerate(radius):
+    for d in ring.index.enumerate(radius):
         items.append(
             {
                 "id": d.uid,
@@ -210,10 +246,10 @@ def cmd_indicators(build: Build, radius: int) -> tuple[str, dict, int]:
     return "pass", payload, EXIT_OK
 
 
+@_command("fusion-table", "all pairwise products in the ball")
 def cmd_fusion_table(build: Build, radius: int) -> tuple[str, dict, int]:
     _require_verified(build, radius)
-    index = SimpleIndex(build.hopf)
-    ring = FusionRing(build.hopf, index)
+    ring = FusionRing(build.hopf)
     table = ring.fusion_table(radius)
     based = ring.verify_based_ring(table)
     payload = {
@@ -229,6 +265,7 @@ def cmd_fusion_table(build: Build, radius: int) -> tuple[str, dict, int]:
     return ("pass" if ok else "fail"), payload, (EXIT_OK if ok else EXIT_VERIFICATION)
 
 
+@_command("cqg-check", "compact-quantum-group certification")
 def cmd_cqg_check(build: Build, radius: int) -> tuple[str, dict, int]:
     # Unitarity is the gate: report its witness before any law sweep, so
     # non-modulus-one data is rejected with the offending tuple.
@@ -265,18 +302,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
-_COMMANDS = (
-    "verify",
-    "simples",
-    "character",
-    "fuse",
-    "dual",
-    "indicators",
-    "fusion-table",
-    "cqg-check",
-)
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bicrossed",
@@ -290,23 +315,11 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--radius", type=int, default=None, help="ball radius override")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    _add_common(sub.add_parser("verify", help="matched pair + cocycles + Hopf axioms"))
-    _add_common(sub.add_parser("simples", help="enumerate simple comodules in the ball"))
-    p = sub.add_parser("character", help="irreducible character of one simple")
-    p.add_argument("f", help="F element label (e.g. 3, -1, (1,0,2), or a finite index)")
-    p.add_argument("chi_index", type=int, help="index into the stabilizer character table")
-    _add_common(p)
-    p = sub.add_parser("fuse", help="decompose a product of two simples")
-    p.add_argument("id1", help="simple id '<f>:<index>'")
-    p.add_argument("id2", help="simple id '<f>:<index>'")
-    _add_common(p)
-    p = sub.add_parser("dual", help="dual of a simple")
-    p.add_argument("id", help="simple id '<f>:<index>'")
-    _add_common(p)
-    _add_common(sub.add_parser("indicators", help="Frobenius-Schur indicators in the ball"))
-    _add_common(sub.add_parser("fusion-table", help="all pairwise products in the ball"))
-    _add_common(sub.add_parser("cqg-check", help="compact-quantum-group certification"))
+    for name, (help_, positionals, _handler) in _COMMAND_TABLE.items():
+        p = sub.add_parser(name, help=help_)
+        for dest, type_, arg_help in positionals:
+            p.add_argument(dest, type=type_, help=arg_help)
+        _add_common(p)
     return parser
 
 
@@ -318,7 +331,7 @@ def _shield_negative_ids(argv):
         argv = sys.argv[1:]
     argv = list(argv)
     # leading positional config path, per the CLI contract
-    if argv and not argv[0].startswith("-") and argv[0] not in _COMMANDS:
+    if argv and not argv[0].startswith("-") and argv[0] not in _COMMAND_TABLE:
         argv = ["--config", argv[0]] + argv[1:]
     if "--" in argv:
         return argv
@@ -340,24 +353,9 @@ def run(argv=None) -> int:
         cfg = resolve_preset(args.preset) if args.preset else load_config_file(args.config)
         build = build_config(cfg)
         radius = args.radius if args.radius is not None else build.radius
-        if args.command == "verify":
-            status, payload, code = cmd_verify(build, radius)
-        elif args.command == "simples":
-            status, payload, code = cmd_simples(build, radius)
-        elif args.command == "character":
-            status, payload, code = cmd_character(build, args.f, args.chi_index, radius)
-        elif args.command == "fuse":
-            status, payload, code = cmd_fuse(build, args.id1, args.id2, radius)
-        elif args.command == "dual":
-            status, payload, code = cmd_dual(build, args.id, radius)
-        elif args.command == "indicators":
-            status, payload, code = cmd_indicators(build, radius)
-        elif args.command == "fusion-table":
-            status, payload, code = cmd_fusion_table(build, radius)
-        elif args.command == "cqg-check":
-            status, payload, code = cmd_cqg_check(build, radius)
-        else:  # pragma: no cover - argparse guards this
-            raise ConfigError(f"unknown command {args.command!r}")
+        _help, positionals, handler = _COMMAND_TABLE[args.command]
+        values = [getattr(args, dest) for dest, _type, _arg_help in positionals]
+        status, payload, code = globals()[handler](build, *values, radius)
         _emit(_report(build, args.command, status, payload), fmt)
         return code
     except ConfigError as exc:
@@ -381,7 +379,7 @@ def _emit_error(args, fmt: str, status: str, message: str, witness) -> None:
     if witness is not None:
         report["witness"] = witness
     if fmt == "json":
-        sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+        _write_json(report)
     else:
         sys.stdout.write(f"status: {status}\nerror:  {message}\nwitness: {witness}\n")
 

@@ -172,6 +172,9 @@ def _field(spec: dict, key: str, what: str):
 
 
 def _as_int(value, what: str) -> int:
+    # int() would read True as 1 and truncate 1.9 to 1
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{what} must be an integer, not {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError):
@@ -319,5 +322,9 @@ def load_config_file(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None

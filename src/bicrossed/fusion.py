@@ -15,7 +15,6 @@ antipode, the degree-2 indicator through the integral of m(Delta(chi)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .certs import solve_in_span
 from .comodules import SimpleDesc, SimpleIndex
@@ -67,15 +66,13 @@ class FusionRing:
 
     def _dual_vector(self, chi: HElem) -> dict:
         """k -> <T, p_k S(chi)> where nonzero.  As in integral_of_product,
-        p_g#f pairs only with the term of S(chi) at (g < f, f^-1), weight
-        sigma(g; f, f^-1)/|G|; by the left action law (h, e) pairs with (h < e, e^-1)."""
+        p_k pairs only with the term of S(chi) at its Haar partner; the key
+        whose partner is the term k2 is the partner of k2."""
         H = self.hopf
-        act_left, finv, sigma = H.ctx.act_left, H.F.inv, H.sigma.eval
-        scale = rational(Fraction(1, H.G.order))
         dual = {}
-        for (h, e), w in H.antipode(chi).terms.items():
-            g, f = act_left(h, e), finv(e)
-            dual[(g, f)] = w * sigma(g, f, e) * scale
+        for k2, w in H.antipode(chi).terms.items():
+            key = H.haar_partner(k2)[0]
+            dual[key] = w * H.haar_partner(key)[1]
         return dual
 
     def pair(self, x: HElem, chi: HElem):
@@ -180,16 +177,13 @@ class FusionRing:
         """nu_2 = <T, m(Delta(chi))>, asserted to land in {-1, 0, 1} and to
         vanish exactly off the self-dual simples."""
         H = self.hopf
-        act_left, finv, sigma = H.ctx.act_left, H.F.inv, H.sigma.eval
         total = rational(0)
         for key, v in self.index.character(d).terms.items():
-            for ((g, f), k2), c in H.comul_basis(key):
-                # <T, p_g#f . k2> as integral_of_product reads it: nonzero
-                # only at k2 = (g < f, f^-1), with weight sigma(g; f, f^-1)/|G|
-                fi = finv(f)
-                if k2 == (act_left(g, f), fi):
-                    total = total + v * c * sigma(g, f, fi)
-        total = total * rational(Fraction(1, H.G.order))
+            for (k1, k2), c in H.comul_basis(key):
+                # <T, k1 . k2> as integral_of_product reads it
+                partner, weight = H.haar_partner(k1)
+                if k2 == partner:
+                    total = total + v * c * weight
         if not total.is_integer():
             raise InternalInconsistencyError(
                 f"indicator of {d.uid} is not an integer: {total.literal()}"

@@ -150,7 +150,7 @@ class BicrossedHopf:
         self.sigma = sigma
         self.tau = tau
         self._unitary: bool | None = None
-        self._inv_g_order = Fraction(1, self.G.order)
+        self._inv_g_order = rational(Fraction(1, self.G.order))
 
     # -- structure maps -------------------------------------------------------
 
@@ -239,20 +239,28 @@ class BicrossedHopf:
         """The normalized left integral: <T, p_g # f> = delta(f, 1)/|G|."""
         f1 = self.F.identity
         total = sum((v for (_g, f), v in a.terms.items() if f == f1), rational(0))
-        return total * rational(self._inv_g_order)
+        return total * self._inv_g_order
+
+    def haar_partner(self, key):
+        """(partner, weight): the one basis key k2 whose product with
+        key = p_g # f lands on an f-part 1, k2 = (g < f, f^-1), and
+        <T, key . k2> = sigma(g; f, f^-1)/|G|.  By the left action law the
+        partner of k2 is key again."""
+        g, f = key
+        fi = self.F.inv(f)
+        return (self.ctx.act_left(g, f), fi), self.sigma.eval(g, f, fi) * self._inv_g_order
 
     def integral_of_product(self, x: HElem, y: HElem) -> CycNum:
-        """<T, xy> without forming xy: in one pass over the terms of x, the
-        only term of y whose product with p_g # f lands on an f-part 1 is
-        the one at (g < f, f^-1), with weight sigma(g; f, f^-1)/|G|."""
-        act_left, finv, y_terms = self.ctx.act_left, self.F.inv, y.terms
+        """<T, xy> without forming xy: one pass over the terms of x, each
+        read against its Haar partner in y."""
+        y_terms = y.terms
         total = rational(0)
-        for (g, f), v in x.terms.items():
-            fi = finv(f)
-            w = y_terms.get((act_left(g, f), fi))
+        for key, v in x.terms.items():
+            partner, weight = self.haar_partner(key)
+            w = y_terms.get(partner)
             if w is not None:
-                total = total + v * w * self.sigma.eval(g, f, fi)
-        return total * rational(self._inv_g_order)
+                total = total + v * w * weight
+        return total
 
     def haar_gram(self, x: HElem, y: HElem) -> CycNum:
         """<x, y>_r = <T, y* x>; positive definite in the unitary case."""
@@ -585,12 +593,11 @@ def verify_star(
     sweep.per_element("haar_gram(b,b) = 1/|G|", haar_diagonal)
 
     def haar_off_diagonal():
-        # <b1, b2>_r = <T, b2* b1> reads b1 only at the partner
-        # (h < e, e^-1) of a key (h, e) of b2*, as integral_of_product does.
-        act_left, finv = H.ctx.act_left, H.F.inv
+        # <b1, b2>_r = <T, b2* b1> reads b1 only at the Haar partner of a
+        # key of b2*, as integral_of_product does.
         partners: dict = {}
         for k2 in pair_keys:
-            for p in {(act_left(h, f), finv(f)) for h, f in H.star(basis(*k2)).terms}:
+            for p in {H.haar_partner(k)[0] for k in H.star(basis(*k2)).terms}:
                 partners.setdefault(p, []).append(k2)
         for k1 in pair_keys:
             b1 = basis(*k1)

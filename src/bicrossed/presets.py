@@ -1,16 +1,13 @@
 """Named example configurations.
 
-Rendered preset files live in bicrossed/presets/*.json so they can be
-inspected, diffed and modified; parameterized names (h_z_z2n:N,
-z_poly_zp:P, drinfeld:NAME) regenerate on the fly when no file matches
-the requested parameter.  scripts/make_presets.py rewrites the files
-from these generators.
+Each preset family is one generator: h_z_z2 (= h_z_z2n:1 under its own
+name), h_z_z2n:N, z_poly_zp:P and drinfeld:NAME.  resolve_preset
+dispatches a name to its generator and never reads a file.  Family names
+are matched exactly (only the drinfeld group name ignores case); any
+other name is a ConfigError.
 """
 
 from __future__ import annotations
-
-import json
-from importlib import resources
 
 from .errors import ConfigError
 from .groups import (
@@ -21,6 +18,7 @@ from .groups import (
     permutation_group,
 )
 
+# The named examples CI verifies (scripts/verify_presets.py).
 SHIPPED = [
     "h_z_z2",
     "h_z_z2n:1",
@@ -117,7 +115,8 @@ def drinfeld_config(group_name: str) -> dict:
     }
 
 
-def generate_preset(name: str) -> dict:
+def resolve_preset(name: str) -> dict:
+    """The config of a preset name, from its family's generator."""
     if name == "h_z_z2":
         return h_z_z2_config()
     family, _, param = name.partition(":")
@@ -125,25 +124,12 @@ def generate_preset(name: str) -> dict:
         try:
             n = int(param)
         except ValueError:
-            raise ConfigError(f"preset parameter {param!r} of {family} is not an integer") from None
+            n = None
+        if n is None or str(n) != param:  # int() also reads "+2", " 2" and "1_0"
+            raise ConfigError(f"preset parameter {param!r} of {family} is not an integer")
         return h_z_z2n_config(n) if family == "h_z_z2n" else z_poly_zp_config(n)
     if family == "drinfeld" and param:
         return drinfeld_config(param)
     raise ConfigError(
         f"unknown preset {name!r}; families: h_z_z2, h_z_z2n:N, z_poly_zp:P, drinfeld:NAME"
     )
-
-
-def preset_filename(name: str) -> str:
-    return name.replace(":", "_").lower() + ".json"
-
-
-def resolve_preset(name: str) -> dict:
-    """Load the shipped preset file when present, else regenerate."""
-    fname = preset_filename(name)
-    pkg_files = resources.files("bicrossed").joinpath("presets")
-    candidate = pkg_files.joinpath(fname)
-    if candidate.is_file():
-        with candidate.open("r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return generate_preset(name)

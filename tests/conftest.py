@@ -18,7 +18,7 @@ settings.load_profile("ci")
 from bicrossed.config import build_config
 from bicrossed.groups import FiniteF, permutation_group
 from bicrossed.matched_pair import MatchedPairCtx, TableActions
-from bicrossed.presets import generate_preset
+from bicrossed.presets import resolve_preset
 
 
 @pytest.fixture
@@ -39,7 +39,7 @@ def bounded_ball_enumeration(monkeypatch):
 
 
 def build_preset(name: str):
-    return build_config(generate_preset(name))
+    return build_config(resolve_preset(name))
 
 
 @pytest.fixture(scope="session")

@@ -228,9 +228,9 @@ def test_drinfeld_s4_classification():
     squared dimensions add to 576, orbit by orbit."""
     from bicrossed.certs import dimension_audit
     from bicrossed.config import build_config
-    from bicrossed.presets import generate_preset
+    from bicrossed.presets import resolve_preset
 
-    build = build_config(generate_preset("drinfeld:S4"))
+    build = build_config(resolve_preset("drinfeld:S4"))
     index = SimpleIndex(build.hopf)
     audit = dimension_audit(build.hopf, index, 0)
     assert audit["ok"]

@@ -16,7 +16,7 @@ from bicrossed.config import build_config, config_hash, load_config_file, parse_
 from bicrossed.cyclotomic import one, rational, root_of_unity
 from bicrossed.errors import ConfigError
 from bicrossed import presets
-from bicrossed.presets import SHIPPED, generate_preset, resolve_preset, z_poly_zp_config
+from bicrossed.presets import resolve_preset, z_poly_zp_config
 
 
 def capture(args):
@@ -54,7 +54,7 @@ def test_parse_scalar_errors():
 
 
 def test_bad_configs_rejected():
-    base = generate_preset("h_z_z2")
+    base = resolve_preset("h_z_z2")
     bad_rank = json.loads(json.dumps(base))
     bad_rank["f_group"]["rank"] = -1
     with pytest.raises(ConfigError):
@@ -80,6 +80,12 @@ def test_bad_configs_rejected():
         ("action", {"type": "linear", "matrices": [[["a"]], [[-1]]]}),
         ("level", 0),
         ("level", -6),
+        # integer fields are not truncated or read from booleans; each of
+        # these would otherwise build (radius 1, or a valid Z2 table)
+        ("radius", 1.9),
+        ("radius", True),
+        ("group", {"type": "table", "table": [[0, 1], [1, 0.5]]}),
+        ("group", {"type": "table", "table": [[0, True], [True, 0]]}),
     ]:
         malformed = json.loads(json.dumps(base))
         malformed[key] = value
@@ -99,14 +105,28 @@ def test_declared_level():
 
 
 def test_config_hash_stability():
-    cfg = generate_preset("h_z_z2")
+    cfg = resolve_preset("h_z_z2")
     assert config_hash(cfg) == config_hash(json.loads(json.dumps(cfg)))
 
 
+# The config hash of each named example, as every report carries it; the
+# presets were once also stored as JSON files with exactly these hashes.
+_PRESET_HASHES = {
+    "h_z_z2": "a5fb9299ac0556a6",
+    "h_z_z2n:1": "b624fe1de22e583a",
+    "h_z_z2n:2": "7b33801ca83dd23b",
+    "h_z_z2n:3": "9a41c981717e7eb3",
+    "z_poly_zp:2": "277a977d9a66287a",
+    "z_poly_zp:3": "98fed25ed52ac8d1",
+    "drinfeld:S3": "f4082296432f41a7",
+    "drinfeld:Z2": "170b7abae62e8dd2",
+}
+
+
 def test_resolve_preset_matches_generator():
-    for name in SHIPPED:
-        assert resolve_preset(name) == generate_preset(name)
-    # unshipped parameters regenerate on the fly
+    assert sorted(_PRESET_HASHES) == sorted(presets.SHIPPED)
+    for name, digest in _PRESET_HASHES.items():
+        assert config_hash(resolve_preset(name)) == digest, name
     cfg = resolve_preset("h_z_z2n:5")
     assert cfg["name"] == "h_z_z2n:5"
     with pytest.raises(ConfigError):
@@ -120,7 +140,7 @@ def test_preset_order_bound_before_tables(monkeypatch):
     monkeypatch.setattr(presets, "_cyclic_table", no_tables)
     for name in ("z_poly_zp:65", "h_z_z2n:33"):
         with pytest.raises(ConfigError, match="exceeds the configured bound"):
-            generate_preset(name)
+            resolve_preset(name)
 
 
 def test_z_poly_zp_shifts_are_matrix_powers():
@@ -186,7 +206,7 @@ def test_cli_invalid_usage_exit_2():
     assert code == 2
     code, rep = capture_json(["--preset", "h_z_z2", "--config", "x.json", "verify"])
     assert code == 2
-    for preset in ("h_z_z2n:abc", "z_poly_zp:65"):
+    for preset in ("h_z_z2n:abc", "z_poly_zp:65", "h_z_z2n:+2", "h_z_z2n:1_0", "z_poly_zp: 2"):
         code, rep = capture_json(["--preset", preset, "verify"])
         assert code == 2
         assert rep["status"] == "invalid-config"
@@ -285,6 +305,77 @@ def test_load_config_file_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config_file(str(bad))
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    for path in (tmp_path, latin1):  # a directory, a non-UTF-8 file
+        with pytest.raises(ConfigError):
+            load_config_file(str(path))
+        code, rep = capture_json(["--config", str(path), "verify"])
+        assert code == 2
+        assert rep["status"] == "invalid-config"
+
+
+def test_cli_integer_fields_not_truncated(tmp_path):
+    for key, value in (("radius", 1.9), ("radius", True)):
+        cfg = resolve_preset("h_z_z2n:2")
+        cfg[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, rep = capture_json(["--config", str(path), "simples"])
+        assert code == 2
+        assert rep["status"] == "invalid-config"
+        assert "radius" in rep["error"]
+
+
+def test_cli_preset_names_never_reach_files(monkeypatch):
+    # a path-like name, and names that a case-folding file lookup would
+    # have found; every one is an unknown preset
+    for name in ("../../../bench/configs/b3_z3", "H_Z_Z2N:2", "H_Z_Z2N:5", "DRINFELD:S3"):
+        code, rep = capture_json(["--preset", name, "verify"])
+        assert code == 2, name
+        assert rep["status"] == "invalid-config"
+        assert "unknown preset" in rep["error"]
+
+    def no_files(*args, **kwargs):
+        raise AssertionError(f"a preset opened {args!r}")
+
+    monkeypatch.setattr("builtins.open", no_files)
+    for name in presets.SHIPPED:
+        assert resolve_preset(name)["name"] == name
+
+
+def test_cli_dispatch_reaches_each_command(monkeypatch):
+    import bicrossed.cli as cli
+
+    calls = []
+
+    def stub(name):
+        def cmd(build, *args):
+            calls.append((name, build.name, args))
+            return "pass", {}, 0
+
+        return cmd
+
+    for attr in dir(cli):
+        if attr.startswith("cmd_"):
+            monkeypatch.setattr(cli, attr, stub(attr))
+    cases = [
+        (["verify"], ("cmd_verify", ())),
+        (["simples"], ("cmd_simples", ())),
+        (["character", "-1", "1"], ("cmd_character", ("-1", 1))),
+        (["fuse", "-1:0", "2:0"], ("cmd_fuse", ("-1:0", "2:0"))),
+        (["dual", "-2:0"], ("cmd_dual", ("-2:0",))),
+        (["indicators"], ("cmd_indicators", ())),
+        (["fusion-table"], ("cmd_fusion_table", ())),
+        (["cqg-check"], ("cmd_cqg_check", ())),
+    ]
+    assert len(cases) == len([a for a in dir(cli) if a.startswith("cmd_")])
+    for argv, (name, positionals) in cases:
+        for flags, radius in (([], 4), (["--radius", "2"], 2)):
+            calls.clear()
+            code, rep = capture_json(["--preset", "h_z_z2", *flags, *argv])
+            assert code == 0 and rep["command"] == argv[0]
+            assert calls == [(name, "h_z_z2", (*positionals, radius))], argv
 
 
 def test_cli_internal_inconsistency_exit_3(monkeypatch):
@@ -302,7 +393,7 @@ def test_cli_internal_inconsistency_exit_3(monkeypatch):
 
 def test_cli_positional_config_path(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(generate_preset("h_z_z2")))
+    path.write_text(json.dumps(resolve_preset("h_z_z2")))
     code, rep = capture_json([str(path), "dual", "-1:0"])
     assert code == 0
     assert rep["payload"]["self_dual"] is True
