@@ -9,22 +9,30 @@ dimension audit.  No numeric fallback is permitted in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cyclotomic import rational, row_reduce
 from .errors import InternalInconsistencyError
 from .groups import f_ball
 from .hopf import HElem
 
 
-@dataclass
 class LinearCert:
-    description: str
-    rows: int
-    cols: int
-    rank: int
-    ok: bool
-    details: dict | None = None
+    __slots__ = ("description", "rows", "cols", "rank", "ok", "details")
+
+    def __init__(
+        self,
+        description: str,
+        rows: int,
+        cols: int,
+        rank: int,
+        ok: bool,
+        details: dict | None = None,
+    ):
+        self.description = description
+        self.rows = rows
+        self.cols = cols
+        self.rank = rank
+        self.ok = ok
+        self.details = details
 
     def to_payload(self) -> dict:
         return {

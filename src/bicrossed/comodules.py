@@ -9,8 +9,6 @@ solely through the optional coefficient-basis construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cocycles import Beta2Cocycle, beta_for_orbit
 from .cyclotomic import CycNum, rational
 from .errors import ConfigError, InternalInconsistencyError
@@ -20,30 +18,38 @@ from .matched_pair import Orbit
 from .reps import CharTable, TwistedChar, abelian_char_table, ordinary_char_table, twisted_char_table
 
 
-@dataclass(frozen=True)
 class SimpleDesc:
     """Descriptor of a simple comodule: orbit + stabilizer character."""
 
-    orbit: Orbit
-    chi: TwistedChar
-    chi_index: int
-    dim_v: int
-    dim_total: int
-    uid: str
+    __slots__ = ("orbit", "chi", "chi_index", "dim_v", "dim_total", "uid")
+
+    def __init__(
+        self, orbit: Orbit, chi: TwistedChar, chi_index: int, dim_v: int, dim_total: int, uid: str
+    ):
+        self.orbit = orbit
+        self.chi = chi
+        self.chi_index = chi_index
+        self.dim_v = dim_v
+        self.dim_total = dim_total
+        self.uid = uid
 
     def __repr__(self):
         return f"SimpleDesc({self.uid}, dim={self.dim_total})"
 
 
-@dataclass(frozen=True)
 class CfBasis:
     """Basis bookkeeping for the coefficient subcoalgebra of one orbit."""
 
-    orbit: Orbit
-    keys: tuple
-    dimension: int
-    is_simple: bool
-    antipode_stable: bool
+    __slots__ = ("orbit", "keys", "dimension", "is_simple", "antipode_stable")
+
+    def __init__(
+        self, orbit: Orbit, keys: tuple, dimension: int, is_simple: bool, antipode_stable: bool
+    ):
+        self.orbit = orbit
+        self.keys = keys
+        self.dimension = dimension
+        self.is_simple = is_simple
+        self.antipode_stable = antipode_stable
 
 
 def cf_subcoalgebra(ctx, orbit: Orbit) -> CfBasis:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from math import gcd
 
 from .cocycles import SigmaCocycle, TauCocycle
@@ -129,9 +128,7 @@ def _parse_atom(sc: _Scanner) -> CycNum:
             den = sc.integer()
             if den <= 0:
                 raise ConfigError("denominators must be positive")
-            from fractions import Fraction
-
-            return rational(Fraction(num, den))
+            return rational(num) / rational(den)
         return rational(num)
     raise ConfigError(f"unexpected character {ch!r} at position {sc.pos} in {sc.text!r}")
 
@@ -141,17 +138,30 @@ def _parse_atom(sc: _Scanner) -> CycNum:
 # --------------------------------------------------------------------------
 
 
-@dataclass
 class Build:
-    config: dict
-    config_hash: str
-    ctx: MatchedPairCtx
-    sigma: SigmaCocycle
-    tau: TauCocycle
-    hopf: BicrossedHopf
-    level: int
-    radius: int
-    name: str
+    __slots__ = ("config", "config_hash", "ctx", "sigma", "tau", "hopf", "level", "radius", "name")
+
+    def __init__(
+        self,
+        config: dict,
+        config_hash: str,
+        ctx: MatchedPairCtx,
+        sigma: SigmaCocycle,
+        tau: TauCocycle,
+        hopf: BicrossedHopf,
+        level: int,
+        radius: int,
+        name: str,
+    ):
+        self.config = config
+        self.config_hash = config_hash
+        self.ctx = ctx
+        self.sigma = sigma
+        self.tau = tau
+        self.hopf = hopf
+        self.level = level
+        self.radius = radius
+        self.name = name
 
 
 def config_hash(cfg: dict) -> str:

@@ -13,13 +13,14 @@ no op goes through Fraction.
 
 Mixed-level arithmetic lifts both operands to level lcm(N_a, N_b); levels
 are never lowered automatically.  `coeffs` gives the Fraction coefficient
-vector for readers that want it.  `row_reduce` is the one Gauss-Jordan
-elimination over these fields; ranks and exact solves elsewhere call it.
+vector for readers that want it; `fractions` is imported only where a
+Fraction is built or accepted, so it stays off the start-up path.
+`row_reduce` is the one Gauss-Jordan elimination over these fields;
+ranks and exact solves elsewhere call it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -149,6 +150,8 @@ class CycNum:
     __slots__ = ("level", "num", "den")
 
     def __init__(self, level: int, coeffs):
+        from fractions import Fraction
+
         if level < 1:
             raise ValueError("level must be >= 1")
         coeffs = [Fraction(c) for c in coeffs]
@@ -167,8 +170,10 @@ class CycNum:
         raise AttributeError("CycNum is immutable")
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
+    def coeffs(self) -> tuple:
         """The power-basis coefficients as Fractions."""
+        from fractions import Fraction
+
         den = self.den
         return tuple(Fraction(x, den) for x in self.num)
 
@@ -177,6 +182,8 @@ class CycNum:
     @staticmethod
     def rational(q, level: int = 1) -> "CycNum":
         if not isinstance(q, int):
+            from fractions import Fraction
+
             q = Fraction(q)
         num = [0] * phi(level)
         num[0] = q.numerator
@@ -208,7 +215,11 @@ class CycNum:
     def _coerce(x) -> "CycNum":
         if isinstance(x, CycNum):
             return x
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, int):
+            return CycNum.rational(x)
+        from fractions import Fraction
+
+        if isinstance(x, Fraction):
             return CycNum.rational(x)
         return NotImplemented
 
@@ -224,7 +235,9 @@ class CycNum:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def as_fraction(self) -> Fraction:
+    def as_fraction(self):
+        from fractions import Fraction
+
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
         return Fraction(self.num[0], self.den)
@@ -386,22 +399,23 @@ class CycNum:
             return complex(acc)
 
     def literal(self) -> str:
-        """Canonical literal: rational, or a sum of c*z^k@N terms."""
-        coeffs = self.coeffs
+        """Canonical literal: rational, or a sum of c*z^k@N terms.  Each
+        coefficient reads as its Fraction would: p, or p/q in lowest terms."""
+        num, den = self.num, self.den
         if self.is_rational():
-            return str(coeffs[0])
+            return _ratio(num[0], den)
         parts = []
-        for e, c in enumerate(coeffs):
-            if c == 0:
+        for e, x in enumerate(num):
+            if x == 0:
                 continue
             if e == 0:
-                parts.append(str(c))
-            elif c == 1:
+                parts.append(_ratio(x, den))
+            elif x == den:
                 parts.append(f"z^{e}@{self.level}")
-            elif c == -1:
+            elif x == -den:
                 parts.append(f"-z^{e}@{self.level}")
             else:
-                parts.append(f"{c}*z^{e}@{self.level}")
+                parts.append(f"{_ratio(x, den)}*z^{e}@{self.level}")
         out = parts[0]
         for p in parts[1:]:
             out += p if p.startswith("-") else "+" + p
@@ -409,6 +423,13 @@ class CycNum:
 
     def __repr__(self) -> str:
         return f"CycNum({self.literal()})"
+
+
+def _ratio(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q > 0."""
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 _alloc = object.__new__

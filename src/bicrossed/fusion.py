@@ -14,8 +14,6 @@ antipode, the degree-2 indicator through the integral of m(Delta(chi)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .certs import solve_in_span
 from .comodules import SimpleDesc, SimpleIndex
 from .cyclotomic import rational
@@ -26,11 +24,13 @@ from .matched_pair import Orbit, orbit_product
 # Triples sampled by the associativity law of verify_based_ring.
 SAMPLE_TRIPLES = 60
 
-@dataclass(frozen=True)
 class FusionRow:
-    left: str
-    right: str
-    summands: tuple[tuple[str, int], ...]
+    __slots__ = ("left", "right", "summands")
+
+    def __init__(self, left: str, right: str, summands: tuple[tuple[str, int], ...]):
+        self.left = left
+        self.right = right
+        self.summands = summands
 
     def to_payload(self) -> dict:
         return {
@@ -40,14 +40,24 @@ class FusionRow:
         }
 
 
-@dataclass
 class FusionTable:
-    simples: list[SimpleDesc]
-    rows: list[FusionRow]
-    duals: dict
-    indicators: dict
-    radius: int
-    noncommutative_pairs: list = field(default_factory=list)
+    __slots__ = ("simples", "rows", "duals", "indicators", "radius", "noncommutative_pairs")
+
+    def __init__(
+        self,
+        simples: list[SimpleDesc],
+        rows: list[FusionRow],
+        duals: dict,
+        indicators: dict,
+        radius: int,
+        noncommutative_pairs: list | None = None,
+    ):
+        self.simples = simples
+        self.rows = rows
+        self.duals = duals
+        self.indicators = indicators
+        self.radius = radius
+        self.noncommutative_pairs = [] if noncommutative_pairs is None else noncommutative_pairs
 
 
 class FusionRing:
@@ -71,8 +81,8 @@ class FusionRing:
         H = self.hopf
         dual = {}
         for k2, w in H.antipode(chi).terms.items():
-            key = H.haar_partner(k2)[0]
-            dual[key] = w * H.haar_partner(key)[1]
+            key = H.haar_partner(k2)
+            dual[key] = w * H.haar_weight(key)
         return dual
 
     def pair(self, x: HElem, chi: HElem):
@@ -132,12 +142,12 @@ class FusionRing:
         for c, x in zip(candidates, coeffs):
             if x.is_zero():
                 continue
-            if not x.is_integer() or x.as_fraction() < 0:
+            if not x.is_integer() or x.num[0] < 0:
                 raise InternalInconsistencyError(
                     f"fusion multiplicity of {c.uid} in {d1.uid} * {d2.uid} "
                     f"is {x.literal()}, not a nonnegative integer"
                 )
-            summands.append((c.uid, int(x.as_fraction())))
+            summands.append((c.uid, x.num[0]))
         row = FusionRow(d1.uid, d2.uid, tuple(sorted(summands)))
         total = sum(m * index.find(uid).dim_total for uid, m in row.summands)
         if total != d1.dim_total * d2.dim_total:
@@ -181,14 +191,13 @@ class FusionRing:
         for key, v in self.index.character(d).terms.items():
             for (k1, k2), c in H.comul_basis(key):
                 # <T, k1 . k2> as integral_of_product reads it
-                partner, weight = H.haar_partner(k1)
-                if k2 == partner:
-                    total = total + v * c * weight
+                if k2 == H.haar_partner(k1):
+                    total = total + v * c * H.haar_weight(k1)
         if not total.is_integer():
             raise InternalInconsistencyError(
                 f"indicator of {d.uid} is not an integer: {total.literal()}"
             )
-        nu = int(total.as_fraction())
+        nu = total.num[0]
         if nu not in (-1, 0, 1):
             raise InternalInconsistencyError(f"indicator of {d.uid} is {nu}")
         if (nu != 0) != self.is_self_dual(d):

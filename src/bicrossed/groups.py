@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import ConfigError
@@ -20,14 +19,16 @@ DEFAULT_MAX_GROUP_ORDER = 64
 MAX_BALL_SIZE = 100_000
 
 
-@dataclass(frozen=True)
 class FiniteGroup:
     """A finite group on indices 0..n-1 with a validated Cayley table."""
 
-    table: tuple[tuple[int, ...], ...]
-    identity: int
-    inverse: tuple[int, ...]
-    name: str = "G"
+    __slots__ = ("table", "identity", "inverse", "name")
+
+    def __init__(self, table: tuple, identity: int, inverse: tuple[int, ...], name: str = "G"):
+        self.table = table
+        self.identity = identity
+        self.inverse = inverse
+        self.name = name
 
     @property
     def order(self) -> int:

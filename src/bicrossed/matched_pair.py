@@ -13,51 +13,54 @@ applied by a plain loop, so no call dispatches on the backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import islice
 
 from .errors import ConfigError
 from .groups import FiniteGroup, FiniteF, FreeAbelianF, f_ball
 
 
-@dataclass(frozen=True)
 class TableActions:
     """Dense action tables over a finite F: right[g][f] is an F index,
     left[g][f] is a G index."""
 
-    right: tuple[tuple[int, ...], ...]
-    left: tuple[tuple[int, ...], ...]
+    __slots__ = ("right", "left")
+
+    def __init__(self, right: tuple[tuple[int, ...], ...], left: tuple[tuple[int, ...], ...]):
+        self.right = right
+        self.left = left
 
 
-@dataclass(frozen=True)
 class LinearAction:
     """Right action by integer matrices M_g (one per G element, acting on
     column vectors of Z^r); the left action is trivial."""
 
-    matrices: tuple[tuple[tuple[int, ...], ...], ...]
+    __slots__ = ("matrices",)
+
+    def __init__(self, matrices: tuple[tuple[tuple[int, ...], ...], ...]):
+        self.matrices = matrices
 
 
 def _int_det(mat) -> int:
-    n = len(mat)
-    rows = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: after step k every entry below row k is a k+1 by k+1
+    minor, so each division by the previous pivot is exact."""
+    rows = [list(row) for row in mat]
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if rows[r][k]), None)
         if pivot is None:
             return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    rows[r][c] -= factor * rows[col][c]
-    assert det.denominator == 1
-    return int(det)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        pk, row_k = rows[k][k], rows[k]
+        for r in range(k + 1, n):
+            row, rk = rows[r], rows[r][k]
+            for c in range(k + 1, n):
+                row[c] = (row[c] * pk - rk * row_k[c]) // prev
+        prev = pk
+    return sign * prev
 
 
 class MatchedPairCtx:
@@ -177,23 +180,41 @@ class MatchedPairCtx:
         return orbit
 
 
-@dataclass(frozen=True)
 class Orbit:
     """A G-orbit in F, anchored at its canonical representative.
 
     The stabilizer, transversal (first entry 1_G) and coset decomposition
-    x = g_x * z_x all refer to the representative.
+    x = g_x * z_x all refer to the representative.  Equality compares
+    every field but coset_map, which the others determine.
     """
 
-    representative: object
-    elements: tuple
-    stabilizer: tuple[int, ...]
-    transversal: tuple[int, ...]
-    coset_map: dict = field(compare=False, repr=False)
+    __slots__ = ("representative", "elements", "stabilizer", "transversal", "coset_map")
+
+    def __init__(
+        self,
+        representative,
+        elements: tuple,
+        stabilizer: tuple[int, ...],
+        transversal: tuple[int, ...],
+        coset_map: dict,
+    ):
+        self.representative = representative
+        self.elements = elements
+        self.stabilizer = stabilizer
+        self.transversal = transversal
+        self.coset_map = coset_map
 
     @property
     def size(self) -> int:
         return len(self.elements)
+
+    def __eq__(self, other):
+        if other.__class__ is not Orbit:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def _key(self) -> tuple:
+        return (self.representative, self.elements, self.stabilizer, self.transversal)
 
     def __hash__(self):
         return hash((self.representative, self.elements))
@@ -225,16 +246,20 @@ def orbit_product(ctx: MatchedPairCtx, o1: Orbit, o2: Orbit) -> list[Orbit]:
 # --------------------------------------------------------------------------
 
 
-@dataclass
 class CheckResult:
     """One verified law: every instance is counted, the first few violated
     instances are listed as witnesses."""
 
-    name: str
-    scope: str
-    instances: int
-    violations: list
-    violation_count: int
+    __slots__ = ("name", "scope", "instances", "violations", "violation_count")
+
+    def __init__(
+        self, name: str, scope: str, instances: int, violations: list, violation_count: int
+    ):
+        self.name = name
+        self.scope = scope
+        self.instances = instances
+        self.violations = violations
+        self.violation_count = violation_count
 
     @property
     def ok(self) -> bool:
@@ -250,10 +275,12 @@ class CheckResult:
         }
 
 
-@dataclass
 class VerifyReport:
-    title: str
-    checks: list[CheckResult]
+    __slots__ = ("title", "checks")
+
+    def __init__(self, title: str, checks: list[CheckResult]):
+        self.title = title
+        self.checks = checks
 
     @property
     def ok(self) -> bool:

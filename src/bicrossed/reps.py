@@ -13,7 +13,6 @@ orthogonality relations.  The verification is the correctness contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .cyclotomic import CycNum, rational, root_of_unity, row_reduce
@@ -29,7 +28,6 @@ from .groups import (
 MAX_EXTENSION_ORDER = 256
 
 
-@dataclass(frozen=True)
 class TwistedChar:
     """A character of a (twisted) group algebra of a subgroup of G.
 
@@ -37,9 +35,12 @@ class TwistedChar:
     the identity, always a positive rational integer.
     """
 
-    elements: tuple[int, ...]
-    values: tuple[CycNum, ...]
-    dim: int
+    __slots__ = ("elements", "values", "dim")
+
+    def __init__(self, elements: tuple[int, ...], values: tuple[CycNum, ...], dim: int):
+        self.elements = elements
+        self.values = values
+        self.dim = dim
 
     def value(self, g: int) -> CycNum:
         return self.values[self.elements.index(g)]
@@ -51,10 +52,12 @@ class TwistedChar:
         return (self.dim, tuple(v.literal() for v in self.values))
 
 
-@dataclass(frozen=True)
 class CharTable:
-    chars: tuple[TwistedChar, ...]
-    provenance: str
+    __slots__ = ("chars", "provenance")
+
+    def __init__(self, chars: tuple[TwistedChar, ...], provenance: str):
+        self.chars = chars
+        self.provenance = provenance
 
     def __len__(self):
         return len(self.chars)
@@ -416,7 +419,6 @@ def ordinary_char_table(G: FiniteGroup, to_parent=None) -> CharTable:
     return dixon_char_table(G, to_parent)
 
 
-@dataclass(frozen=True)
 class CentralExtension:
     """The subgroup extended by the cyclic group the cocycle values
     generate: elements (a, j) with (a, j)(b, l) = (ab, j + l + ind(a, b))
@@ -425,9 +427,12 @@ class CentralExtension:
     is the original subgroup.
     """
 
-    group: FiniteGroup
-    m: int
-    sub_order: int
+    __slots__ = ("group", "m", "sub_order")
+
+    def __init__(self, group: FiniteGroup, m: int, sub_order: int):
+        self.group = group
+        self.m = m
+        self.sub_order = sub_order
 
     def index_of(self, a: int, j: int) -> int:
         return a * self.m + j

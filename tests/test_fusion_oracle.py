@@ -7,7 +7,10 @@ looks its argument up by element, and verify_based_ring steps straight
 to its sampled triples.  Each is pinned here to the slow exact path it
 replaces: integral_of_product against the antipode, orbit_product with
 the per-orbit Gram check, a fresh orbit computation, and the filter over
-all n^3 index triples.
+all n^3 index triples.  Both the dual vectors and integral_of_product
+read BicrossedHopf.haar_partner and haar_weight, so the Haar partner
+rule itself is pinned by test_pair_matches_integral_of_mul to the
+integral of the full product H.mul(x, S(chi)), which reads neither.
 
 Mutations of the fast paths, each of which fails a test:
 - a dual vector without sigma(g; f, f^-1) (twisted_sigma and sigma_and_tau
@@ -15,6 +18,12 @@ Mutations of the fast paths, each of which fails a test:
   live on g-parts where sigma(g; f, f^-1) = 1);
 - a dual vector without the left action (s3_factorization there);
 - a dual vector without the 1/|G| factor (every config there);
+- haar_weight without sigma(g; f, f^-1) (twisted_sigma and sigma_and_tau
+  in test_pair_matches_integral_of_mul; test_pair_matches_integral_of_product
+  passes, since both of its sides read the rule);
+- haar_weight without the 1/|G| factor (every config in
+  test_pair_matches_integral_of_mul; the same);
+- haar_partner without the left action (s3_factorization there);
 - the candidate memo keyed by one orbit only
   (test_candidates_match_orbit_product, and
   test_fusion.py::test_rows_match_dense_solve);
@@ -81,6 +90,25 @@ def test_pair_matches_integral_of_product(name):
             x = _random_element(rng, keys, level)
             assert ring.pair(x, chi) == H.integral_of_product(x, s_chi), (uid, x)
         assert ring.pair(chi, chi) == H.integral_of_product(chi, s_chi)
+
+
+@pytest.mark.parametrize("name", sorted(_PAIR_CONFIGS))
+def test_pair_matches_integral_of_mul(name):
+    """The Haar partner rule, weight included, against the integral of the
+    full product x S(chi), a path that never reads haar_partner."""
+    build, radius = _PAIR_CONFIGS[name]
+    b = build()
+    H = b.hopf
+    ring = FusionRing(H)
+    rng = random.Random(20261019)
+    level = max(b.level, 4)
+    for d in ring.index.enumerate(radius):
+        chi = ring.index.character(d)
+        s_chi = H.antipode(chi)
+        fs = {H.F.inv(e) for _h, e in s_chi.terms} | {e for _h, e in chi.terms}
+        keys = sorted((g, f) for f in fs for g in H.G.elements())
+        for x in [chi] + [_random_element(rng, keys, level) for _ in range(3)]:
+            assert ring.pair(x, chi) == H.integral(H.mul(x, s_chi)), (d.uid, x)
 
 
 @pytest.mark.parametrize("name", sorted(_ORACLE_CONFIGS))

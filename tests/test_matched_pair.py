@@ -28,6 +28,7 @@ from bicrossed.matched_pair import (
     LinearAction,
     MatchedPairCtx,
     TableActions,
+    _int_det,
     g_f_finv,
     orbit_product,
     run_check,
@@ -427,3 +428,29 @@ def test_homomorphism_sweep_matches_dense_product():
         counts.append(len(expected))
     assert counts[1] == counts[3] == counts[4] == 0
     assert all(counts[i] for i in (0, 2, 5, 6, 7, 8, 9))
+
+
+def _leibniz_det(mat) -> int:
+    """The determinant as the signed sum over permutations."""
+    n = len(mat)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= mat[i][j]
+        total += term
+    return total
+
+
+def test_int_det_matches_leibniz():
+    """The fraction-free elimination agrees with the permutation expansion,
+    on singular matrices, zero pivots that need a row swap, and 1x1 and
+    empty matrices."""
+    rng = random.Random(20261018)
+    cases = [(), ((5,),), ((0, 1), (1, 0)), ((0, 0, 1), (0, 1, 0), (1, 0, 0)), ((2, 4), (1, 2))]
+    for n in range(1, 6):
+        for _ in range(40):
+            cases.append(tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n)))
+    for mat in cases:
+        assert _int_det(mat) == _leibniz_det(mat), mat

@@ -8,7 +8,10 @@ violation_count and full witness list, in order, at unbounded
 max_violations.  The fixtures are the shipped finite presets and the
 radius-1 free-abelian ones with drinfeld:A4, the broken and twisted
 configs, corrupted tables of the S4 = Z4 . S3 factorization, and a
-G = F = Z2 pair whose left action moves g only at f = 1.
+G = F = Z2 pair whose left action moves g only at f = 1.  The antipode
+law, summed term by term from antipode_basis and basis_mul, is pinned to
+its HElem form (H.mul of S(p_k1) and p_k2, scaled and added) on the same
+fixtures; broken_linear and every corrupted S4 table have witnesses.
 
 Mutations of the fast paths, each of which fails a test here:
 - drop the Delta class {(g x^-1 < x > f)(x < f)} from the bialgebra
@@ -18,7 +21,9 @@ Mutations of the fast paths, each of which fails a test here:
 - drop the image-key index of the antimultiplicativity sweep (walk only
   the k2 whose g-part is g < f);
 - drop the Haar partner lookup (walk only k1 = the key of k2*);
-- short-circuit verify_cocycles when only one cocycle is trivial.
+- short-circuit verify_cocycles when only one cocycle is trivial;
+- in the antipode law, drop the coefficient of S(p_k1), take S(p_k1) on
+  the right-hand side, or multiply p_k2 S(p_k1) on the left-hand side.
 """
 
 from __future__ import annotations
@@ -112,6 +117,24 @@ def brute_haar_off_diagonal(H, keys):
         for k2 in keys
         if k1 != k2 and not H.haar_gram(HElem.basis(*k1), HElem.basis(*k2)).is_zero()
     ]
+
+
+def helem_antipode_law(H, radius):
+    """The antipode law as HElem sums, m(S (x) id)Delta = m(id (x) S)Delta
+    = eps * unit, on every basis element at the full radius."""
+    basis, unit = HElem.basis, H.unit()
+    out = []
+    for f in f_ball(H.F, radius):
+        for g in H.G.elements():
+            k = (g, f)
+            target = unit.scale(H.counit(basis(*k)))
+            left = right = HElem.zero()
+            for (k1, k2), c in H.comul_basis(k):
+                left = left + H.mul(H.antipode(basis(*k1)), basis(*k2)).scale(c)
+                right = right + H.mul(basis(*k1), H.antipode(basis(*k2))).scale(c)
+            if not (left == target and right == target):
+                out.append(_name(H, k))
+    return out
 
 
 def brute_cocycle_laws(H, radius):
@@ -208,6 +231,15 @@ def test_hopf_sweeps_match_brute(case):
         ("antipode antimultiplicative", n**2, brute_antimultiplicative(H, keys, H.antipode)),
     ):
         assert _result(rep, name) == (instances, len(witnesses), witnesses), name
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_antipode_law_matches_helem_form(case):
+    H, radius = _build(case)
+    rep = verify_hopf(H, radius, max_violations=UNBOUNDED)
+    witnesses = helem_antipode_law(H, radius)
+    n = len(f_ball(H.F, radius)) * H.G.order
+    assert _result(rep, "antipode law") == (n, len(witnesses), witnesses)
 
 
 @pytest.mark.parametrize("case", [c for c in CASES if c != "config sigma_two"])
