@@ -11,7 +11,7 @@ from __future__ import annotations
 from .cyclotomic import CycNum, one
 from .errors import ConfigError, InternalInconsistencyError
 from .groups import f_ball
-from .matched_pair import LinearAction, MatchedPairCtx, Orbit, VerifyReport, run_check
+from .matched_pair import MatchedPairCtx, Orbit, VerifyReport, run_check
 
 _ONE = one()
 
@@ -41,9 +41,8 @@ class _QuotientIndexer:
 
     def descends_through(self, ctx: MatchedPairCtx) -> bool:
         """True when every action matrix maps the kernel lattice into
-        itself, so g > f mod m depends only on f mod m."""
-        if not isinstance(ctx.action, LinearAction):
-            return False
+        itself, so g > f mod m depends only on f mod m.  Moduli exist only
+        over free-abelian F, whose actions are always linear."""
         r = len(self.moduli)
         for M in ctx.action.matrices:
             for i in range(r):

@@ -69,7 +69,8 @@ class _Scanner:
 
 
 def parse_scalar(text) -> CycNum:
-    """Parse a cyclotomic literal; ints and Fractions pass through."""
+    """Parse a cyclotomic literal: a CycNum or an int passes through, a
+    str is parsed, and anything else (a float, a Fraction) is a ConfigError."""
     if isinstance(text, CycNum):
         return text
     if isinstance(text, int):

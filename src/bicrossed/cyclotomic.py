@@ -384,20 +384,6 @@ class CycNum:
 
     # -- output -------------------------------------------------------------
 
-    def approx(self, precision: int = 15):
-        """Numeric value at the principal embedding zeta_N -> e^(2*pi*i/N).
-
-        Diagnostics only; exact decisions never go through this.
-        """
-        import mpmath
-
-        with mpmath.workdps(precision):
-            z = mpmath.e ** (2j * mpmath.pi / self.level)
-            acc = mpmath.mpc(0)
-            for c in reversed(self.coeffs):
-                acc = acc * z + mpmath.mpf(c.numerator) / c.denominator
-            return complex(acc)
-
     def literal(self) -> str:
         """Canonical literal: rational, or a sum of c*z^k@N terms.  Each
         coefficient reads as its Fraction would: p, or p/q in lowest terms."""

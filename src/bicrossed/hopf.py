@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 
 from .cyclotomic import CycNum, one, rational
-from .errors import VerificationFailure
+from .errors import InternalInconsistencyError, VerificationFailure
 from .groups import f_ball
 from .matched_pair import CheckResult, MatchedPairCtx, VerifyReport, run_check
 from .cocycles import SigmaCocycle, TauCocycle, is_unitary
@@ -268,27 +268,19 @@ class BicrossedHopf:
         """<x, y>_r = <T, y* x>; positive definite in the unitary case."""
         return self.integral_of_product(self.star(y), x)
 
-    def haar_positivity(self, x: HElem, precision: int = 30) -> dict:
-        """Self-pairing <x, x>_r with a positivity certificate.
+    def haar_positivity(self, x: HElem) -> dict:
+        """Self-pairing <x, x>_r with an exact positivity certificate.
 
-        The value always equals sum_b a_b conj(a_b)/|G| over the support.
-        With rational coefficients that is a positive rational and the
-        verdict is exact; otherwise the exact value is reported together
-        with a numeric-embedding diagnostic, never an exact claim.
+        verify_star certifies the basis orthogonal with <b, b>_r = 1/|G|
+        under unitary cocycles, so <x, x>_r = sum_b a_b conj(a_b)/|G|, which
+        is checked here.  Each a conj(a) is totally positive in the CM field
+        Q(zeta_N), so the value is positive exactly when x != 0.
         """
         value = self.haar_gram(x, x)
-        if x.is_zero():
-            return {"value": value.literal(), "certified": True, "positive": False}
-        if all(v.is_rational() for v in x.terms.values()):
-            frac = value.as_fraction()
-            return {"value": str(frac), "certified": True, "positive": frac > 0}
-        approx = value.approx(precision)
-        return {
-            "value": value.literal(),
-            "certified": False,
-            "positive": approx.real > 0 and abs(approx.imag) < 10.0 ** (5 - precision),
-            "numeric": [approx.real, approx.imag],
-        }
+        norms = sum((v * v.conj() for v in x.terms.values()), rational(0))
+        if value != norms * self._inv_g_order:
+            raise InternalInconsistencyError("<x, x>_r differs from sum_b |a_b|^2/|G|")
+        return {"value": value.literal(), "certified": True, "positive": not x.is_zero()}
 
     # -- tensor helpers (verification) --------------------------------------
 

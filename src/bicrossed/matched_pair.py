@@ -1,14 +1,16 @@
 """Matched pairs of groups (F, G) with mutual actions, and orbit machinery.
 
 The right action sends (g, f) to an element of F, the left action sends
-(g, f) to an element of G.  Two backends describe the actions: dense
-tables for finite F, and a homomorphism G -> GL_r(Z) for free-abelian F
-(with the left action constantly trivial, the only decidable shape the
+(g, f) to an element of G.  Two action kinds describe them: dense tables
+for finite F, and a homomorphism G -> GL_r(Z) for free-abelian F (with
+the left action constantly trivial, the only decidable shape the
 matched-pair laws leave open on Z^r).
 
-Each context binds ctx.act_right and ctx.act_left once, at construction:
-closures over the tables, or each M_g compiled to sparse integer rows
-applied by a plain loop, so no call dispatches on the backend.
+Each action kind owns its validation, its maps and its certificate:
+bind checks the data against G and F and returns act_right and act_left
+(closures over the tables, or each M_g compiled to sparse integer rows),
+and certificate runs the checks that certify the laws globally and names
+the laws they imply.  No caller dispatches on the kind.
 """
 
 from __future__ import annotations
@@ -16,7 +18,16 @@ from __future__ import annotations
 from itertools import islice
 
 from .errors import ConfigError
-from .groups import FiniteGroup, FiniteF, FreeAbelianF, f_ball
+from .groups import FiniteGroup, f_ball
+
+# The five matched-pair laws, in report order.
+_LAWS = (
+    "right action law",
+    "left action law",
+    "compatibility: g>(f f') = (g>f)((g<f)>f')",
+    "compatibility: (g g')<f = (g<(g'>f))(g'<f)",
+    "inverse identities",
+)
 
 
 class TableActions:
@@ -29,15 +40,97 @@ class TableActions:
         self.right = right
         self.left = left
 
+    def bind(self, G: FiniteGroup, F):
+        """Check the table shapes and ranges; return (act_right, act_left)."""
+        if not F.is_finite:
+            raise ConfigError("table actions require a finite F")
+        n, m = G.order, F.group.order
+        for tbl, rng, what in ((self.right, m, "right"), (self.left, n, "left")):
+            if len(tbl) != n or any(len(row) != m for row in tbl):
+                raise ConfigError(f"{what} action table must be {n}x{m}")
+            for row in tbl:
+                for x in row:
+                    if not 0 <= x < rng:
+                        raise ConfigError(f"{what} action table entry {x} out of range")
+        right, left = self.right, self.left
+        return (lambda g, f: right[g][f]), (lambda g, f: left[g][f])
+
+    @property
+    def left_trivial(self) -> bool:
+        return all(x == g for g, row in enumerate(self.left) for x in row)
+
+    def certificate(self, ctx: "MatchedPairCtx", radius: int, max_violations: int):
+        """No check certifies the laws: each is walked on all of F."""
+        return [], f_ball(ctx.F, radius), "global", frozenset()
+
 
 class LinearAction:
     """Right action by integer matrices M_g (one per G element, acting on
     column vectors of Z^r); the left action is trivial."""
 
     __slots__ = ("matrices",)
+    left_trivial = True
 
     def __init__(self, matrices: tuple[tuple[tuple[int, ...], ...], ...]):
         self.matrices = matrices
+
+    def bind(self, G: FiniteGroup, F):
+        """Check for one unimodular r x r matrix per g; return (act_right,
+        act_left), M_g applied as the nonzero (j, M_g[i][j]) of each row."""
+        if F.is_finite:
+            raise ConfigError("linear actions require a free-abelian F")
+        if len(self.matrices) != G.order:
+            raise ConfigError("need one matrix per G element")
+        r = F.rank
+        for M in self.matrices:
+            if len(M) != r or any(len(row) != r for row in M):
+                raise ConfigError(f"action matrices must be {r}x{r}")
+            if _int_det(M) not in (1, -1):
+                raise ConfigError("action matrix is not invertible over the integers")
+        kernels = tuple(
+            tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in M) for M in self.matrices
+        )
+
+        def act_right(g, f):
+            out = []
+            for row in kernels[g]:
+                s = 0
+                for j, c in row:
+                    s += c * f[j]
+                out.append(s)
+            return tuple(out)
+
+        return act_right, (lambda g, f: g)
+
+    def certificate(self, ctx: "MatchedPairCtx", radius: int, max_violations: int):
+        """The homomorphism check M_e = I, M_{gg'} = M_g M_{g'}.  As g<f = g
+        and f -> M_g f is additive, every law but the right action law holds
+        for any integer matrices; a passing check implies that one too.  The
+        laws are reported on a spot ball of radius at most 2."""
+        G, F = ctx.G, ctx.F
+        # the spot ball first: its budget refuses a large rank before the
+        # |G|^2 homomorphism sweep runs
+        ball = f_ball(F, min(radius, 2))
+        mats = self.matrices
+        r = F.rank
+        ident = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+        # Column j of M_g M_g2 is M_g applied to column j of M_g2, so each
+        # product goes through the compiled kernel of M_g: compare columns.
+        cols = [tuple(zip(*M)) for M in mats]
+
+        def homomorphism():
+            if mats[G.identity] != ident:
+                yield {"law": "identity matrix", "g": G.identity}
+            act_r = ctx.act_right
+            for g in G.elements():
+                for g2 in G.elements():
+                    if [act_r(g, c) for c in cols[g2]] != list(cols[G.mul(g, g2)]):
+                        yield {"law": "matrix homomorphism", "g": g, "g2": g2}
+
+        name = "linear action homomorphism (implies all laws globally)"
+        hom = run_check(name, "global", G.order**2, homomorphism(), max_violations)
+        implied = frozenset(_LAWS if hom.ok else _LAWS[1:])
+        return [hom], ball, "global (spot ball)", implied
 
 
 def _int_det(mat) -> int:
@@ -66,9 +159,9 @@ def _int_det(mat) -> int:
 class MatchedPairCtx:
     """Validated matched-pair context: G finite, F finite or Z^r, actions.
 
-    Construction checks shapes and basic sanity; the matched-pair laws
-    themselves are checked by verify_matched_pair, whose report states
-    whether the verification is global or ball-bounded.
+    Construction checks shapes and basic sanity through the action kind;
+    the matched-pair laws themselves are checked by verify_matched_pair,
+    whose report states whether the verification is global or ball-bounded.
     """
 
     def __init__(self, G: FiniteGroup, F, action):
@@ -76,69 +169,12 @@ class MatchedPairCtx:
         self.F = F
         self.action = action
         self._orbits: dict = {}  # every element of a computed orbit -> its Orbit
-        if isinstance(action, TableActions):
-            if not isinstance(F, FiniteF):
-                raise ConfigError("table actions require a finite F")
-            n, m = G.order, F.group.order
-            for tbl, rng, what in (
-                (action.right, m, "right"),
-                (action.left, n, "left"),
-            ):
-                if len(tbl) != n or any(len(row) != m for row in tbl):
-                    raise ConfigError(f"{what} action table must be {n}x{m}")
-                for row in tbl:
-                    for x in row:
-                        if not 0 <= x < rng:
-                            raise ConfigError(f"{what} action table entry {x} out of range")
-            self._bind_tables(action.right, action.left)
-        elif isinstance(action, LinearAction):
-            if not isinstance(F, FreeAbelianF):
-                raise ConfigError("linear actions require a free-abelian F")
-            if len(action.matrices) != G.order:
-                raise ConfigError("need one matrix per G element")
-            r = F.rank
-            for M in action.matrices:
-                if len(M) != r or any(len(row) != r for row in M):
-                    raise ConfigError(f"action matrices must be {r}x{r}")
-                if _int_det(M) not in (1, -1):
-                    raise ConfigError("action matrix is not invertible over the integers")
-            self._bind_linear(action.matrices)
-        else:
-            raise ConfigError(f"unknown action spec {type(action).__name__}")
-
-    # -- the two actions: act_right(g, f) = g > f in F, act_left(g, f) = g < f in G
-
-    def _bind_tables(self, right, left) -> None:
-        self.act_right = lambda g, f: right[g][f]
-        self.act_left = lambda g, f: left[g][f]
-
-    def _bind_linear(self, matrices) -> None:
-        # Row i of M_g as its nonzero (j, M_g[i][j]) pairs.
-        kernels = tuple(
-            tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in M) for M in matrices
-        )
-
-        def act_right(g, f):
-            out = []
-            for row in kernels[g]:
-                s = 0
-                for j, c in row:
-                    s += c * f[j]
-                out.append(s)
-            return tuple(out)
-
-        self.act_right = act_right
-        self.act_left = lambda g, f: g
+        # act_right(g, f) = g > f in F, act_left(g, f) = g < f in G
+        self.act_right, self.act_left = action.bind(G, F)
 
     @property
     def left_action_trivial(self) -> bool:
-        if isinstance(self.action, LinearAction):
-            return True
-        return all(
-            self.action.left[g][f] == g
-            for g in self.G.elements()
-            for f in range(self.F.group.order)
-        )
+        return self.action.left_trivial
 
     # -- orbits -------------------------------------------------------------
 
@@ -306,55 +342,14 @@ def verify_matched_pair(ctx: MatchedPairCtx, radius: int = 4, max_violations: in
     """Check the action laws, the two matched-pair laws and the derived
     inverse identities.
 
-    Table actions over finite F are checked exhaustively.  A linear action
-    (trivial left action, f -> M_g f additive) satisfies the left action
-    law, both compatibility laws and the inverse identities for any integer
-    matrices, and its right action law is M_e = I with M_{gg'} = M_g M_{g'}:
-    when the homomorphism check finds no witness, the five laws hold on all
-    of F and the spot ball only sets their instance counts.  When it fails,
-    the five laws are walked on the spot ball for their witnesses.
+    The action's certificate gives its own checks, the ball and scope of
+    the laws, and the laws it implies.  An implied law is reported with
+    its instance count and no walk; the others are walked for witnesses.
     """
     G, F = ctx.G, ctx.F
-    checks: list[CheckResult] = []
-    n = G.order
-    implied = False
-
-    if isinstance(ctx.action, LinearAction):
-        # the spot ball first: its budget refuses a large rank before the
-        # |G|^2 homomorphism sweep runs
-        ball = f_ball(F, min(radius, 2))
-        scope = "global (spot ball)"
-        mats = ctx.action.matrices
-        r = F.rank
-        ident = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
-        # Column j of M_g M_g2 is M_g applied to column j of M_g2, so each
-        # product goes through the compiled kernel of M_g: compare columns.
-        cols = [tuple(zip(*M)) for M in mats]
-
-        def homomorphism():
-            if mats[G.identity] != ident:
-                yield {"law": "identity matrix", "g": G.identity}
-            act_r = ctx.act_right
-            for g in G.elements():
-                for g2 in G.elements():
-                    if [act_r(g, c) for c in cols[g2]] != list(cols[G.mul(g, g2)]):
-                        yield {"law": "matrix homomorphism", "g": g, "g2": g2}
-
-        hom = run_check(
-            "linear action homomorphism (implies all laws globally)",
-            "global",
-            n * n,
-            homomorphism(),
-            max_violations,
-        )
-        checks.append(hom)
-        implied = hom.ok
-    else:
-        ball = f_ball(F, radius)
-        scope = "global" if F.is_finite else f"ball radius {radius}"
-
+    checks, ball, scope, implied = ctx.action.certificate(ctx, radius, max_violations)
+    n, nb = G.order, len(ball)
     lab = F.label
-    nb = len(ball)
     R, L = ctx.act_right, ctx.act_left
     elems = G.elements()
 
@@ -397,12 +392,14 @@ def verify_matched_pair(ctx: MatchedPairCtx, radius: int = 4, max_violations: in
                 ):
                     yield {"g": g, "f": lab(f)}
 
-    for name, instances, law in (
-        ("right action law", n * n * nb, right_action_law),
-        ("left action law", n * nb * nb, left_action_law),
-        ("compatibility: g>(f f') = (g>f)((g<f)>f')", n * nb * nb, right_compatibility),
-        ("compatibility: (g g')<f = (g<(g'>f))(g'<f)", n * n * nb, left_compatibility),
-        ("inverse identities", n * nb, inverse_identities),
-    ):
-        checks.append(run_check(name, scope, instances, () if implied else law(), max_violations))
+    sweeps = (
+        (n * n * nb, right_action_law),
+        (n * nb * nb, left_action_law),
+        (n * nb * nb, right_compatibility),
+        (n * n * nb, left_compatibility),
+        (n * nb, inverse_identities),
+    )
+    for name, (instances, law) in zip(_LAWS, sweeps):
+        witnesses = () if name in implied else law()
+        checks.append(run_check(name, scope, instances, witnesses, max_violations))
     return VerifyReport("matched pair", checks)

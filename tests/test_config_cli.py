@@ -50,6 +50,13 @@ def test_parse_scalar_errors():
             parse_scalar(bad)
 
 
+def test_parse_scalar_rejects_non_json_numbers():
+    # JSON yields ints and strings; a Fraction or a float is no scalar
+    for bad in (Fraction(1, 2), 1.5):
+        with pytest.raises(ConfigError, match="cannot parse scalar from"):
+            parse_scalar(bad)
+
+
 # -- config validation --------------------------------------------------------
 
 

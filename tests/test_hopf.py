@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,16 +11,27 @@ from hypothesis import strategies as st
 from conftest import (
     broken_compat_config,
     build_preset,
+    s4_factorization_ctx,
     sigma_two_config,
     twisted_sigma_config,
     twisted_tau_config,
 )
 
+from bicrossed.cli import run
+from bicrossed.cocycles import SigmaCocycle, TauCocycle
 from bicrossed.config import build_config
 from bicrossed.groups import f_ball
 from bicrossed.cyclotomic import rational, root_of_unity
-from bicrossed.errors import VerificationFailure
-from bicrossed.hopf import HElem, HTensor, pair_check_radius, verify_hopf, verify_star
+from bicrossed.errors import InternalInconsistencyError, VerificationFailure
+from bicrossed.hopf import (
+    BicrossedHopf,
+    HElem,
+    HTensor,
+    pair_check_radius,
+    verify_hopf,
+    verify_star,
+)
+from bicrossed.matched_pair import MatchedPairCtx, TableActions
 
 
 def e(i):
@@ -185,10 +198,33 @@ def test_haar_positivity_certificates(h_z_z2):
     y = e(1).scale(root_of_unity(1, 8)) + fi(0)
     rep2 = H.haar_positivity(y)
     assert rep2["positive"]
-    assert not rep2["certified"]
+    assert rep2["certified"]
     assert H.haar_gram(y, y) == rational(1)  # |z8|^2/2 + 1/2
     zero_rep = H.haar_positivity(HElem.zero())
     assert zero_rep["certified"] and not zero_rep["positive"]
+
+
+def test_haar_positivity_checks_the_norm_sum():
+    """With the left action law broken, the Haar partner of the star of a
+    basis element is another key, <b, b>_r = 0 differs from 1/|G| and the
+    certificate refuses."""
+    s4 = s4_factorization_ctx()
+    left = [list(row) for row in s4.action.left]
+    left[2][0], left[2][1] = left[2][1], left[2][0]
+    ctx = MatchedPairCtx(s4.G, s4.F, TableActions(s4.action.right, tuple(map(tuple, left))))
+    H = BicrossedHopf(ctx, SigmaCocycle.trivial(), TauCocycle.trivial())
+    assert H.haar_positivity(HElem.basis(0, 1))["certified"]
+    with pytest.raises(InternalInconsistencyError):
+        H.haar_positivity(HElem.basis(2, 1))
+
+
+def test_exact_without_mpmath(monkeypatch, capsys, h_z_z2):
+    monkeypatch.setitem(sys.modules, "mpmath", None)  # import mpmath raises
+    assert run(["--preset", "h_z_z2", "cqg-check"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["unitary"] is True
+    y = e(1).scale(root_of_unity(1, 8)) + fi(0)
+    rep = h_z_z2.hopf.haar_positivity(y)
+    assert rep == {"value": "1", "certified": True, "positive": True}
 
 
 _PAIRING_BUILDS = {

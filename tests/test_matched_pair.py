@@ -1,18 +1,23 @@
 """Matched-pair actions, orbits and the verify_matched_pair laws.
 
-A linear action whose homomorphism check passes reports its five
-spot-ball laws without a walk; a failing check walks them.  Mutations of
-that rule, each of which fails a test here:
+A linear action implies four laws for any integer matrices and the right
+action law when its homomorphism check passes: a passing check walks no
+law, a failing one only the right action law.  Mutations of that rule,
+each of which fails a test here:
 - walk the five laws after a passing check:
   test_linear_laws_follow_from_homomorphism_check counts 48,780 and 432
   act_right calls in place of 27 and 36;
+- walk the four implied laws after a failing check as well: the same test
+  counts 4,747,564 act_right calls in place of 40,064 on z_poly(4) with
+  M_1 and M_2 swapped;
 - skip the walk after a failing check as well: test_sweeps_match_naive_laws
-  fails on the shear action and on z_poly(4) with M_1 and M_2 swapped.
+  fails on the shear action and on that swapped z_poly(4).
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
@@ -21,6 +26,7 @@ from hypothesis import strategies as st
 
 from conftest import broken_linear_config, build_preset, s4_factorization_ctx
 
+from bicrossed.cli import run
 from bicrossed.config import build_config
 from bicrossed.errors import ConfigError
 from bicrossed.groups import FiniteF, FreeAbelianF, cyclic_group, f_ball, permutation_group
@@ -221,6 +227,96 @@ def test_linear_laws_follow_from_homomorphism_check():
         rep = verify_matched_pair(ctx, radius)
         assert rep.ok
         assert len(calls) == ctx.G.order**2 * ctx.F.rank == expected
+    # With a witness only the right action law is walked after that sweep:
+    # four act_right calls per (g, g2, f), as M_e = I, over 16 x 625 tuples.
+    z_poly = make_z_poly(4)
+    swapped = list(z_poly.action.matrices)
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    ctx = MatchedPairCtx(z_poly.G, z_poly.F, LinearAction(tuple(swapped)))
+    act_right, calls = ctx.act_right, []
+    ctx.act_right = lambda g, f: calls.append(g) or act_right(g, f)
+    rep = verify_matched_pair(ctx, 2)
+    assert [c.violation_count for c in rep.checks] == [7, 4280, 0, 0, 0, 0]
+    assert len(calls) == 16 * 4 + 4 * 16 * 625 == 40_064
+
+
+def test_implied_linear_laws_have_no_witness_on_non_homomorphisms():
+    """The left action law, both compatibility laws and the inverse
+    identities, written out and walked, hold for integer matrices that are
+    no homomorphism (M_e = I, the others random unimodular)."""
+    rnd = random.Random(12)
+    for n, r, radius in ((2, 2, 2), (3, 2, 2), (4, 3, 1), (3, 4, 1)):
+        ident = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+        mats = (ident,) + tuple(_random_unimodular(rnd, r) for _ in range(n - 1))
+        ctx = MatchedPairCtx(cyclic_group(n), FreeAbelianF(r), LinearAction(mats))
+        rep = verify_matched_pair(ctx, radius, max_violations=10**6)
+        naive = naive_matched_pair_laws(ctx, f_ball(ctx.F, radius))
+        assert not rep.checks[0].ok and naive[0][2]
+        assert [witnesses for _name, _count, witnesses in naive[1:]] == [[]] * 4
+        assert [(c.name, c.instances, c.violations) for c in rep.checks[1:]] == naive
+
+
+Z2_TABLE = [[0, 1], [1, 0]]
+Z_RANK1 = {"type": "free_abelian", "rank": 1}
+Z2_FINITE = {"type": "finite", "table": Z2_TABLE}
+BAD_ACTIONS = {
+    "tables over free-abelian F": (
+        Z_RANK1,
+        {"type": "tables", "right": [[0, 1], [0, 1]], "left": [[0, 0], [1, 1]]},
+        "table actions require a finite F",
+    ),
+    "linear over finite F": (
+        Z2_FINITE,
+        {"type": "linear", "matrices": [[[1]], [[-1]]]},
+        "linear actions require a free-abelian F",
+    ),
+    "one matrix for two elements": (
+        Z_RANK1,
+        {"type": "linear", "matrices": [[[1]]]},
+        "need one matrix per G element",
+    ),
+    "non-square matrix": (
+        {"type": "free_abelian", "rank": 2},
+        {"type": "linear", "matrices": [[[1, 0], [0, 1]], [[1, 0]]]},
+        "action matrices must be 2x2",
+    ),
+    "singular matrix": (
+        Z_RANK1,
+        {"type": "linear", "matrices": [[[1]], [[0]]]},
+        "action matrix is not invertible over the integers",
+    ),
+    "table entry out of range": (
+        Z2_FINITE,
+        {"type": "tables", "right": [[0, 1], [1, 2]], "left": [[0, 0], [1, 1]]},
+        "right action table entry 2 out of range",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ACTIONS))
+def test_action_validation_rejects(case, tmp_path, capsys):
+    f_group, action, message = BAD_ACTIONS[case]
+    if action["type"] == "tables":
+        spec = TableActions(*(tuple(map(tuple, action[k])) for k in ("right", "left")))
+    else:
+        spec = LinearAction(tuple(tuple(map(tuple, M)) for M in action["matrices"]))
+    F = FreeAbelianF(f_group["rank"]) if "rank" in f_group else FiniteF(cyclic_group(2))
+    with pytest.raises(ConfigError, match=message):
+        MatchedPairCtx(cyclic_group(2), F, spec)
+    cfg = {
+        "name": "bad_action",
+        "group": {"type": "table", "table": Z2_TABLE, "name": "Z2"},
+        "f_group": f_group,
+        "action": action,
+        "sigma": {"type": "trivial"},
+        "tau": {"type": "trivial"},
+        "radius": 1,
+    }
+    path = tmp_path / "bad_action.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["--config", str(path), "verify"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert (report["status"], report["error"]) == ("invalid-config", message)
 
 
 def test_verify_matched_pair_pass():
