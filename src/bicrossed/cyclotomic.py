@@ -205,8 +205,10 @@ class CycNum:
         images = _exponent_map(level, level // self.level)
         return _new(level, _map_num(self.num, images, phi(level)), self.den)
 
-    def _common(self, other: "CycNum") -> tuple["CycNum", "CycNum"]:
-        if self.level == other.level:
+    def _common(self, other) -> tuple["CycNum", "CycNum"]:
+        """self and other at one level; other is NotImplemented if no number."""
+        other = CycNum._coerce(other)
+        if other is NotImplemented or self.level == other.level:
             return self, other
         lv = _lcm(self.level, other.level)
         return self.lift(lv), other.lift(lv)
@@ -229,8 +231,7 @@ class CycNum:
         return not any(self.num)
 
     def is_one(self) -> bool:
-        num = self.num
-        return num[0] == 1 and self.den == 1 and not any(num[1:])
+        return self.den == 1 and self.num == _power_table(self.level)[0]
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
@@ -251,10 +252,11 @@ class CycNum:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = CycNum._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._common(other)
+        a, b = self, other
+        if b.__class__ is not CycNum or b.level != a.level:
+            a, b = a._common(b)
+            if b is NotImplemented:
+                return NotImplemented
         da, db = a.den, b.den
         if da == db:
             return _new(a.level, [x + y for x, y in zip(a.num, b.num)], da)
@@ -280,14 +282,16 @@ class CycNum:
         return other + (-self)
 
     def __mul__(self, other):
-        other = CycNum._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._common(other)
+        a, b = self, other
+        if b.__class__ is not CycNum or b.level != a.level:
+            a, b = a._common(b)
+            if b is NotImplemented:
+                return NotImplemented
         # Both are canonical at the common level, so x * 1 is x itself.
-        if b.is_one():
+        one = _power_table(a.level)[0]
+        if b.den == 1 and b.num == one:
             return a
-        if a.is_one():
+        if a.den == 1 and a.num == one:
             return b
         return _mul(a, b)
 
@@ -338,10 +342,11 @@ class CycNum:
         return result
 
     def __eq__(self, other) -> bool:
-        other = CycNum._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._common(other)
+        a, b = self, other
+        if b.__class__ is not CycNum or b.level != a.level:
+            a, b = a._common(b)
+            if b is NotImplemented:
+                return NotImplemented
         return a.den == b.den and a.num == b.num
 
     __hash__ = None  # values compare across levels; do not use as dict keys

@@ -83,9 +83,7 @@ class _Sparse:
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(v == other.terms[k] for k, v in self.terms.items())
+        return self.terms == other.terms
 
     __hash__ = None
 
@@ -298,6 +296,28 @@ class BicrossedHopf:
         return HTensor._of(out)
 
 
+def comul_by_x(act_left, terms: dict) -> dict:
+    """The terms ((k1, k2), c) of Delta(p_k) keyed by the g-part x of k2 = p_x#f
+    (comul_basis has one per x): x -> (k1, k2, c, k1's g < f, k2's g < f)."""
+    return {k2[0]: (k1, k2, c, act_left(*k1), act_left(*k2)) for (k1, k2), c in terms.items()}
+
+
+def comul_product(product, da_by_x: dict, db_by_x: dict) -> dict:
+    """The terms of Delta(a) Delta(b) for basis elements a and b, from their
+    comul_by_x; product is basis_mul, asked only for nonzero products.  The
+    x-term k1 (x) p_x#f of Delta(a) meets only the term of Delta(b) at x < f,
+    and only if its left leg has g-part k1's g < f: at most |G| terms, with
+    distinct right legs p_x#ff2, none of them zero."""
+    out = {}
+    for k1, k2, c, h, y in da_by_x.values():
+        t = db_by_x.get(y)
+        if t is not None and t[0][0] == h:
+            l1, l2, d, _h, _y = t
+            p1, p2 = product(k1, l1), product(k2, l2)
+            out[p1[0], p2[0]] = c * d * p1[1] * p2[1]
+    return out
+
+
 PAIR_BUDGET = 90
 
 
@@ -354,26 +374,34 @@ class _Sweep:
         """A law on pairs of basis elements; law() yields the witnesses."""
         self.run(name, self.scope_pair, len(self.pair_keys) ** 2, law())
 
-    def antimultiplicative(self, name, anti):
-        """anti(ab) = anti(b) anti(a) on pairs of basis elements, walking only
-        the b with g-part g < f for a = p_g#f (ab) or with a key of anti(b)
-        whose left action is the g-part of a key of anti(a) (anti(b) anti(a))."""
-        H, basis, act_left = self.H, HElem.basis, self.H.ctx.act_left
-        images = {k: anti(basis(*k)) for k in self.pair_keys}
+    def antimultiplicative(self, name, anti, scalar):
+        """anti(ab) = anti(b) anti(a) on pairs of basis elements, each side 0
+        or one term: anti(k) is the term (key, coefficient) of anti(p_k), and
+        anti(v p_k) = scalar(v) anti(p_k).  It walks only the b with g-part
+        g < f for a = p_g#f (ab) or whose image key acts on the left to the
+        g-part of a's (anti(b) anti(a))."""
+        basis_mul, act_left = self.H.basis_mul, self.H.ctx.act_left
+        images = {k: anti(k) for k in self.pair_keys}
         position = {k: i for i, k in enumerate(self.pair_keys)}
         by_image: dict = {}
-        for k, sb in images.items():
-            for s in sb.terms:
-                by_image.setdefault(act_left(*s), []).append(k)
+        for k, (s, _c) in images.items():
+            by_image.setdefault(act_left(*s), []).append(k)
 
         def law():
-            for k1, sa in images.items():
-                a = basis(*k1)
+            for k1, (s1, c1) in images.items():
                 walk = set(self.keys_with_g({act_left(*k1)}))
-                for h, _f in sa.terms:
-                    walk.update(by_image.get(h, ()))
+                walk.update(by_image.get(s1[0], ()))
                 for k2 in sorted(walk, key=position.__getitem__):
-                    if anti(H.mul(a, basis(*k2))) != H.mul(images[k2], sa):
+                    lhs = rhs = None
+                    p = basis_mul(k1, k2)
+                    if p is not None:
+                        s, c = anti(p[0])
+                        lhs = (s, scalar(p[1]) * c)
+                    s2, c2 = images[k2]
+                    q = basis_mul(s2, s1)
+                    if q is not None:
+                        rhs = (q[0], c2 * c1 * q[1])
+                    if lhs != rhs:
                         yield {"a": self.name_key(k1), "b": self.name_key(k2)}
 
         self.per_pair(name, law)
@@ -394,6 +422,8 @@ def verify_hopf(
     its scope.  They are support-indexed: p_g#f . p_g2#f2 is 0 unless
     g2 = g < f, so they walk only the tuples where, by the definitions of
     basis_mul and comul_basis, a side can be nonzero; the rest are 0 == 0.
+    The sweeps read products, coproducts and antipodes from memos built once
+    per call; Delta(a) Delta(b) is formed by lookup, at most |G| terms.
     With the global cocycle-law checks these cover the polyadic axioms:
     on basis elements associativity at a triple is equivalent to the
     right-action law plus the sigma law there.
@@ -414,25 +444,27 @@ def verify_hopf(
     sweep.per_element("unit laws", unit_laws)
 
     act_left = H.ctx.act_left
+    # memos for this call; product is asked only for nonzero products
+    product, antipode = functools.cache(H.basis_mul), functools.cache(H.antipode_basis)
 
     def associativity():
         # k1 k2 = 0 unless k2's g-part is g < f for k1 = p_g#f, and then
         # both sides vanish, since k2 k3 keeps k2's g-part.  Otherwise
         # (k1 k2) k3 needs g3 = (k1 k2)'s g < f, k1 (k2 k3) needs g3 = k2's
-        # g < f, and every other k3 gives 0 == 0.
+        # g < f (then k1 (k2 k3) is nonzero), and other k3 give 0 == 0.
         for k1 in pair_keys:
             for k2 in sweep.keys_with_g({act_left(*k1)}):
-                p12 = H.basis_mul(k1, k2)
-                for k3 in sweep.keys_with_g((act_left(*p12[0]), act_left(*k2))):
+                k12, c12 = product(k1, k2)
+                g12, g23 = act_left(*k12), act_left(*k2)
+                for k3 in sweep.keys_with_g((g12, g23)):
                     left = right = None
-                    q = H.basis_mul(p12[0], k3)
-                    if q is not None:
-                        left = (q[0], p12[1] * q[1])
-                    p23 = H.basis_mul(k2, k3)
-                    if p23 is not None:
-                        q = H.basis_mul(k1, p23[0])
-                        if q is not None:
-                            right = (q[0], q[1] * p23[1])
+                    if k3[0] == g12:
+                        q = product(k12, k3)
+                        left = (q[0], c12 * q[1])
+                    if k3[0] == g23:
+                        k23, c23 = product(k2, k3)
+                        q = product(k1, k23)
+                        right = (q[0], q[1] * c23)
                     if left != right:
                         yield {"a": name_key(k1), "b": name_key(k2), "c": name_key(k3)}
 
@@ -454,11 +486,13 @@ def verify_hopf(
     cb = functools.cache(lambda k: H.comul(basis(*k)).terms)
 
     def coassociativity(k):
-        # (Delta (x) id) Delta = (id (x) Delta) Delta, keyed by triples
+        # (Delta (x) id) Delta = (id (x) Delta) Delta, keyed by triples.  The terms
+        # of a Delta(p_k) have distinct right legs p_x#f and left-leg g-parts g x^-1,
+        # so each side has |G|^2 distinct keys and nonzero values: no sums needed.
         t = cb(k).items()
-        lhs = _accumulate(((m1, m2, b), v * c) for (a, b), v in t for (m1, m2), c in cb(a).items())
-        rhs = _accumulate(((a, m1, m2), v * c) for (a, b), v in t for (m1, m2), c in cb(b).items())
-        return set(lhs) == set(rhs) and all(lhs[x] == rhs[x] for x in lhs)
+        lhs = {(m1, m2, b): v * c for (a, b), v in t for (m1, m2), c in cb(a).items()}
+        rhs = {(a, m1, m2): v * c for (a, b), v in t for (m1, m2), c in cb(b).items()}
+        return lhs == rhs
 
     sweep.per_element("coassociativity", coassociativity)
 
@@ -467,25 +501,26 @@ def verify_hopf(
         if H.comul(unit) != HTensor.of(unit, unit):
             yield {"pair": "unit"}
         gmul = H.G.mul
-        comuls = {k: HTensor._of(cb(k)) for k in pair_keys}
-        for k1, da in comuls.items():
-            a = basis(*k1)
-            ea = H.counit(a)
+        by_x = {k: comul_by_x(act_left, cb(k)) for k in pair_keys}
+        zero = rational(0)
+        for k1, da in by_x.items():
             # b must have g-part g < f (ab), or (m1's g < f)(m2's g < f) for
             # a term m1 (x) m2 of Delta(a) (Delta(a) Delta(b)), or e with
             # g = e (eps(a) eps(b)); for every other b each side is 0.
-            gs = {act_left(*k1)}
-            gs.update(gmul(act_left(*m1), act_left(*m2)) for m1, m2 in da.terms)
+            g_ab = act_left(*k1)
+            gs = {g_ab, *(gmul(h, y) for *_, h, y in da.values())}
             if k1[0] == e:
                 gs.add(e)
             for k2 in sweep.keys_with_g(gs):
-                b = basis(*k2)
-                ab = H.mul(a, b)
                 # ab is 0 or one term v p_k, so Delta(ab) is v Delta(p_k)
-                delta_ab = {p: v * c for k, v in ab.terms.items() for p, c in cb(k).items()}
-                if HTensor._of(delta_ab) != H.tensor_mul(da, comuls[k2]):
+                delta_ab, eps_ab = {}, zero
+                if k2[0] == g_ab:
+                    k, v = product(k1, k2)
+                    delta_ab = {p: v * c for p, c in cb(k).items()}
+                    eps_ab = v if k1[0] == e else zero
+                if comul_product(product, da, by_x[k2]) != delta_ab:
                     yield {"law": "Delta", "a": name_key(k1), "b": name_key(k2)}
-                if H.counit(ab) != ea * H.counit(b):
+                if eps_ab != (_ONE if k1[0] == k2[0] == e else zero):
                     yield {"law": "eps", "a": name_key(k1), "b": name_key(k2)}
 
     sweep.per_pair("bialgebra compatibility", bialgebra)
@@ -494,31 +529,31 @@ def verify_hopf(
     # term by term: S(p_k1) p_k2 and p_k1 S(p_k2) are 0 or one basis term
     def antipode_law(k):
         target = unit.scale(H.counit(basis(*k)))
-        left: dict = {}
-        right: dict = {}
-        for (k1, k2), c in H.comul_basis(k):
-            s1, c1 = H.antipode_basis(k1)
-            p = H.basis_mul(s1, k2)
-            if p is not None:
+        left, right = {}, {}
+        for (k1, k2), c in cb(k).items():
+            s1, c1 = antipode(k1)
+            if act_left(*s1) == k2[0]:
+                p = product(s1, k2)
                 _add_term(left, p[0], c * c1 * p[1])
-            s2, c2 = H.antipode_basis(k2)
-            p = H.basis_mul(k1, s2)
-            if p is not None:
+            s2, c2 = antipode(k2)
+            if act_left(*k1) == s2[0]:
+                p = product(k1, s2)
                 _add_term(right, p[0], c * c2 * p[1])
         return HElem._of(left) == target and HElem._of(right) == target
 
     sweep.per_element("antipode law", antipode_law)
 
-    sweep.antimultiplicative("antipode antimultiplicative", H.antipode)
+    sweep.antimultiplicative("antipode antimultiplicative", antipode, lambda v: v)
 
     # S is a coalgebra antihomomorphism: Delta(S(b)) = (S (x) S) flip Delta(b)
     def coalgebra_antihomomorphism(k):
-        rhs = HTensor.from_pairs(
+        s, c0 = antipode(k)
+        rhs = _accumulate(
             ((s2, s1), c * c1 * c2)
-            for (k1, k2), c in H.comul_basis(k)
-            for (s2, c2), (s1, c1) in [(H.antipode_basis(k2), H.antipode_basis(k1))]
+            for (k1, k2), c in cb(k).items()
+            for (s2, c2), (s1, c1) in [(antipode(k2), antipode(k1))]
         )
-        return H.comul(H.antipode(basis(*k))) == rhs
+        return {p: c0 * c for p, c in cb(s).items()} == rhs
 
     sweep.per_element("antipode coalgebra antihomomorphism", coalgebra_antihomomorphism)
 
@@ -528,15 +563,13 @@ def verify_hopf(
 
     sweep.per_element("S^2 = id", antipode_squared)
 
-    # left integral law: h1 <T, h2> = <T, h> unit
+    # left integral law: h1 <T, h2> = <T, h> unit.  <T, p_g#f> = delta(f, 1)/|G| and
+    # Delta(p_g#f) has right legs p_x#f and distinct left legs, so only f = 1 counts.
+    f1, inv_order = H.F.identity, H._inv_g_order
+    t_terms = unit.scale(inv_order).terms
+
     def left_integral(k):
-        lhs = HElem.from_pairs(
-            (k1, c * tval)
-            for (k1, k2), c in H.comul_basis(k)
-            for tval in [H.integral(basis(*k2))]
-            if not tval.is_zero()
-        )
-        return lhs == unit.scale(H.integral(basis(*k)))
+        return k[1] != f1 or {k1: c * inv_order for (k1, _k2), c in cb(k).items()} == t_terms
 
     sweep.per_element("left integral law", left_integral)
 
@@ -583,7 +616,7 @@ def verify_star(
 
     sweep.per_element("Delta is a star map", comul_star)
 
-    sweep.antimultiplicative("star antimultiplicative", H.star)
+    sweep.antimultiplicative("star antimultiplicative", H.star_basis, CycNum.conj)
 
     # Haar form: <b, b>_r = 1/|G| on basis elements, 0 across distinct ones
     expected = rational(H.G.order).inv()

@@ -203,17 +203,32 @@ def cycnums(draw, levels=(1, 2, 3, 4, 6)):
 ORACLE_LEVELS = (1, 5, 8, 12, 24, 60)
 
 
-@given(cycnums(levels=ORACLE_LEVELS), cycnums(levels=ORACLE_LEVELS))
-def test_ops_match_fraction_oracle(a, b):
+@given(cycnums(levels=ORACLE_LEVELS), st.data())
+def test_ops_match_fraction_oracle(a, data):
+    # b at a's level (the same-level fast path) or at any level (lifting)
+    b = data.draw(st.one_of(cycnums(levels=(a.level,)), cycnums(levels=ORACLE_LEVELS)))
     m = lcm(a.level, b.level)
     ac, bc = lift_oracle(a.coeffs, a.level, m), lift_oracle(b.coeffs, b.level, m)
     prod, total = a * b, a + b
     assert prod.level == total.level == m
     assert prod.coeffs == reduce_oracle(convolve(ac, bc), m)
     assert total.coeffs == tuple(x + y for x, y in zip(ac, bc))
+    assert (a == b) == (ac == bc) and (b == a) == (ac == bc)
     assert a.lift(m).coeffs == ac
     assert a.conj().coeffs == substitute(a.coeffs, a.level, -1)
-    for x in (a, b, prod, total, a - b, -a, a.conj(), a.lift(m)):
+    # int and Fraction operands on either side (__rmul__, __radd__)
+    q = data.draw(st.one_of(st.integers(-4, 4), small_rationals))
+    for x in (a * q, q * a):
+        assert x.level == a.level and x.coeffs == tuple(q * c for c in a.coeffs)
+    for x in (a + q, q + a):
+        assert x.level == a.level and x.coeffs == (a.coeffs[0] + q,) + a.coeffs[1:]
+    assert (a == q) == (a.coeffs == lift_oracle((Fraction(q),), 1, a.level))
+    for level in (a.level, b.level):
+        assert a * one(level) == a and one(level) * a == a
+    assert (a == None) is False  # noqa: E711
+    with pytest.raises(TypeError):
+        a * "1"
+    for x in (a, b, prod, total, a - b, -a, a.conj(), a.lift(m), a * q, q + a):
         assert_canonical(x)
         assert x.literal() == literal_oracle(x.level, x.coeffs)
 

@@ -7,11 +7,17 @@ every tuple, and each report must give the same instance count,
 violation_count and full witness list, in order, at unbounded
 max_violations.  The fixtures are the shipped finite presets and the
 radius-1 free-abelian ones with drinfeld:A4, the broken and twisted
-configs, corrupted tables of the S4 = Z4 . S3 factorization, and a
-G = F = Z2 pair whose left action moves g only at f = 1.  The antipode
-law, summed term by term from antipode_basis and basis_mul, is pinned to
-its HElem form (H.mul of S(p_k1) and p_k2, scaled and added) on the same
-fixtures; broken_linear and every corrupted S4 table have witnesses.
+configs, twisted_sigma with one sigma value i, corrupted tables of the
+S4 = Z4 . S3 factorization, a G = F = Z2 pair whose left action moves g
+only at f = 1, and twisted_tau with one tau value negated, on which
+coassociativity fails by a coefficient alone.  The antipode law, summed
+term by term from antipode_basis and basis_mul, is pinned to its HElem
+form (H.mul of S(p_k1) and p_k2, scaled and added) on the same fixtures;
+broken_linear and every corrupted S4 table have witnesses.
+Coassociativity, the coalgebra antihomomorphism and the left integral
+law are pinned to their _accumulate, HTensor and HElem forms, and the
+Delta(a) Delta(b) of comul_product to H.tensor_mul(H.comul(a),
+H.comul(b)) on every pair of basis elements.
 
 Mutations of the fast paths, each of which fails a test here:
 - drop the Delta class {(g x^-1 < x > f)(x < f)} from the bialgebra
@@ -23,7 +29,13 @@ Mutations of the fast paths, each of which fails a test here:
 - drop the Haar partner lookup (walk only k1 = the key of k2*);
 - short-circuit verify_cocycles when only one cocycle is trivial;
 - in the antipode law, drop the coefficient of S(p_k1), take S(p_k1) on
-  the right-hand side, or multiply p_k2 S(p_k1) on the left-hand side.
+  the right-hand side, or multiply p_k2 S(p_k1) on the left-hand side;
+- drop the left-leg g-part test of the Delta(a) Delta(b) lookup;
+- compare coassociativity keys only;
+- drop the coefficient of S(p_k) from Delta(S(p_k)) in the coalgebra
+  antihomomorphism;
+- in the left integral law, drop the factor 1/|G| or hold at every f;
+- in the star antimultiplicativity sweep, leave sigma unconjugated.
 """
 
 from __future__ import annotations
@@ -43,8 +55,19 @@ from test_cocycles import naive_cocycle_laws
 
 from bicrossed.cocycles import SigmaCocycle, TauCocycle, _verification_domain, verify_cocycles
 from bicrossed.config import build_config
+from bicrossed.cyclotomic import rational
 from bicrossed.groups import FiniteF, cyclic_group, f_ball
-from bicrossed.hopf import BicrossedHopf, HElem, HTensor, pair_check_radius, verify_hopf, verify_star
+from bicrossed.hopf import (
+    BicrossedHopf,
+    HElem,
+    HTensor,
+    _accumulate,
+    comul_by_x,
+    comul_product,
+    pair_check_radius,
+    verify_hopf,
+    verify_star,
+)
 from bicrossed.matched_pair import MatchedPairCtx, TableActions
 
 UNBOUNDED = 10**9
@@ -137,6 +160,43 @@ def helem_antipode_law(H, radius):
     return out
 
 
+def _elements(H, radius):
+    return [(g, f) for f in f_ball(H.F, radius) for g in H.G.elements()]
+
+
+def coassociative(H, k):
+    """(Delta (x) id) Delta = (id (x) Delta) Delta at p_k, summed over triples."""
+
+    def cb(key):
+        return H.comul(HElem.basis(*key)).terms
+
+    t = cb(k).items()
+    lhs = _accumulate(((m1, m2, b), v * c) for (a, b), v in t for (m1, m2), c in cb(a).items())
+    rhs = _accumulate(((a, m1, m2), v * c) for (a, b), v in t for (m1, m2), c in cb(b).items())
+    return set(lhs) == set(rhs) and all(lhs[x] == rhs[x] for x in lhs)
+
+
+def coalgebra_antihomomorphic(H, k):
+    """Delta(S(p_k)) = (S (x) S) flip Delta(p_k), as HTensors."""
+    rhs = HTensor.from_pairs(
+        ((s2, s1), c * c1 * c2)
+        for (k1, k2), c in H.comul_basis(k)
+        for (s2, c2), (s1, c1) in [(H.antipode_basis(k2), H.antipode_basis(k1))]
+    )
+    return H.comul(H.antipode(HElem.basis(*k))) == rhs
+
+
+def left_integral_holds(H, k):
+    """h1 <T, h2> = <T, h> unit at h = p_k, as HElems."""
+    lhs = HElem.from_pairs(
+        (k1, c * tval)
+        for (k1, k2), c in H.comul_basis(k)
+        for tval in [H.integral(HElem.basis(*k2))]
+        if not tval.is_zero()
+    )
+    return lhs == H.unit().scale(H.integral(HElem.basis(*k)))
+
+
 def brute_cocycle_laws(H, radius):
     """The three cocycle laws over the verification domain, every tuple."""
     domain, _scope = _verification_domain(H.ctx, H.sigma, H.tau, radius)
@@ -166,6 +226,25 @@ def z2_left_moves_at_one():
     return MatchedPairCtx(Z2, FiniteF(Z2), action)
 
 
+def sigma_i_config():
+    """twisted_sigma with sigma(g; odd, odd) = i: unitary but not real, so
+    the star sweeps must conjugate it."""
+    config = twisted_sigma_config()
+    config["sigma"]["values"][1][1][1] = "z^1@4"
+    return config
+
+
+def twisted_tau_negated():
+    """twisted_tau with tau(1, 1; f) = -1 for even f, set past the config's
+    normalization check: the actions are intact, so every Hopf law that
+    fails here fails by a coefficient, with the same keys on both sides."""
+    H = build_config(twisted_tau_config()).hopf
+    table = [[list(row) for row in block] for block in H.tau.table]
+    table[0][0][0] = rational(-1)
+    table = tuple(tuple(map(tuple, block)) for block in table)
+    return BicrossedHopf(H.ctx, H.sigma, TauCocycle("quotient", table, H.tau.quot.moduli))
+
+
 def _s4_cases():
     s4 = s4_factorization_ctx()
     return {
@@ -190,12 +269,13 @@ CONFIGS = {
     "twisted_tau": twisted_tau_config,
     "twisted_sigma": twisted_sigma_config,
     "sigma_two": sigma_two_config,
+    "sigma_i": sigma_i_config,
 }
 CASES = (
     [f"preset {name} {radius}" for name, radius in PRESETS]
     + [f"config {name}" for name in CONFIGS]
     + list(_s4_cases())
-    + ["z2 left moves at one"]
+    + ["z2 left moves at one", "twisted_tau negated"]
 )
 
 
@@ -208,6 +288,8 @@ def _build(case):
         return build_config(CONFIGS[case.split()[1]]()).hopf, 1
     if case == "z2 left moves at one":
         return _trivial_hopf(z2_left_moves_at_one()), 0
+    if case == "twisted_tau negated":
+        return twisted_tau_negated(), 1
     return _trivial_hopf(_s4_cases()[case]), 0
 
 
@@ -263,6 +345,32 @@ def test_cocycle_sweeps_match_brute(case):
         assert _result(rep, name) == (instances, len(witnesses), witnesses), name
 
 
+@pytest.mark.parametrize("case", CASES)
+def test_per_element_laws_match_brute(case):
+    H, radius = _build(case)
+    rep = verify_hopf(H, radius, max_violations=UNBOUNDED)
+    keys = _elements(H, radius)
+    for name, holds in (
+        ("coassociativity", coassociative),
+        ("antipode coalgebra antihomomorphism", coalgebra_antihomomorphic),
+        ("left integral law", left_integral_holds),
+    ):
+        witnesses = [_name(H, k) for k in keys if not holds(H, k)]
+        assert _result(rep, name) == (len(keys), len(witnesses), witnesses), name
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_comul_product_matches_tensor_mul(case):
+    H, radius = _build(case)
+    keys = _keys(H, radius)
+    comuls = {k: H.comul(HElem.basis(*k)) for k in keys}
+    by_x = {k: comul_by_x(H.ctx.act_left, d.terms) for k, d in comuls.items()}
+    for k1 in keys:
+        for k2 in keys:
+            product = comul_product(H.basis_mul, by_x[k1], by_x[k2])
+            assert product == H.tensor_mul(comuls[k1], comuls[k2]).terms, (k1, k2)
+
+
 def test_fixtures_exercise_every_candidate_class():
     """Each skip above is only pinned where the brute sweep finds witnesses."""
     s4_left = _trivial_hopf(_s4_cases()["s4 left g2"])
@@ -274,3 +382,13 @@ def test_fixtures_exercise_every_candidate_class():
     assert eps
     compat = build_config(broken_compat_config()).hopf
     assert any(witnesses for _name, _n, witnesses in brute_cocycle_laws(compat, 0))
+    # coassociativity fails with equal keys on both sides, by a coefficient
+    negated = twisted_tau_negated()
+    failing = [k for k in _elements(negated, 1) if not coassociative(negated, k)]
+    assert failing
+    for k in failing:
+        delta = negated.comul(HElem.basis(*k))
+        lhs = {(m1, m2, b) for a, b in delta.terms for m1, m2 in negated.comul(HElem.basis(*a)).terms}
+        rhs = {(a, m1, m2) for a, b in delta.terms for m1, m2 in negated.comul(HElem.basis(*b)).terms}
+        assert lhs == rhs
+    assert not all(left_integral_holds(negated, k) for k in _elements(negated, 1))
