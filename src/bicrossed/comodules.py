@@ -69,26 +69,38 @@ def cf_subcoalgebra(ctx, orbit: Orbit) -> CfBasis:
     )
 
 
-def stabilizer_char_table(hopf: BicrossedHopf, orbit: Orbit) -> tuple[CharTable, Beta2Cocycle]:
-    """Character table of the twisted stabilizer algebra of the orbit."""
+def stabilizer_char_table(
+    hopf: BicrossedHopf, orbit: Orbit, tables: dict | None = None
+) -> tuple[CharTable, Beta2Cocycle]:
+    """Character table of the twisted stabilizer algebra of the orbit.
+
+    With beta trivial the table is that of the stabilizer subgroup alone,
+    so a tables dict shares it between orbits, keyed by the stabilizer
+    tuple; a twisted table depends on beta and is never read from it."""
     beta = beta_for_orbit(hopf.ctx, hopf.tau, orbit)
-    sub, to_parent = subgroup_of(hopf.G, orbit.stabilizer)
-    if beta.is_trivial:
+    if not beta.is_trivial:
+        return twisted_char_table(hopf.G, orbit.stabilizer, beta), beta
+    table = None if tables is None else tables.get(orbit.stabilizer)
+    if table is None:
+        sub, to_parent = subgroup_of(hopf.G, orbit.stabilizer)
         if sub.is_abelian():
             table = abelian_char_table(sub, to_parent)
         else:
             table = ordinary_char_table(sub, to_parent)
-    else:
-        table = twisted_char_table(hopf.G, orbit.stabilizer, beta)
+        if tables is not None:
+            tables[orbit.stabilizer] = table
     return table, beta
 
 
-def simples_for_orbit(hopf: BicrossedHopf, orbit: Orbit) -> tuple[SimpleDesc, ...]:
-    """One SimpleDesc per stabilizer character, in table order.
+def simples_for_orbit(
+    hopf: BicrossedHopf, orbit: Orbit, tables: dict | None = None
+) -> tuple[SimpleDesc, ...]:
+    """One SimpleDesc per stabilizer character, in table order; tables is
+    passed on to stabilizer_char_table.
 
     Asserts the counting identity: the squared total dimensions add up to
     dim C_f = |G| * |O_f|."""
-    table, _beta = stabilizer_char_table(hopf, orbit)
+    table, _beta = stabilizer_char_table(hopf, orbit, tables)
     t_len = len(orbit.transversal)
     out = []
     rep_label = hopf.F.label(orbit.representative)
@@ -222,11 +234,12 @@ class SimpleIndex:
         self._by_rep: dict = {}
         self._by_uid: dict = {}
         self._char_cache: dict = {}
+        self._tables: dict = {}  # stabilizer -> untwisted character table
 
     def simples_for_orbit(self, orbit: Orbit) -> tuple[SimpleDesc, ...]:
         rep = orbit.representative
         if rep not in self._by_rep:
-            simples = simples_for_orbit(self.hopf, orbit)
+            simples = simples_for_orbit(self.hopf, orbit, self._tables)
             self._by_rep[rep] = simples
             for d in simples:
                 self._by_uid[d.uid] = d

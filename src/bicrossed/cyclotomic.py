@@ -12,9 +12,11 @@ and an inverse is a product of Galois conjugates over the rational norm:
 no op goes through Fraction.
 
 Mixed-level arithmetic lifts both operands to level lcm(N_a, N_b); levels
-are never lowered automatically.  `coeffs` gives the Fraction coefficient
-vector for readers that want it; `fractions` is imported only where a
-Fraction is built or accepted, so it stays off the start-up path.
+are never lowered automatically.  A level-1 (rational) operand of add or
+mul needs no lift: it shifts the zeta^0 coefficient or scales the vector.
+`coeffs` gives the Fraction coefficient vector for readers that want it;
+`fractions` is imported only where a Fraction is built or accepted, so it
+stays off the start-up path.
 `row_reduce` is the one Gauss-Jordan elimination over these fields;
 ranks and exact solves elsewhere call it.
 """
@@ -254,6 +256,9 @@ class CycNum:
     def __add__(self, other):
         a, b = self, other
         if b.__class__ is not CycNum or b.level != a.level:
+            if b.__class__ is CycNum and (a.level == 1 or b.level == 1):
+                # a rational shifts the zeta^0 coefficient; nothing is lifted
+                return _add_rational(b, a) if a.level == 1 else _add_rational(a, b)
             a, b = a._common(b)
             if b is NotImplemented:
                 return NotImplemented
@@ -284,6 +289,9 @@ class CycNum:
     def __mul__(self, other):
         a, b = self, other
         if b.__class__ is not CycNum or b.level != a.level:
+            if b.__class__ is CycNum and (a.level == 1 or b.level == 1):
+                # a rational scales every coefficient; nothing is lifted
+                return _scale_rational(b, a) if a.level == 1 else _scale_rational(a, b)
             a, b = a._common(b)
             if b is NotImplemented:
                 return NotImplemented
@@ -467,6 +475,30 @@ def _mul(a: CycNum, b: CycNum) -> CycNum:
             for i, r in row:
                 out[i] += c * r
     return _new(a.level, out, den)
+
+
+def _add_rational(a: CycNum, q: CycNum) -> CycNum:
+    """a + q for a rational q at level 1: the sum at a's level, equal to
+    a + q.lift(a.level) without the lift."""
+    da, dq = a.den, q.den
+    if da == dq:
+        num = list(a.num)
+        num[0] += q.num[0]
+        return _new(a.level, num, da)
+    g = gcd(da, dq)
+    ma, mq = dq // g, da // g
+    num = [x * ma for x in a.num]
+    num[0] += q.num[0] * mq
+    return _new(a.level, num, da * ma)
+
+
+def _scale_rational(a: CycNum, q: CycNum) -> CycNum:
+    """a * q for a rational q at level 1: the product at a's level, equal
+    to a * q.lift(a.level) without the lift."""
+    p, d = q.num[0], q.den
+    if p == d:  # q is 1
+        return a
+    return _new(a.level, [x * p for x in a.num], a.den * d)
 
 
 # -- module-level conveniences ------------------------------------------------

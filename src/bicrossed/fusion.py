@@ -71,6 +71,8 @@ class FusionRing:
         self._dual_vectors: dict = {}  # id(chi) -> (chi, dual vector of chi)
         self._candidates: dict = {}  # (rep1, rep2) -> candidate simples
         self._orthonormal: set = set()
+        # chi1 chi2 = chi2 chi1 in a commutative H, so a row also gives its swap
+        self._commutative = hopf.is_commutative
 
     # -- the Haar pairing ------------------------------------------------------
 
@@ -91,8 +93,14 @@ class FusionRing:
         entry = self._dual_vectors.get(id(chi))
         if entry is None:
             entry = self._dual_vectors[id(chi)] = (chi, self._dual_vector(chi))
+        # summed from the first term, so the value stays at the terms' level
         x_terms = x.terms
-        return sum((x_terms[k] * w for k, w in entry[1].items() if k in x_terms), rational(0))
+        total = None
+        for k, w in entry[1].items():
+            v = x_terms.get(k)
+            if v is not None:
+                total = v * w if total is None else total + v * w
+        return rational(0) if total is None else total
 
     def _orthonormal_simples(self, orbit: Orbit) -> tuple[SimpleDesc, ...]:
         """The orbit's simples, once the Gram matrix <chi_c, chi_c'> of their
@@ -156,6 +164,10 @@ class FusionRing:
                 f"{d1.dim_total * d2.dim_total}"
             )
         self._row_cache[key] = row
+        if self._commutative:
+            # same product, same candidates (O1 O2 = O2 O1 for abelian F),
+            # hence the same coefficients and certificates
+            self._row_cache[d2.uid, d1.uid] = FusionRow(d2.uid, d1.uid, row.summands)
         return row
 
     # -- duality ---------------------------------------------------------------

@@ -163,16 +163,28 @@ class BicrossedHopf:
             return None
         return (g, self.F.mul(f, f2)), self.sigma.eval(g, f, f2)
 
+    @property
+    def is_commutative(self) -> bool:
+        """p_g#f . p_g2#f2 = delta(g < f, g2) sigma(g; f, f2) p_g#ff2 is
+        symmetric in its factors when the left action is trivial, F is
+        abelian and sigma is trivial.  Structural, not a sweep; callers
+        read it once (a table action walks its table on every read)."""
+        F = self.F
+        abelian = not F.is_finite or F.group.is_abelian()
+        return self.sigma.is_trivial and abelian and self.ctx.left_action_trivial
+
     def mul(self, a: HElem, b: HElem) -> HElem:
         # p_g#f . p_g2#f2 is 0 unless g2 = g < f: group b's terms by g-part.
         by_g: dict = {}
         for (g2, f2), vb in b.terms.items():
             by_g.setdefault(g2, []).append((f2, vb))
         out: dict = {}
-        act_left, fmul, sigma = self.ctx.act_left, self.F.mul, self.sigma.eval
+        act_left, fmul = self.ctx.act_left, self.F.mul
+        sigma = None if self.sigma.is_trivial else self.sigma.eval  # trivial: no factor
         for (g, f), va in a.terms.items():
             for f2, vb in by_g.get(act_left(g, f), ()):
-                _add_term(out, (g, fmul(f, f2)), va * vb * sigma(g, f, f2))
+                c = va * vb
+                _add_term(out, (g, fmul(f, f2)), c if sigma is None else c * sigma(g, f, f2))
         return HElem._of(out)
 
     def comul_basis(self, key):
@@ -302,19 +314,20 @@ def comul_by_x(act_left, terms: dict) -> dict:
     return {k2[0]: (k1, k2, c, act_left(*k1), act_left(*k2)) for (k1, k2), c in terms.items()}
 
 
-def comul_product(product, da_by_x: dict, db_by_x: dict) -> dict:
+def comul_product(product, da_by_x: dict, db_by_x: dict, ones: bool = False) -> dict:
     """The terms of Delta(a) Delta(b) for basis elements a and b, from their
     comul_by_x; product is basis_mul, asked only for nonzero products.  The
     x-term k1 (x) p_x#f of Delta(a) meets only the term of Delta(b) at x < f,
     and only if its left leg has g-part k1's g < f: at most |G| terms, with
-    distinct right legs p_x#ff2, none of them zero."""
+    distinct right legs p_x#ff2, none of them zero.  With ones (trivial
+    cocycles: every coefficient is 1) the values are None, no product formed."""
     out = {}
     for k1, k2, c, h, y in da_by_x.values():
         t = db_by_x.get(y)
         if t is not None and t[0][0] == h:
             l1, l2, d, _h, _y = t
             p1, p2 = product(k1, l1), product(k2, l2)
-            out[p1[0], p2[0]] = c * d * p1[1] * p2[1]
+            out[p1[0], p2[0]] = None if ones else c * d * p1[1] * p2[1]
     return out
 
 
@@ -446,6 +459,10 @@ def verify_hopf(
     act_left = H.ctx.act_left
     # memos for this call; product is asked only for nonzero products
     product, antipode = functools.cache(H.basis_mul), functools.cache(H.antipode_basis)
+    # With trivial sigma and tau every coefficient of a basis product and of a
+    # coproduct term is 1: associativity, coassociativity and bialgebra
+    # compatibility then compare supports (values None) and form no products.
+    ones = H.sigma.is_trivial and H.tau.is_trivial
 
     def associativity():
         # k1 k2 = 0 unless k2's g-part is g < f for k1 = p_g#f, and then
@@ -460,11 +477,11 @@ def verify_hopf(
                     left = right = None
                     if k3[0] == g12:
                         q = product(k12, k3)
-                        left = (q[0], c12 * q[1])
+                        left = (q[0], None if ones else c12 * q[1])
                     if k3[0] == g23:
                         k23, c23 = product(k2, k3)
                         q = product(k1, k23)
-                        right = (q[0], q[1] * c23)
+                        right = (q[0], None if ones else q[1] * c23)
                     if left != right:
                         yield {"a": name_key(k1), "b": name_key(k2), "c": name_key(k3)}
 
@@ -490,8 +507,16 @@ def verify_hopf(
         # of a Delta(p_k) have distinct right legs p_x#f and left-leg g-parts g x^-1,
         # so each side has |G|^2 distinct keys and nonzero values: no sums needed.
         t = cb(k).items()
-        lhs = {(m1, m2, b): v * c for (a, b), v in t for (m1, m2), c in cb(a).items()}
-        rhs = {(a, m1, m2): v * c for (a, b), v in t for (m1, m2), c in cb(b).items()}
+        lhs = {
+            (m1, m2, b): None if ones else v * c
+            for (a, b), v in t
+            for (m1, m2), c in cb(a).items()
+        }
+        rhs = {
+            (a, m1, m2): None if ones else v * c
+            for (a, b), v in t
+            for (m1, m2), c in cb(b).items()
+        }
         return lhs == rhs
 
     sweep.per_element("coassociativity", coassociativity)
@@ -516,9 +541,12 @@ def verify_hopf(
                 delta_ab, eps_ab = {}, zero
                 if k2[0] == g_ab:
                     k, v = product(k1, k2)
-                    delta_ab = {p: v * c for p, c in cb(k).items()}
+                    if ones:
+                        delta_ab = dict.fromkeys(cb(k))
+                    else:
+                        delta_ab = {p: v * c for p, c in cb(k).items()}
                     eps_ab = v if k1[0] == e else zero
-                if comul_product(product, da, by_x[k2]) != delta_ab:
+                if comul_product(product, da, by_x[k2], ones) != delta_ab:
                     yield {"law": "Delta", "a": name_key(k1), "b": name_key(k2)}
                 if eps_ab != (_ONE if k1[0] == k2[0] == e else zero):
                     yield {"law": "eps", "a": name_key(k1), "b": name_key(k2)}

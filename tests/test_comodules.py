@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import twisted_tau_config
+from conftest import build_preset, twisted_tau_config
+from test_deep_twisted import z4_twisted_config
 
 from bicrossed.certs import exact_rank
+from bicrossed.cocycles import beta_for_orbit
 from bicrossed.comodules import (
     SimpleIndex,
     cf_subcoalgebra,
@@ -241,3 +243,61 @@ def test_drinfeld_s4_classification():
     simples = index.enumerate(0)
     assert sum(d.dim_total**2 for d in simples) == 576
     assert len(simples) == 21  # 5 + 5 + 3 + 3 + 5 irreducibles per centralizer
+
+
+class _ReadLog(dict):
+    """A tables memo that logs every key read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = []
+
+    def get(self, key, default=None):
+        self.reads.append(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.reads.append(key)
+        return super().__contains__(key)
+
+
+# The fusion-table radii of the lattice-fusion bench, doubled: the balls hold
+# every orbit those tables touch, the candidates of products included.
+_SHARED_TABLE_BALLS = {
+    "h_z_z2n:3": (lambda: build_preset("h_z_z2n:3"), 2 * 4),
+    "z_poly_zp:3": (lambda: build_preset("z_poly_zp:3"), 2 * 2),
+    "z4_twisted": (lambda: build_config(z4_twisted_config()), 2 * 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHARED_TABLE_BALLS))
+def test_shared_stabilizer_tables_match_per_orbit(name):
+    # SimpleIndex shares one untwisted table per stabilizer; every orbit of
+    # the ball must get the simples and characters of a table built for it
+    # alone, and an orbit with nontrivial beta must not read the memo.
+    build, radius = _SHARED_TABLE_BALLS[name]
+    H = build().hopf
+    index = SimpleIndex(H)
+    orbits = index.orbits_in_ball(radius)
+    for orb in orbits:
+        shared, alone = index.simples_for_orbit(orb), simples_for_orbit(H, orb)
+        assert [(d.uid, d.dim_v, d.dim_total) for d in shared] == [
+            (d.uid, d.dim_v, d.dim_total) for d in alone
+        ]
+        for d, e in zip(shared, alone):
+            assert d.chi.elements == e.chi.elements and d.chi.values == e.chi.values
+            assert index.character(d) == irreducible_character(H, e)
+    assert len(index._tables) < len(orbits)
+    tables, twisted = _ReadLog(), 0
+    for orb in orbits:
+        before = len(tables.reads)
+        simples_for_orbit(H, orb, tables)
+        if not beta_for_orbit(H.ctx, H.tau, orb).is_trivial:
+            twisted += 1
+            assert len(tables.reads) == before, f"twisted orbit {orb.representative} read the memo"
+    assert twisted > 0 if name == "z4_twisted" else twisted == 0
+    assert len(tables.reads) == len(orbits) - twisted

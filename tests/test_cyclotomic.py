@@ -265,6 +265,40 @@ def test_mul_by_one_matches_general_product(x, level):
         assert prod.literal() == expected.literal()
 
 
+RATIONAL_LEVELS = (2, 3, 4, 6, 12)
+RATIONALS = (0, 1, -1, Fraction(3, 2), Fraction(-3, 2), Fraction(5, 7))
+
+
+def _values_at(level):
+    """Values at level with denominators 1, 2 and 7 (one shared with a rational
+    operand, one not), rationals among them."""
+    z = root_of_unity(1, level)
+    return [
+        z,
+        rational(Fraction(1, 2)) * z + rational(Fraction(3, 2), level),
+        rational(Fraction(-2, 7)) * z * z - rational(5, level),
+        rational(Fraction(3, 2), level),
+        rational(0, level),
+    ]
+
+
+@pytest.mark.parametrize("level", RATIONAL_LEVELS)
+def test_rational_operand_matches_lifting_path(level):
+    # A level-1 operand shifts or scales the other without lifting; the result
+    # must be the same-level op on both operands lifted, field by field.
+    for a in _values_at(level):
+        assert a.level == level
+        for q in RATIONALS:
+            r = rational(q)
+            assert r.level == 1
+            for x, y in ((a, r), (r, a)):
+                for got, want in (
+                    (x + y, x.lift(level) + y.lift(level)),
+                    (x * y, x.lift(level) * y.lift(level)),
+                ):
+                    assert (got.level, got.num, got.den) == (want.level, want.num, want.den)
+
+
 def test_canonical_zero_and_sign():
     z = CycNum(8, [Fraction(2, 6), 0, Fraction(-4, 6), 0])
     assert (z.num, z.den) == ((1, 0, -2, 0), 3)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from test_deep_twisted import s3_factorization_config, sigma_and_tau_config, z4_
 from bicrossed.config import build_config
 from bicrossed.cyclotomic import rational, row_reduce
 from bicrossed.fusion import FusionRing, FusionRow
+from bicrossed.groups import f_ball
 from bicrossed.hopf import HElem
 from bicrossed.matched_pair import orbit_product
 from bicrossed.presets import SHIPPED
@@ -274,6 +276,23 @@ def _dense_solve_row(ring, d1, d2):
     )
 
 
+def z2_trivial_on_s3_config() -> dict:
+    """G = Z2 acting trivially on the finite F = S3, trivial cocycles:
+    H = k^Z2 (x) kS3 is noncommutative, with 12 simples of dimension 1 and
+    9 noncommuting pairs of F elements, 36 noncommutative pairs of simples."""
+    perms = sorted(itertools.permutations(range(3)))
+    s3 = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms] for p in perms]
+    return {
+        "name": "z2_trivial_on_s3",
+        "group": {"type": "table", "table": [[0, 1], [1, 0]], "name": "Z2"},
+        "f_group": {"type": "finite", "table": s3, "name": "S3"},
+        "action": {"type": "tables", "right": [list(range(6))] * 2, "left": [[0] * 6, [1] * 6]},
+        "sigma": {"type": "trivial"},
+        "tau": {"type": "trivial"},
+        "radius": 0,
+    }
+
+
 _ORACLE_CONFIGS = {
     "h_z_z2n:2": (lambda: build_preset("h_z_z2n:2"), 3),
     "drinfeld:S3": (lambda: build_preset("drinfeld:S3"), 0),
@@ -284,7 +303,42 @@ _ORACLE_CONFIGS = {
     "z4_twisted": (lambda: build_config(z4_twisted_config()), 3),
     "s3_factorization": (lambda: build_config(s3_factorization_config()), 0),
     "sigma_and_tau": (lambda: build_config(sigma_and_tau_config()), 3),
+    "z2_trivial_on_s3": (lambda: build_config(z2_trivial_on_s3_config()), 0),
 }
+
+# The predicate is structural (trivial left action, abelian F, trivial sigma),
+# and false on these: F is nonabelian (the Drinfeld doubles, z2_trivial_on_s3),
+# the left action moves g (s3_factorization) or sigma is nontrivial, although
+# twisted_sigma's symmetric sigma commutes anyway.
+_PREDICATE_FALSE = (
+    "drinfeld:A4",
+    "drinfeld:S3",
+    "s3_factorization",
+    "sigma_and_tau",
+    "twisted_sigma",
+    "z2_trivial_on_s3",
+)
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_CONFIGS))
+def test_is_commutative_by_brute_force(name):
+    # where the predicate holds, every pair of basis elements of a radius-1
+    # ball commutes; the row swap of decompose_product rests on it
+    H = _ORACLE_CONFIGS[name][0]().hopf
+    assert H.is_commutative is (name not in _PREDICATE_FALSE)
+    if H.is_commutative:
+        keys = [(g, f) for f in f_ball(H.F, 1) for g in H.G.elements()]
+        assert [
+            (k1, k2) for k1 in keys for k2 in keys if H.basis_mul(k1, k2) != H.basis_mul(k2, k1)
+        ] == []
+
+
+def test_noncommutative_fusion_table():
+    ring = FusionRing(build_config(z2_trivial_on_s3_config()).hopf)
+    table = ring.fusion_table(0)
+    assert len(table.simples) == 12
+    assert len(table.noncommutative_pairs) == 36
+    assert ring.verify_based_ring(table)["ok"]
 
 
 @pytest.mark.parametrize("name", sorted(_ORACLE_CONFIGS))

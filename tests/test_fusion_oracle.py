@@ -30,7 +30,14 @@ Mutations of the fast paths, each of which fails a test:
 - the residual skipping a candidate's terms (test_certs.py::
   test_solve_in_span, whose target has two summands);
 - orbit_of registering only the representative
-  (test_orbit_of_by_element_matches_fresh).
+  (test_orbit_of_by_element_matches_fresh);
+- BicrossedHopf.is_commutative without the abelian-F condition, so that a
+  row of z2_trivial_on_s3 answers for its swap (test_fusion.py::
+  test_is_commutative_by_brute_force, test_noncommutative_fusion_table
+  and test_rows_match_dense_solve there);
+- BicrossedHopf.is_commutative without the trivial-sigma condition
+  (test_fusion.py::test_is_commutative_by_brute_force on twisted_sigma,
+  whose symmetric sigma commutes all the same, and on sigma_and_tau).
 """
 
 from __future__ import annotations
