@@ -12,8 +12,9 @@ and an inverse is a product of Galois conjugates over the rational norm:
 no op goes through Fraction.
 
 Mixed-level arithmetic lifts both operands to level lcm(N_a, N_b); levels
-are never lowered automatically.  A level-1 (rational) operand of add or
-mul needs no lift: it shifts the zeta^0 coefficient or scales the vector.
+are never lowered automatically.  A level-1 (rational) operand of add,
+mul or eq needs no lift: it shifts the zeta^0 coefficient, scales the
+vector, or equals exactly the values whose vector is zero past zeta^0.
 `coeffs` gives the Fraction coefficient vector for readers that want it;
 `fractions` is imported only where a Fraction is built or accepted, so it
 stays off the start-up path.
@@ -352,6 +353,10 @@ class CycNum:
     def __eq__(self, other) -> bool:
         a, b = self, other
         if b.__class__ is not CycNum or b.level != a.level:
+            if b.__class__ is CycNum and (a.level == 1 or b.level == 1):
+                # a rational q equals x iff x has num[1:] zero and num[0]/den = q
+                q, x = (a, b) if a.level == 1 else (b, a)
+                return x.den == q.den and x.num[0] == q.num[0] and not any(x.num[1:])
             a, b = a._common(b)
             if b is NotImplemented:
                 return NotImplemented

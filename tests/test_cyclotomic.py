@@ -284,8 +284,9 @@ def _values_at(level):
 
 @pytest.mark.parametrize("level", RATIONAL_LEVELS)
 def test_rational_operand_matches_lifting_path(level):
-    # A level-1 operand shifts or scales the other without lifting; the result
-    # must be the same-level op on both operands lifted, field by field.
+    # A level-1 operand shifts, scales or compares with the other without
+    # lifting; the result must be the same-level op on both operands lifted,
+    # field by field.
     for a in _values_at(level):
         assert a.level == level
         for q in RATIONALS:
@@ -297,6 +298,7 @@ def test_rational_operand_matches_lifting_path(level):
                     (x * y, x.lift(level) * y.lift(level)),
                 ):
                     assert (got.level, got.num, got.den) == (want.level, want.num, want.den)
+                assert (x == y) is (x.lift(level) == y.lift(level))
 
 
 def test_canonical_zero_and_sign():

@@ -2,43 +2,80 @@
 identity.
 
 verify_hopf, verify_star and verify_cocycles walk only the tuples where a
-law can fail.  The brute sweeps they replaced are kept here: each walks
-every tuple, and each report must give the same instance count,
-violation_count and full witness list, in order, at unbounded
+law can fail, and read the structure maps as keys times cocycle weights
+(None for a trivial cocycle).  The brute sweeps they replaced are kept
+here: each walks every tuple, and each report must give the same instance
+count, violation_count and full witness list, in order, at unbounded
 max_violations.  The fixtures are the shipped finite presets and the
 radius-1 free-abelian ones with drinfeld:A4, the broken and twisted
-configs, twisted_sigma with one sigma value i, corrupted tables of the
-S4 = Z4 . S3 factorization, a G = F = Z2 pair whose left action moves g
-only at f = 1, and twisted_tau with one tau value negated, on which
-coassociativity fails by a coefficient alone.  The antipode law, summed
-term by term from antipode_basis and basis_mul, is pinned to its HElem
-form (H.mul of S(p_k1) and p_k2, scaled and added) on the same fixtures;
-broken_linear and every corrupted S4 table have witnesses.
-Coassociativity, the coalgebra antihomomorphism and the left integral
-law are pinned to their _accumulate, HTensor and HElem forms, and the
-Delta(a) Delta(b) of comul_product to H.tensor_mul(H.comul(a),
-H.comul(b)) on every pair of basis elements.
+configs (sigma_and_tau has both cocycles nontrivial, so every weight is a
+CycNum), twisted_sigma with one sigma value i, a sigma that is not
+symmetric in its F arguments, corrupted tables of the S4 = Z4 . S3
+factorization, a G = F = Z2 pair whose left action moves g only at f = 1,
+twisted_tau with one tau value negated, on which coassociativity fails by
+a coefficient alone, and two valid twists with values i: tau on S3 and
+sigma on Z4, each over Z.  The antipode law, summed term by term from
+antipode_basis and basis_mul, is pinned to its HElem form (H.mul of
+S(p_k1) and p_k2, scaled and added) on the same fixtures; broken_linear
+and every corrupted S4 table have witnesses.  Coassociativity, the
+coalgebra antihomomorphism and the left integral law are pinned to their
+_accumulate, HTensor and HElem forms, "S^2 = id", the counit laws, "star
+involution" and "Delta is a star map" to HElem and HTensor forms built
+from H.antipode, H.counit, H.star and H.comul, and the Delta(a) Delta(b)
+of comul_product to tensor_mul(H, H.comul(a), H.comul(b)), the tensor
+product kept here as its oracle, on every pair of basis elements.  The
+brute sweeps read the same basis maps as the fast ones, so a wrong weight
+formula in a map is caught only by a law failing on valid twisted data.
 
-Mutations of the fast paths, each of which fails a test here:
+Mutations, each run on a copy of the tree; every one fails a test here,
+named after the mutation:
 - drop the Delta class {(g x^-1 < x > f)(x < f)} from the bialgebra
-  candidates;
-- drop the eps class {e} (taken when g = e) from the bialgebra candidates;
-- drop the second associativity class (the g-part of k2 acted on by f2);
+  candidates: test_hopf_sweeps_match_brute (6 cases);
+- drop the eps class {e} (taken when g = e) from the bialgebra
+  candidates: test_hopf_sweeps_match_brute[z2 left moves at one];
+- drop the second associativity class (the g-part of k2 acted on by f2):
+  test_hopf_sweeps_match_brute (4 cases);
 - drop the image-key index of the antimultiplicativity sweep (walk only
-  the k2 whose g-part is g < f);
-- drop the Haar partner lookup (walk only k1 = the key of k2*);
-- short-circuit verify_cocycles when only one cocycle is trivial;
+  the k2 whose g-part is g < f): test_hopf_sweeps_match_brute and
+  test_star_sweeps_match_brute (9 cases);
+- drop the Haar partner lookup (walk only k1 = the key of k2*):
+  test_star_sweeps_match_brute (2 cases);
+- short-circuit verify_cocycles when only one cocycle is trivial:
+  test_cocycle_sweeps_match_brute (5 cases);
 - in the antipode law, drop the coefficient of S(p_k1), take S(p_k1) on
-  the right-hand side, or multiply p_k2 S(p_k1) on the left-hand side;
-- drop the left-leg g-part test of the Delta(a) Delta(b) lookup;
-- compare coassociativity keys only;
-- drop the coefficient of S(p_k) from Delta(S(p_k)) in the coalgebra
-  antihomomorphism;
-- in the left integral law, drop the factor 1/|G| or hold at every f;
-- in the star antimultiplicativity sweep, leave sigma unconjugated.
+  the right-hand side, or multiply p_k2 S(p_k1) on the left-hand side:
+  test_antipode_law_matches_helem_form (6, 24 and 4 cases);
+- drop the left-leg g-part test of the Delta(a) Delta(b) lookup: 53 tests;
+- compare coassociativity keys only:
+  test_per_element_laws_match_brute[twisted_tau negated];
+- drop the coefficient of m(p_k) from Delta(m(p_k)) in the shared
+  comultiplicativity law: test_per_element_laws_match_brute (9 cases);
+- in the left integral law, drop the factor 1/|G| or hold at every f:
+  test_per_element_laws_match_brute (25 and 24 cases);
+- in the star antimultiplicativity sweep, leave sigma unconjugated:
+  test_star_sweeps_match_brute[config sigma_i];
+- in the eps half of "bialgebra compatibility", compare a None weight
+  with _ONE unconverted: 21 tests;
+- in the shared comultiplicativity law, drop scalar (a star left
+  unconjugated): test_star_laws_match_helem_form[config tau_s3_i] (2);
+- call the antipode's comultiplicativity law with its legs not flipped:
+  15 tests;
+- basis_mul weighs by sigma(g; f2, f): test_hopf_sweeps_match_brute
+  [config sigma_asymmetric], whose brute antimultiplicativity uses H.mul;
+- comul_basis weighs by tau(x, g x^-1; f):
+  test_valid_twists_pass_every_law[tau_s3_i];
+- antipode_basis drops the inverse of sigma tau:
+  test_valid_twists_pass_every_law[sigma_z4_i];
+- star_basis drops the conjugate of sigma:
+  test_valid_twists_pass_every_law[sigma_z4_i].
+The scalar drop and the four wrong weights passed every test until
+sigma_asymmetric, tau_s3_i and sigma_z4_i were added: every earlier
+fixture had real or symmetric weights, or failed the law anyway.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 
@@ -52,6 +89,7 @@ from conftest import (
     twisted_tau_config,
 )
 from test_cocycles import naive_cocycle_laws
+from test_deep_twisted import sigma_and_tau_config
 
 from bicrossed.cocycles import SigmaCocycle, TauCocycle, _verification_domain, verify_cocycles
 from bicrossed.config import build_config
@@ -62,6 +100,7 @@ from bicrossed.hopf import (
     HElem,
     HTensor,
     _accumulate,
+    _add_term,
     comul_by_x,
     comul_product,
     pair_check_radius,
@@ -106,6 +145,20 @@ def brute_associativity(H, keys):
     return out
 
 
+def tensor_mul(H, s, t):
+    """(a (x) b)(c (x) d) = ac (x) bd, componentwise on terms."""
+    by_g: dict = {}
+    for (l1, l2), w in t.terms.items():
+        by_g.setdefault((l1[0], l2[0]), []).append((l1, l2, w))
+    out: dict = {}
+    act_left = H.ctx.act_left
+    for (k1, k2), v in s.terms.items():
+        for l1, l2, w in by_g.get((act_left(*k1), act_left(*k2)), ()):
+            p1, p2 = H.basis_mul(k1, l1), H.basis_mul(k2, l2)
+            _add_term(out, (p1[0], p2[0]), v * w * p1[1] * p2[1])
+    return HTensor._of(out)
+
+
 def brute_bialgebra(H, keys):
     unit = H.unit()
     out = [] if H.comul(unit) == HTensor.of(unit, unit) else [{"pair": "unit"}]
@@ -115,7 +168,7 @@ def brute_bialgebra(H, keys):
         ea = H.counit(a)
         for k2, b, db in zip(keys, elems, comuls):
             ab = H.mul(a, b)
-            if H.comul(ab) != H.tensor_mul(da, db):
+            if H.comul(ab) != tensor_mul(H, da, db):
                 out.append({"law": "Delta", "a": _name(H, k1), "b": _name(H, k2)})
             if H.counit(ab) != ea * H.counit(b):
                 out.append({"law": "eps", "a": _name(H, k1), "b": _name(H, k2)})
@@ -197,6 +250,39 @@ def left_integral_holds(H, k):
     return lhs == H.unit().scale(H.integral(HElem.basis(*k)))
 
 
+def antipode_involutive(H, k):
+    """S(S(p_k)) = p_k, as HElems."""
+    b = HElem.basis(*k)
+    return H.antipode(H.antipode(b)) == b
+
+
+def counit_holds(H, k):
+    """(eps (x) id) Delta = id = (id (x) eps) Delta at p_k, as HElem sums of
+    eps(p_k1) c p_k2 and c p_k1 eps(p_k2)."""
+    eps = H.counit
+    left = right = HElem.zero()
+    for (k1, k2), c in H.comul(HElem.basis(*k)).terms.items():
+        left = left + HElem.basis(*k2, c).scale(eps(HElem.basis(*k1)))
+        right = right + HElem.basis(*k1, c).scale(eps(HElem.basis(*k2)))
+    return left == HElem.basis(*k) and right == HElem.basis(*k)
+
+
+def star_involutive(H, k):
+    """(p_k*)* = p_k, as HElems."""
+    b = HElem.basis(*k)
+    return H.star(H.star(b)) == b
+
+
+def comul_is_star_map(H, k):
+    """Delta(p_k*) = (* (x) *) Delta(p_k), as HTensor sums of
+    star(c p_k1) (x) star(p_k2)."""
+    b = HElem.basis(*k)
+    rhs = HTensor({})
+    for (k1, k2), c in H.comul(b).terms.items():
+        rhs = rhs + HTensor.of(H.star(HElem.basis(*k1, c)), H.star(HElem.basis(*k2)))
+    return H.comul(H.star(b)) == rhs
+
+
 def brute_cocycle_laws(H, radius):
     """The three cocycle laws over the verification domain, every tuple."""
     domain, _scope = _verification_domain(H.ctx, H.sigma, H.tau, radius)
@@ -232,6 +318,61 @@ def sigma_i_config():
     config = twisted_sigma_config()
     config["sigma"]["values"][1][1][1] = "z^1@4"
     return config
+
+
+def _power_of_i(n):
+    n %= 4
+    return "1" if n == 0 else f"z^{n}@4"
+
+
+def sigma_asymmetric_config():
+    """twisted_sigma through Z -> Z3 with sigma(1; 1, 2) = i and sigma(1; 2, 1) = 1:
+    not a cocycle, but sigma(g; f, f2) != sigma(g; f2, f), so the brute
+    antimultiplicativity sweep, which multiplies by H.mul and evaluates
+    sigma there, sees a basis_mul that swaps f and f2."""
+    config = twisted_sigma_config()
+    values = [[["1"] * 3 for _ in range(3)] for _ in range(2)]
+    values[1][1][2] = "z^1@4"
+    config["sigma"] = {"type": "quotient_lift", "moduli": [3], "values": values}
+    return config
+
+
+def tau_s3_i_config():
+    """S3 acting trivially on Z, tau(g, g2; f) = (dmu(g, g2))^f for mu: S3 -> <i>
+    with mu(e) = 1: a valid co-cocycle with values i, whose transpose
+    tau(g2, g; f) is no cocycle (S3 is not abelian)."""
+    perms = sorted(itertools.permutations(range(3)))
+    table = [[perms.index(tuple(a[b[i]] for i in range(3))) for b in perms] for a in perms]
+    mu = [0, 1, 2, 1, 3, 0]  # mu(g) = i^mu[g]
+    values = [
+        [[_power_of_i(r * (mu[a] + mu[b] - mu[table[a][b]])) for r in range(4)] for b in range(6)]
+        for a in range(6)
+    ]
+    return {
+        "name": "s3_z_tau_i",
+        "group": {"type": "table", "table": table, "name": "S3"},
+        "f_group": {"type": "free_abelian", "rank": 1},
+        "action": {"type": "linear", "matrices": [[[1]]] * 6},
+        "sigma": {"type": "trivial"},
+        "tau": {"type": "quotient_lift", "moduli": [4], "values": values},
+        "radius": 4,
+    }
+
+
+def sigma_z4_i_config():
+    """Z4 acting trivially on Z, sigma(g^a; f, f2) = i^(-a f f2): a valid
+    cocycle with sigma(g; f, f^-1) = i^(a f^2) not real for a and f odd."""
+    z4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    values = [[[_power_of_i(-a * r * s) for s in range(4)] for r in range(4)] for a in range(4)]
+    return {
+        "name": "z4_z_sigma_i",
+        "group": {"type": "table", "table": z4, "name": "Z4"},
+        "f_group": {"type": "free_abelian", "rank": 1},
+        "action": {"type": "linear", "matrices": [[[1]]] * 4},
+        "sigma": {"type": "quotient_lift", "moduli": [4], "values": values},
+        "tau": {"type": "trivial"},
+        "radius": 4,
+    }
 
 
 def twisted_tau_negated():
@@ -270,7 +411,12 @@ CONFIGS = {
     "twisted_sigma": twisted_sigma_config,
     "sigma_two": sigma_two_config,
     "sigma_i": sigma_i_config,
+    "sigma_and_tau": sigma_and_tau_config,
+    "sigma_asymmetric": sigma_asymmetric_config,
+    "tau_s3_i": tau_s3_i_config,
+    "sigma_z4_i": sigma_z4_i_config,
 }
+VALID_TWISTS = ["twisted_tau", "twisted_sigma", "sigma_and_tau", "tau_s3_i", "sigma_z4_i"]
 CASES = (
     [f"preset {name} {radius}" for name, radius in PRESETS]
     + [f"config {name}" for name in CONFIGS]
@@ -368,7 +514,50 @@ def test_comul_product_matches_tensor_mul(case):
     for k1 in keys:
         for k2 in keys:
             product = comul_product(H.basis_mul, by_x[k1], by_x[k2])
-            assert product == H.tensor_mul(comuls[k1], comuls[k2]).terms, (k1, k2)
+            assert product == tensor_mul(H, comuls[k1], comuls[k2]).terms, (k1, k2)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_involution_and_counit_match_helem_form(case):
+    H, radius = _build(case)
+    rep = verify_hopf(H, radius, max_violations=UNBOUNDED)
+    keys = _elements(H, radius)
+    for name, holds in (("S^2 = id", antipode_involutive), ("counit laws", counit_holds)):
+        witnesses = [_name(H, k) for k in keys if not holds(H, k)]
+        assert _result(rep, name) == (len(keys), len(witnesses), witnesses), name
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c != "config sigma_two"])
+def test_star_laws_match_helem_form(case):
+    H, radius = _build(case)
+    rep = verify_star(H, radius, max_violations=UNBOUNDED)
+    keys = _elements(H, radius)
+    for name, holds in (("star involution", star_involutive), ("Delta is a star map", comul_is_star_map)):
+        witnesses = [_name(H, k) for k in keys if not holds(H, k)]
+        assert _result(rep, name) == (len(keys), len(witnesses), witnesses), name
+
+
+@pytest.mark.parametrize("name", VALID_TWISTS)
+def test_valid_twists_pass_every_law(name):
+    """The brute sweeps read the same structure maps as the fast ones, so a
+    wrong weight in comul_basis, antipode_basis or star_basis is seen only
+    as a failing law on valid data whose weights are not real or not
+    symmetric."""
+    H = build_config(CONFIGS[name]()).hopf
+    for rep in (verify_hopf(H, 1), verify_star(H, 1)):
+        assert [c.name for c in rep.checks if c.violation_count] == []
+
+
+def test_helem_pins_see_witnesses():
+    """Each law pinned to its HElem form above fails on some fixture."""
+    for case, holds in (
+        ("s4 right e", counit_holds),
+        ("config sigma_two", antipode_involutive),
+        ("s4 left g2", star_involutive),
+        ("config sigma_i", comul_is_star_map),
+    ):
+        H, radius = _build(case)
+        assert not all(holds(H, k) for k in _elements(H, radius)), case
 
 
 def test_fixtures_exercise_every_candidate_class():
