@@ -15,6 +15,7 @@ Mixed-level arithmetic lifts both operands to level lcm(N_a, N_b); levels
 are never lowered automatically.  A level-1 (rational) operand of add,
 mul or eq needs no lift: it shifts the zeta^0 coefficient, scales the
 vector, or equals exactly the values whose vector is zero past zeta^0.
+Equality reads a level-2 operand the same way, as Q(zeta_2) = Q.
 `coeffs` gives the Fraction coefficient vector for readers that want it;
 `fractions` is imported only where a Fraction is built or accepted, so it
 stays off the start-up path.
@@ -353,9 +354,10 @@ class CycNum:
     def __eq__(self, other) -> bool:
         a, b = self, other
         if b.__class__ is not CycNum or b.level != a.level:
-            if b.__class__ is CycNum and (a.level == 1 or b.level == 1):
-                # a rational q equals x iff x has num[1:] zero and num[0]/den = q
-                q, x = (a, b) if a.level == 1 else (b, a)
+            if b.__class__ is CycNum and (a.level <= 2 or b.level <= 2):
+                # levels 1 and 2 hold rationals (phi(2) = 1): a rational q
+                # equals x iff x has num[1:] zero and num[0]/den = q
+                q, x = (a, b) if a.level <= 2 else (b, a)
                 return x.den == q.den and x.num[0] == q.num[0] and not any(x.num[1:])
             a, b = a._common(b)
             if b is NotImplemented:

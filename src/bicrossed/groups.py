@@ -91,9 +91,10 @@ def finite_group(
     """Validate a Cayley table and build a FiniteGroup.
 
     Rejects non-groups: missing identity or inverses, non-closure and,
-    when the exhaustive check runs, non-associativity.  Callers that
-    construct tables from an already-verified 2-cocycle may skip the
-    cubic associativity sweep above the default size bound.
+    when the associativity check runs, non-associativity.  That check is
+    Light's test over a greedy generating set (check_associative), n^2|S|
+    lookups; callers that construct tables from an already-verified
+    2-cocycle may skip it above the default size bound.
     """
     table = tuple(tuple(int(x) for x in row) for row in rows)
     n = len(table)
@@ -126,15 +127,56 @@ def finite_group(
     if check_associativity is None:
         check_associativity = n <= DEFAULT_MAX_GROUP_ORDER
     if check_associativity:
-        for a in range(n):
-            ta = table[a]
-            for b in range(n):
-                tab = table[ta[b]]
-                tb = table[b]
-                for c in range(n):
-                    if tab[c] != ta[tb[c]]:
-                        raise ConfigError(f"table is not associative at ({a},{b},{c})")
+        check_associative(table, identity)
     return FiniteGroup(table=table, identity=identity, inverse=tuple(inverse), name=name)
+
+
+def generating_set(table, identity: int) -> tuple[int, ...]:
+    """A greedy generating set of a table with a two-sided identity: scan
+    the elements in index order and keep each one not yet reached, where
+    the reached set is the identity closed under right multiplication by
+    the kept elements.  In a group each kept element at least doubles the
+    reached subgroup, so at most log2(n) are kept."""
+    reached, gens = {identity}, []
+    for g in range(len(table)):
+        if g not in reached:
+            gens.append(g)
+            reached = _generated_subgroup(table, identity, gens)
+    return tuple(gens)
+
+
+def light_associative(table, gens) -> bool:
+    """Light's test: (xy)s = x(ys) for all x, y and each s in gens.
+
+    The s that pass for all x, y form a set closed under multiplication
+    ((xy)(st) = ((xy)s)t = (x(ys))t = x((ys)t) = x(y(st))) that holds the
+    identity, so when gens reaches every element from a two-sided identity
+    through right products the whole table is associative."""
+    for s in gens:
+        col = [row[s] for row in table]  # x -> xs
+        for row in table:  # the row of x: y -> xy
+            if [col[v] for v in row] != [row[v] for v in col]:
+                return False
+    return True
+
+
+def check_associative(table, identity: int) -> None:
+    """Raise ConfigError at the first non-associative (a, b, c) in index
+    order; identity must be a two-sided identity of table, so that the
+    generating set reaches every element.  Light's test certifies a group
+    table at n^2|S| lookups; only a table that fails it is walked over all
+    n^3 triples for the witness."""
+    if light_associative(table, generating_set(table, identity)):
+        return
+    n = len(table)
+    for a in range(n):
+        ta = table[a]
+        for b in range(n):
+            tab = table[ta[b]]
+            tb = table[b]
+            for c in range(n):
+                if tab[c] != ta[tb[c]]:
+                    raise ConfigError(f"table is not associative at ({a},{b},{c})")
 
 
 def cyclic_group(n: int, name: str | None = None) -> FiniteGroup:
@@ -253,21 +295,23 @@ def abelian_invariants(A: FiniteGroup) -> tuple[tuple[int, ...], tuple[int, ...]
         factors_desc.append(best_ord)
         gens_desc.append(lift)
         # Collapse the partition by the new subgroup generated so far.
-        sub = _generated_subgroup(A, gens_desc)
+        sub = _generated_subgroup(A.table, A.identity, gens_desc)
         cosets = _coset_partition(A, sub)
     factors = tuple(reversed(factors_desc))
     gens = tuple(reversed(gens_desc))
     return factors, gens
 
 
-def _generated_subgroup(A: FiniteGroup, gens) -> frozenset[int]:
-    elems = {A.identity}
-    frontier = [A.identity]
+def _generated_subgroup(table, identity: int, gens) -> frozenset[int]:
+    """The identity closed under right multiplication by gens."""
+    elems = {identity}
+    frontier = [identity]
     while frontier:
         nxt = []
         for x in frontier:
+            row = table[x]
             for g in gens:
-                y = A.mul(x, g)
+                y = row[g]
                 if y not in elems:
                     elems.add(y)
                     nxt.append(y)
@@ -290,7 +334,7 @@ def _coset_partition(A: FiniteGroup, sub: frozenset[int]) -> list[frozenset[int]
 def _adjust_lift(A: FiniteGroup, y: int, m: int, gens) -> int | None:
     """Find z in y * <gens> with z^m = identity, by brute force over the
     generated subgroup (small by construction)."""
-    sub = _generated_subgroup(A, gens) if gens else frozenset([A.identity])
+    sub = _generated_subgroup(A.table, A.identity, gens) if gens else frozenset([A.identity])
     for s in sorted(sub):
         z = A.mul(y, s)
         if A.power(z, m) == A.identity:

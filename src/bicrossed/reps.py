@@ -7,8 +7,12 @@ for user-supplied tables.  Twisted tables reduce to ordinary ones of a
 central extension by the group generated by the cocycle values.
 
 Whatever the search path, every table is verified exactly before it is
-returned: dimension sum, linear independence, and (untwisted) the two
-orthogonality relations.  The verification is the correctness contract.
+returned (verify_char_table): the dimension sum and the values at the
+identity, then for untwisted tables that each row is constant on the
+conjugacy classes and that the rows are orthonormal (the row relations,
+summed over classes), and for twisted tables that the rows are linearly
+independent.  An orthonormal set is independent, so the untwisted check
+needs no elimination.  The verification is the correctness contract.
 """
 
 from __future__ import annotations
@@ -380,8 +384,13 @@ def dixon_char_table(G: FiniteGroup, to_parent=None) -> CharTable:
 
 
 def verify_char_table(group: FiniteGroup, table: CharTable, to_parent=None, twisted: bool = False):
-    """Exact postconditions: dimension sum, linear independence and, for
-    untwisted tables, the row orthogonality relations."""
+    """Exact postconditions: dimension sum and values at the identity;
+    for twisted tables linear independence, by elimination; for untwisted
+    tables that each row is a class function and the row relations
+    sum_C |C| chi_i(c) chi_j(c^-1) = |G| delta_ij over the conjugacy
+    classes C, once per pair i <= j as the sum is symmetric under
+    g -> g^-1.  Their Gram matrix |G| I proves the rows independent, so
+    no elimination runs for them."""
     n = group.order
     parent = tuple(to_parent) if to_parent is not None else tuple(range(n))
     total = sum(c.dim * c.dim for c in table.chars)
@@ -397,20 +406,32 @@ def verify_char_table(group: FiniteGroup, table: CharTable, to_parent=None, twis
     for c, row in zip(table.chars, rows):
         if row[group.identity] != rational(c.dim):
             raise InternalInconsistencyError("character value at identity differs from dim")
-    if len(row_reduce([list(r) for r in rows], n)) != len(table.chars):
-        raise InternalInconsistencyError("characters are linearly dependent")
-    if not twisted:
-        inv_g = [group.inv(g) for g in range(n)]
-        for i, ri in enumerate(rows):
-            for j, rj in enumerate(rows):
-                s = rational(0)
-                for g in range(n):
-                    s = s + ri[g] * rj[inv_g[g]]
-                expect = rational(n if i == j else 0)
-                if s != expect:
-                    raise InternalInconsistencyError(
-                        f"orthogonality fails for characters {i},{j} ({table.provenance})"
-                    )
+    if twisted:
+        if len(row_reduce([list(r) for r in rows], n)) != len(table.chars):
+            raise InternalInconsistencyError("characters are linearly dependent")
+        return
+    classes = conjugacy_classes(group)
+    for row in rows:
+        for cls in classes:
+            v = row[cls[0]]
+            if any(row[g] != v for g in cls[1:]):
+                raise InternalInconsistencyError(
+                    f"character is not constant on the class of {cls[0]} ({table.provenance})"
+                )
+    reps = [cls[0] for cls in classes]
+    sizes = [None if len(cls) == 1 else rational(len(cls)) for cls in classes]
+    inv_reps = [group.inv(c) for c in reps]
+    for i, ri in enumerate(rows):
+        weighted = [ri[c] if m is None else m * ri[c] for m, c in zip(sizes, reps)]
+        for j in range(i, len(rows)):
+            rj = rows[j]
+            s = rational(0)
+            for w, c in zip(weighted, inv_reps):
+                s = s + w * rj[c]
+            if s != rational(n if i == j else 0):
+                raise InternalInconsistencyError(
+                    f"orthogonality fails for characters {i},{j} ({table.provenance})"
+                )
 
 
 def ordinary_char_table(G: FiniteGroup, to_parent=None) -> CharTable:
@@ -520,8 +541,8 @@ def user_char_table(G: FiniteGroup, elements, data, twisted: bool = False) -> Ch
     data is a JSON-style list of {"dim": int, "values": {element index:
     scalar}} rows; scalars may be CycNum, integers, or cyclotomic literal
     strings such as "1/2 + z^3@8".  The table is rejected with a precise
-    reason unless the dimension sum, linear independence and (untwisted)
-    orthogonality all verify.
+    reason unless verify_char_table passes: untwisted, every row a class
+    function and the rows orthonormal; twisted, the rows independent.
     """
     elems = tuple(sorted(int(x) for x in elements))
     chars = []

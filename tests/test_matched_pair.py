@@ -5,10 +5,10 @@ action law when its homomorphism check passes: a passing check walks no
 law, a failing one only the right action law.  Mutations of that rule,
 each of which fails a test here:
 - walk the five laws after a passing check:
-  test_linear_laws_follow_from_homomorphism_check counts 48,780 and 432
-  act_right calls in place of 27 and 36;
+  test_linear_laws_follow_from_homomorphism_check counts 147,759 and
+  1,476 act_right calls in place of 9 and 6;
 - walk the four implied laws after a failing check as well: the same test
-  counts 4,747,564 act_right calls in place of 40,064 on z_poly(4) with
+  counts 4,747,572 act_right calls in place of 40,072 on z_poly(4) with
   M_1 and M_2 swapped;
 - skip the walk after a failing check as well: test_sweeps_match_naive_laws
   fails on the shear action and on that swapped z_poly(4).
@@ -29,7 +29,14 @@ from conftest import broken_linear_config, build_preset, s4_factorization_ctx
 from bicrossed.cli import run
 from bicrossed.config import build_config
 from bicrossed.errors import ConfigError
-from bicrossed.groups import FiniteF, FreeAbelianF, cyclic_group, f_ball, permutation_group
+from bicrossed.groups import (
+    FiniteF,
+    FreeAbelianF,
+    cyclic_group,
+    f_ball,
+    generating_set,
+    permutation_group,
+)
 from bicrossed.matched_pair import (
     LinearAction,
     MatchedPairCtx,
@@ -219,16 +226,20 @@ def test_sweeps_match_naive_laws():
 
 def test_linear_laws_follow_from_homomorphism_check():
     # With no homomorphism witness the five spot-ball laws are not walked:
-    # act_right runs only in the homomorphism sweep, rank times per (g, g2).
-    for preset, radius, expected in (("z_poly_zp:3", 2, 27), ("h_z_z2n:3", 4, 36)):
+    # act_right runs only in the homomorphism check, rank times per pair
+    # (g, s) with s in the generating set {1} of the cyclic G.
+    for preset, radius, expected in (("z_poly_zp:3", 2, 9), ("h_z_z2n:3", 4, 6)):
         ctx = build_preset(preset).ctx
         act_right, calls = ctx.act_right, []
         ctx.act_right = lambda g, f: calls.append(g) or act_right(g, f)
         rep = verify_matched_pair(ctx, radius)
         assert rep.ok
-        assert len(calls) == ctx.G.order**2 * ctx.F.rank == expected
-    # With a witness only the right action law is walked after that sweep:
-    # four act_right calls per (g, g2, f), as M_e = I, over 16 x 625 tuples.
+        assert generating_set(ctx.G.table, ctx.G.identity) == (1,)
+        assert len(calls) == ctx.G.order * ctx.F.rank == expected
+    # With a witness only the right action law is walked after that check:
+    # the generator pre-check stops at its first failure, (g, s) = (1, 1),
+    # after 2 x 4 calls; the full walk then makes 16 x 4, and the law four
+    # act_right calls per (g, g2, f), as M_e = I, over 16 x 625 tuples.
     z_poly = make_z_poly(4)
     swapped = list(z_poly.action.matrices)
     swapped[1], swapped[2] = swapped[2], swapped[1]
@@ -237,7 +248,7 @@ def test_linear_laws_follow_from_homomorphism_check():
     ctx.act_right = lambda g, f: calls.append(g) or act_right(g, f)
     rep = verify_matched_pair(ctx, 2)
     assert [c.violation_count for c in rep.checks] == [7, 4280, 0, 0, 0, 0]
-    assert len(calls) == 16 * 4 + 4 * 16 * 625 == 40_064
+    assert len(calls) == 2 * 4 + 16 * 4 + 4 * 16 * 625 == 40_072
 
 
 def test_implied_linear_laws_have_no_witness_on_non_homomorphisms():
