@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .certs import dimension_audit, direct_sum_check
@@ -323,10 +324,20 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The flags that take a value; a value may start with '-' (--radius -1).
+_VALUE_FLAGS = ("--preset", "--config", "--format", "--radius")
+
+
+def _takes_value(tok: str) -> bool:
+    # argparse also accepts an unambiguous prefix such as --rad
+    return len(tok) > 2 and any(flag.startswith(tok) for flag in _VALUE_FLAGS)
+
+
 def _shield_negative_ids(argv):
     """Insert '--' before the first id-like token starting with '-'
     (orbit representatives of free-abelian F are canonically negative),
-    so argparse reads it as a positional.  Flags must precede such ids."""
+    so argparse reads it as a positional.  The value of a flag that takes
+    one is never an id.  Flags must precede such ids."""
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
@@ -336,6 +347,8 @@ def _shield_negative_ids(argv):
     if "--" in argv:
         return argv
     for i, tok in enumerate(argv):
+        if i and _takes_value(argv[i - 1]):
+            continue
         if len(tok) > 1 and tok[0] == "-" and (tok[1].isdigit() or tok[1] == "("):
             return argv[:i] + ["--"] + argv[i:]
     return argv
@@ -385,7 +398,25 @@ def _emit_error(args, fmt: str, status: str, message: str, witness) -> None:
 
 
 def main() -> None:
-    sys.exit(run())
+    """Entry point of `python -m bicrossed.cli` and the console script.
+
+    After the report is flushed the process ends with os._exit, which
+    skips interpreter finalization (module teardown, freeing every cached
+    table), work whose effects no caller can observe.  That is safe here
+    because the CLI registers no atexit handler, starts no thread and
+    holds no open file but stdout and stderr, which are flushed first.
+    Everything else takes the normal exit: an exception from run,
+    argparse's SystemExit (--help, usage errors) and a flush that raises,
+    whose error the interpreter then reports as before (exit 120 on a
+    closed pipe).
+    """
+    code = run()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a closed pipe or stream
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

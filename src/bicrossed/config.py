@@ -9,7 +9,6 @@ literals: rationals, z^k@N, and sums/products of those.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from math import gcd
 
@@ -19,6 +18,18 @@ from .errors import ConfigError
 from .groups import FiniteF, FreeAbelianF, finite_group, permutation_group
 from .hopf import BicrossedHopf
 from .matched_pair import LinearAction, MatchedPairCtx, TableActions
+
+# config_hash takes SHA-256 from the interpreter's own module (_sha2 from
+# 3.12, _sha256 before), so a CLI process never maps OpenSSL's libcrypto
+# for hashlib's _hashlib.  hashlib is the fallback for a build without
+# them; every branch gives the same digest.
+try:
+    from _sha2 import sha256 as _new_sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _new_sha256
+    except ImportError:
+        from hashlib import sha256 as _new_sha256
 
 DEFAULT_RADIUS = 4
 
@@ -167,7 +178,7 @@ class Build:
 
 def config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+    return _new_sha256(canon.encode()).hexdigest()[:16]
 
 
 def _kind(spec, what: str) -> str:

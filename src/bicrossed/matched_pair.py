@@ -197,7 +197,6 @@ class MatchedPairCtx:
         elems = sorted({self.act_right(g, f) for g in self.G.elements()}, key=self.F.order_key)
         rep = elems[0]
         stab = tuple(g for g in self.G.elements() if self.act_right(g, rep) == rep)
-        stab_set = set(stab)
         transversal = []
         seen = set()
         order = [self.G.identity] + [g for g in self.G.elements() if g != self.G.identity]
@@ -210,19 +209,11 @@ class MatchedPairCtx:
             raise ConfigError(
                 "orbit-stabilizer count violated; the action tables do not define an action"
             )
-        coset_map = {}
-        for x in self.G.elements():
-            for z in transversal:
-                h = self.G.mul(x, self.G.inv(z))
-                if h in stab_set:
-                    coset_map[x] = (h, z)
-                    break
         orbit = Orbit(
             representative=rep,
             elements=tuple(elems),
             stabilizer=stab,
             transversal=tuple(transversal),
-            coset_map=coset_map,
         )
         self._orbits.update(dict.fromkeys(elems, orbit))
         return orbit
@@ -231,12 +222,12 @@ class MatchedPairCtx:
 class Orbit:
     """A G-orbit in F, anchored at its canonical representative.
 
-    The stabilizer, transversal (first entry 1_G) and coset decomposition
-    x = g_x * z_x all refer to the representative.  Equality compares
-    every field but coset_map, which the others determine.
+    The stabilizer and the transversal of its right cosets (first entry
+    1_G) both refer to the representative.  Equality compares every
+    field; the hash reads the representative and the elements.
     """
 
-    __slots__ = ("representative", "elements", "stabilizer", "transversal", "coset_map")
+    __slots__ = ("representative", "elements", "stabilizer", "transversal")
 
     def __init__(
         self,
@@ -244,13 +235,11 @@ class Orbit:
         elements: tuple,
         stabilizer: tuple[int, ...],
         transversal: tuple[int, ...],
-        coset_map: dict,
     ):
         self.representative = representative
         self.elements = elements
         self.stabilizer = stabilizer
         self.transversal = transversal
-        self.coset_map = coset_map
 
     @property
     def size(self) -> int:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -15,6 +17,7 @@ settings.register_profile(
 )
 settings.load_profile("ci")
 
+import bicrossed
 from bicrossed.config import build_config
 from bicrossed.groups import FiniteF, permutation_group
 from bicrossed.matched_pair import MatchedPairCtx, TableActions
@@ -40,6 +43,15 @@ def bounded_ball_enumeration(monkeypatch):
 
 def build_preset(name: str):
     return build_config(resolve_preset(name))
+
+
+def checkout_env() -> dict:
+    """The environment for a subprocess that imports bicrossed from this
+    checkout: os.environ with its src directory first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(bicrossed.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")

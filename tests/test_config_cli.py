@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import sigma_two_config, twisted_tau_config
+from conftest import broken_compat_config, checkout_env, sigma_two_config, twisted_tau_config
 
 from bicrossed.cli import run
 from bicrossed.config import build_config, config_hash, load_config_file, parse_scalar
@@ -239,10 +239,18 @@ def test_cli_negative_radius_exit_2():
         ("drinfeld:S3", "cqg-check"),
         ("drinfeld:S3", "verify"),
     ):
-        code, rep = capture_json(["--preset", preset, "--radius=-1", command])
-        assert code == 2
-        assert rep["status"] == "invalid-config"
-        assert "radius" in rep["error"]
+        # the value may follow the flag as its own token, before or after
+        # the command; it is no id, so it is not shielded with '--'
+        for argv in (
+            ["--preset", preset, "--radius=-1", command],
+            ["--preset", preset, "--radius", "-1", command],
+            ["--preset", preset, command, "--radius", "-1"],
+            ["--preset", preset, "--rad", "-1", command],  # argparse's abbreviation
+        ):
+            code, rep = capture_json(argv)
+            assert code == 2, argv
+            assert rep["status"] == "invalid-config", argv
+            assert rep["error"] == "--radius must be >= 0", argv
 
 
 def test_cli_ball_budget_exit_2(bounded_ball_enumeration):
@@ -285,24 +293,39 @@ def test_cli_text_format():
     assert "self_dual: True" in out
 
 
-def test_cli_determinism_subprocess():
-    cmd = [
-        sys.executable,
-        "-m",
-        "bicrossed.cli",
-        "--preset",
-        "h_z_z2",
-        "fusion-table",
-        "--radius",
-        "3",
-        "--format",
-        "json",
+def test_cli_determinism_subprocess(tmp_path):
+    # `python -m bicrossed.cli` ends with os._exit once its report is
+    # flushed: each process prints the bytes and exits with the code that
+    # run gives in process, on every exit path and in both formats, and the
+    # 414 KB z_poly_zp:3 table arrives whole through the pipe.
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(broken_compat_config()))
+    cases = [
+        (0, ["--preset", "z_poly_zp:3", "--radius", "2", "fusion-table"]),
+        (0, ["--preset", "h_z_z2", "fusion-table", "--radius", "3", "--format", "text"]),
+        (1, ["--config", str(broken), "verify"]),
+        (1, ["--config", str(broken), "--format", "text", "verify"]),
+        (2, ["--preset", "no_such_preset", "verify"]),
+        (2, ["--preset", "no_such_preset", "--format", "text", "verify"]),
     ]
-    r1 = subprocess.run(cmd, capture_output=True)
-    r2 = subprocess.run(cmd, capture_output=True)
-    assert r1.returncode == 0
-    assert r1.stdout == r2.stdout
-    assert r1.stdout
+    env = checkout_env()
+    env.pop("PYTHONUNBUFFERED", None)  # block-buffered stdout, so the flush matters
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "bicrossed.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        for _code, argv in cases
+    ]
+    for (code, argv), proc in zip(cases, procs):
+        want_code, want_out = capture(argv)
+        out, err = proc.communicate()
+        assert (proc.returncode, want_code) == (code, code), argv
+        assert out == want_out.encode() and err == b"", argv
+        if argv[1] == "z_poly_zp:3":
+            assert len(out) > 400_000
 
 
 def test_load_config_file_errors(tmp_path):

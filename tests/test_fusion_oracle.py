@@ -144,7 +144,7 @@ def test_orbit_of_by_element_matches_fresh(name):
     for f in f_ball(ctx.F, radius):
         orb = ctx.orbit_of(f)
         fresh = MatchedPairCtx(ctx.G, ctx.F, ctx.action).orbit_of(f)
-        assert orb == fresh and orb.coset_map == fresh.coset_map, (name, f)
+        assert orb == fresh, (name, f)
         # one computation serves every element of the orbit
         assert all(ctx.orbit_of(x) is orb for x in orb.elements), (name, f)
 

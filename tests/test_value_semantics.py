@@ -2,10 +2,10 @@
 
 Orbit is the one record that is compared (orbit_of's element-keyed memo
 is checked against a fresh computation) and it is hashable: equality
-reads representative, elements, stabilizer and transversal, never
-coset_map, and the hash is that of (representative, elements), so dict
-and set order is as before.  The other records compare by identity;
-their defaults are pinned here.
+reads representative, elements, stabilizer and transversal, and the
+hash is that of (representative, elements), so dict and set order is
+as before.  The other records compare by identity; their defaults are
+pinned here.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from bicrossed.matched_pair import MatchedPairCtx, Orbit
 def _copy(orbit: Orbit, **changes) -> Orbit:
     fields = {
         name: getattr(orbit, name)
-        for name in ("representative", "elements", "stabilizer", "transversal", "coset_map")
+        for name in ("representative", "elements", "stabilizer", "transversal")
     }
     return Orbit(**{**fields, **changes})
 
@@ -34,7 +34,6 @@ def test_orbit_equality_and_hash():
         fresh = MatchedPairCtx(ctx.G, ctx.F, ctx.action).orbit_of(orb.representative)
         assert fresh is not orb and fresh == orb and not fresh != orb
         assert hash(fresh) == hash(orb) == hash((orb.representative, orb.elements))
-        assert _copy(orb, coset_map={}) == orb
         for name, value in (
             ("representative", object()),
             ("elements", orb.elements + (None,)),
