@@ -43,7 +43,6 @@ from .cocycles import (
 )
 from .hopf import BicrossedHopf, HElem, HTensor, verify_hopf, verify_star
 from .reps import (
-    CentralExtension,
     CharTable,
     TwistedChar,
     abelian_char_table,

@@ -40,33 +40,18 @@ class SimpleDesc:
 class CfBasis:
     """Basis bookkeeping for the coefficient subcoalgebra of one orbit."""
 
-    __slots__ = ("orbit", "keys", "dimension", "is_simple", "antipode_stable")
+    __slots__ = ("orbit", "keys", "dimension")
 
-    def __init__(
-        self, orbit: Orbit, keys: tuple, dimension: int, is_simple: bool, antipode_stable: bool
-    ):
+    def __init__(self, orbit: Orbit, keys: tuple, dimension: int):
         self.orbit = orbit
         self.keys = keys
         self.dimension = dimension
-        self.is_simple = is_simple
-        self.antipode_stable = antipode_stable
 
 
 def cf_subcoalgebra(ctx, orbit: Orbit) -> CfBasis:
-    """Span{p_g # x : g in G, x in O_f}; dimension |G| * |O_f|.
-
-    Simple iff the stabilizer is trivial; antipode-stable iff the orbit
-    contains the inverse of its representative."""
+    """Span{p_g # x : g in G, x in O_f}; dimension |G| * |O_f|."""
     keys = tuple((g, x) for g in ctx.G.elements() for x in orbit.elements)
-    finv = ctx.F.inv(orbit.representative)
-    stable = any(ctx.act_right(g, orbit.representative) == finv for g in ctx.G.elements())
-    return CfBasis(
-        orbit=orbit,
-        keys=keys,
-        dimension=ctx.G.order * orbit.size,
-        is_simple=len(orbit.stabilizer) == 1,
-        antipode_stable=stable,
-    )
+    return CfBasis(orbit=orbit, keys=keys, dimension=ctx.G.order * orbit.size)
 
 
 def stabilizer_char_table(

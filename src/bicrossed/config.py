@@ -10,7 +10,7 @@ literals: rationals, z^k@N, and sums/products of those.
 from __future__ import annotations
 
 import json
-from math import gcd
+from math import lcm
 
 from .cocycles import SigmaCocycle, TauCocycle
 from .cyclotomic import CycNum, rational, root_of_unity
@@ -307,9 +307,7 @@ def build_config(cfg: dict) -> Build:
     levels: list[int] = []
     sigma = _build_cocycle(SigmaCocycle, cfg.get("sigma"), ctx, levels)
     tau = _build_cocycle(TauCocycle, cfg.get("tau"), ctx, levels)
-    level = G.exponent()
-    for lv in levels:
-        level = level // gcd(level, lv) * lv
+    level = lcm(G.exponent(), *levels)
     declared = cfg.get("level")
     if declared is not None:
         declared = _as_int(declared, "level")

@@ -26,7 +26,7 @@ ranks and exact solves elsewhere call it.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "CycNum",
@@ -144,10 +144,6 @@ def _map_num(num, images, d: int) -> list[int]:
     return out
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
 class CycNum:
     """An exact element of Q(zeta_N): num / den in the power basis."""
 
@@ -161,9 +157,7 @@ class CycNum:
         coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != phi(level):
             raise ValueError("coefficient vector must have length phi(level)")
-        den = 1
-        for c in coeffs:
-            den = _lcm(den, c.denominator)
+        den = lcm(*(c.denominator for c in coeffs))
         num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
         g = gcd(den, *num)
         _set_level(self, level)
@@ -214,7 +208,7 @@ class CycNum:
         other = CycNum._coerce(other)
         if other is NotImplemented or self.level == other.level:
             return self, other
-        lv = _lcm(self.level, other.level)
+        lv = lcm(self.level, other.level)
         return self.lift(lv), other.lift(lv)
 
     @staticmethod

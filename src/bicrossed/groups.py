@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from math import gcd
+from math import lcm
 
 from .errors import ConfigError
 
@@ -51,11 +51,7 @@ class FiniteGroup:
         return k
 
     def exponent(self) -> int:
-        e = 1
-        for a in self.elements():
-            o = self.element_order(a)
-            e = e // gcd(e, o) * o
-        return e
+        return lcm(*map(self.element_order, self.elements()))
 
     def is_abelian(self) -> bool:
         n = self.order
@@ -82,19 +78,13 @@ def check_group_order(n: int, max_order: int) -> None:
         raise ConfigError(f"group order {n} exceeds the configured bound {max_order}")
 
 
-def finite_group(
-    rows,
-    name: str = "G",
-    max_order: int = DEFAULT_MAX_GROUP_ORDER,
-    check_associativity: bool | None = None,
-) -> FiniteGroup:
+def finite_group(rows, name: str = "G", max_order: int = DEFAULT_MAX_GROUP_ORDER) -> FiniteGroup:
     """Validate a Cayley table and build a FiniteGroup.
 
-    Rejects non-groups: missing identity or inverses, non-closure and,
-    when the associativity check runs, non-associativity.  That check is
-    Light's test over a greedy generating set (check_associative), n^2|S|
-    lookups; callers that construct tables from an already-verified
-    2-cocycle may skip it above the default size bound.
+    Rejects non-groups: an empty or non-square table, entries out of
+    range, a missing identity or inverse, and non-associativity.  The
+    associativity check always runs: Light's test over a greedy
+    generating set (check_associative), n^2|S| lookups with |S| <= log2 n.
     """
     table = tuple(tuple(int(x) for x in row) for row in rows)
     n = len(table)
@@ -124,10 +114,7 @@ def finite_group(
         if inv_a is None:
             raise ConfigError(f"element {a} has no two-sided inverse")
         inverse.append(inv_a)
-    if check_associativity is None:
-        check_associativity = n <= DEFAULT_MAX_GROUP_ORDER
-    if check_associativity:
-        check_associative(table, identity)
+    check_associative(table, identity)
     return FiniteGroup(table=table, identity=identity, inverse=tuple(inverse), name=name)
 
 
@@ -251,55 +238,39 @@ def abelian_invariants(A: FiniteGroup) -> tuple[tuple[int, ...], tuple[int, ...]
     """Invariant factors d_1 | d_2 | ... and a generating tuple realizing
     A = <x_1> x ... x <x_k> with ord(x_i) = d_i.
 
-    Peels off a cyclic factor of maximal order and recurses on the
-    quotient, adjusting lifted generators so their orders match.
+    Peels off cyclic factors greedily, largest first.  With S the subgroup
+    generated so far, the order of a coset xS is the least k with x^k in
+    S, and the cosets are visited through their least elements.  The
+    first coset of maximal order m is lifted to the first z = y * s, over
+    (sorted coset) x (sorted S), with z^m = 1; such a lift exists because
+    each chosen factor has maximal order in its quotient.
     """
     if not A.is_abelian():
         raise ConfigError("abelian_invariants requires an abelian group")
     factors_desc: list[int] = []
     gens_desc: list[int] = []
-    # Work with explicit element sets of the current quotient A / <x_1, ...>.
-    # Cosets are represented by frozensets of element indices.
-    cosets = [frozenset([a]) for a in A.elements()]
-
-    def coset_mul(c1, c2):
-        a = next(iter(c1))
-        b = next(iter(c2))
-        prod = A.mul(a, b)
-        for c in cosets:
-            if prod in c:
-                return c
-        raise AssertionError("coset partition is not closed")
-
-    while len(cosets) > 1:
-        ident_coset = next(c for c in cosets if A.identity in c)
-        best, best_ord = None, 0
-        for c in cosets:
-            o, x = 1, c
-            while x != ident_coset:
-                x = coset_mul(x, c)
-                o += 1
-            if o > best_ord:
-                best, best_ord = c, o
-        # Lift the chosen coset generator to an A-element of the same order.
-        # If the image of y has order m, some z in y * <gens so far> has
-        # z^m = 1; the brute-force sweep below always finds one.
-        lift = None
-        for y in sorted(best):
-            adjusted = _adjust_lift(A, y, best_ord, gens_desc)
-            if adjusted is not None:
-                lift = adjusted
-                break
-        if lift is None:
-            raise AssertionError("no adjusted lift found")
-        factors_desc.append(best_ord)
+    in_sub = frozenset([A.identity])  # S
+    while len(in_sub) < A.order:
+        sub = sorted(in_sub)
+        reached: set[int] = set()
+        best, m = None, 0
+        for a in A.elements():
+            if a in reached:
+                continue
+            reached.update(A.mul(a, s) for s in sub)
+            k, x = 1, a
+            while x not in in_sub:
+                x = A.mul(x, a)
+                k += 1
+            if k > m:
+                best, m = a, k
+        coset = sorted(A.mul(best, s) for s in sub)
+        products = (A.mul(y, s) for y in coset for s in sub)
+        lift = next(z for z in products if A.power(z, m) == A.identity)
+        factors_desc.append(m)
         gens_desc.append(lift)
-        # Collapse the partition by the new subgroup generated so far.
-        sub = _generated_subgroup(A.table, A.identity, gens_desc)
-        cosets = _coset_partition(A, sub)
-    factors = tuple(reversed(factors_desc))
-    gens = tuple(reversed(gens_desc))
-    return factors, gens
+        in_sub = _generated_subgroup(A.table, A.identity, gens_desc)
+    return tuple(reversed(factors_desc)), tuple(reversed(gens_desc))
 
 
 def _generated_subgroup(table, identity: int, gens) -> frozenset[int]:
@@ -319,52 +290,24 @@ def _generated_subgroup(table, identity: int, gens) -> frozenset[int]:
     return frozenset(elems)
 
 
-def _coset_partition(A: FiniteGroup, sub: frozenset[int]) -> list[frozenset[int]]:
-    seen = set()
-    parts = []
-    for a in A.elements():
-        if a in seen:
-            continue
-        coset = frozenset(A.mul(s, a) for s in sub)
-        seen |= coset
-        parts.append(coset)
-    return parts
-
-
-def _adjust_lift(A: FiniteGroup, y: int, m: int, gens) -> int | None:
-    """Find z in y * <gens> with z^m = identity, by brute force over the
-    generated subgroup (small by construction)."""
-    sub = _generated_subgroup(A.table, A.identity, gens) if gens else frozenset([A.identity])
-    for s in sorted(sub):
-        z = A.mul(y, s)
-        if A.power(z, m) == A.identity:
-            return z
-    return None
-
-
 def subgroup_of(G: FiniteGroup, elements, name: str | None = None) -> tuple[FiniteGroup, tuple[int, ...]]:
     """Build the abstract group on a subset closed under multiplication.
 
     Returns (H, to_parent) where to_parent maps H-indices to G-indices,
-    listed in increasing parent order.
+    listed in increasing parent order.  Only closure is checked: a
+    nonempty closed subset of a finite group is a subgroup, so its
+    identity and inverses are G's and its product is associative.
     """
     elems = tuple(sorted(set(int(x) for x in elements)))
+    if not elems:
+        raise ConfigError("empty multiplication table")
     pos = {g: i for i, g in enumerate(elems)}
-    rows = []
-    for a in elems:
-        row = []
-        for b in elems:
-            p = G.mul(a, b)
-            if p not in pos:
-                raise ConfigError("subset is not closed under multiplication")
-            row.append(pos[p])
-        rows.append(row)
-    H = finite_group(
-        rows,
-        name=name or f"{G.name}_sub{len(elems)}",
-        max_order=max(len(elems), DEFAULT_MAX_GROUP_ORDER),
-        check_associativity=False,
-    )
+    try:
+        table = tuple(tuple(pos[G.mul(a, b)] for b in elems) for a in elems)
+    except KeyError:
+        raise ConfigError("subset is not closed under multiplication") from None
+    inverse = tuple(pos[G.inv(a)] for a in elems)
+    H = FiniteGroup(table, pos[G.identity], inverse, name or f"{G.name}_sub{len(elems)}")
     return H, elems
 
 

@@ -197,14 +197,13 @@ class MatchedPairCtx:
         elems = sorted({self.act_right(g, f) for g in self.G.elements()}, key=self.F.order_key)
         rep = elems[0]
         stab = tuple(g for g in self.G.elements() if self.act_right(g, rep) == rep)
-        transversal = []
-        seen = set()
+        # The first x of each right coset Stab x, 1_G first.
+        transversal, reached = [], set()
         order = [self.G.identity] + [g for g in self.G.elements() if g != self.G.identity]
         for x in order:
-            coset = frozenset(self.G.mul(h, x) for h in stab)
-            if coset not in seen:
-                seen.add(coset)
+            if x not in reached:
                 transversal.append(x)
+                reached.update(self.G.mul(h, x) for h in stab)
         if len(elems) * len(stab) != self.G.order:
             raise ConfigError(
                 "orbit-stabilizer count violated; the action tables do not define an action"

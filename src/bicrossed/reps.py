@@ -17,7 +17,8 @@ needs no elimination.  The verification is the correctness contract.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+import itertools
+from math import isqrt, lcm
 
 from .cyclotomic import CycNum, rational, root_of_unity, row_reduce
 from .errors import ConfigError, InternalInconsistencyError
@@ -84,27 +85,16 @@ def abelian_char_table(group: FiniteGroup, to_parent=None) -> CharTable:
     n = group.order
     parent = tuple(to_parent) if to_parent is not None else tuple(range(n))
     # Exponent vector of every element in the chosen generators.
-    exps = {group.identity: (0,) * len(gens)}
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            ex = exps[x]
-            for i, g in enumerate(gens):
-                y = group.mul(x, g)
-                if y not in exps:
-                    ey = list(ex)
-                    ey[i] = (ey[i] + 1) % factors[i]
-                    exps[y] = tuple(ey)
-                    nxt.append(y)
-        frontier = nxt
+    exps = {}
+    for ex in itertools.product(*map(range, factors)):
+        x = group.identity
+        for g, e in zip(gens, ex):
+            x = group.mul(x, group.power(g, e))
+        exps[x] = ex
     if len(exps) != n:
         raise InternalInconsistencyError("invariant-factor generators do not generate")
     chars = []
-    ks = [()]
-    for d in factors:
-        ks = [k + (j,) for k in ks for j in range(d)]
-    for k in ks:
+    for k in itertools.product(*map(range, factors)):
         vals = [None] * n
         for x, ex in exps.items():
             v = rational(1)
@@ -440,36 +430,22 @@ def ordinary_char_table(G: FiniteGroup, to_parent=None) -> CharTable:
     return dixon_char_table(G, to_parent)
 
 
-class CentralExtension:
-    """The subgroup extended by the cyclic group the cocycle values
-    generate: elements (a, j) with (a, j)(b, l) = (ab, j + l + ind(a, b))
-    where beta(a, b) = zeta_m^ind(a, b).  Index of (a, j) is a*m + j;
-    the section {(1_G, j)} is central of order m and the quotient by it
-    is the original subgroup.
+def central_extension(sub: FiniteGroup, beta, to_parent) -> tuple[FiniteGroup, int]:
+    """The extension (E, m) of sub by the cyclic group of order m that
+    the values of beta (parent-indexed) generate.
+
+    E has elements (a, j), a in sub and j mod m, at index a*m + j, with
+    (a, j)(b, l) = (ab, j + l + ind(a, b)) where beta(a, b) = zeta_m^ind(a, b).
+    The section {(1_G, j)} is central of order m and the quotient by it
+    is sub.
     """
-
-    __slots__ = ("group", "m", "sub_order")
-
-    def __init__(self, group: FiniteGroup, m: int, sub_order: int):
-        self.group = group
-        self.m = m
-        self.sub_order = sub_order
-
-    def index_of(self, a: int, j: int) -> int:
-        return a * self.m + j
-
-
-def central_extension(sub: FiniteGroup, beta, to_parent) -> CentralExtension:
-    """Build the extension of sub by the values of beta (parent-indexed)."""
     orders = []
     for v in beta.values.values():
         o = v.root_of_unity_order()
         if o is None:
             raise ConfigError("twisted character tables need root-of-unity cocycle values")
         orders.append(o)
-    m = 1
-    for o in orders:
-        m = m // gcd(m, o) * o
+    m = lcm(*orders)
     ns = sub.order
     if m * ns > MAX_EXTENSION_ORDER:
         raise ConfigError(
@@ -498,13 +474,7 @@ def central_extension(sub: FiniteGroup, beta, to_parent) -> CentralExtension:
             ab = sub.mul(a, b)
             row.append(ab * m + (j + l + ind[(a, b)]) % m)
         rows.append(row)
-    ext = finite_group(
-        rows,
-        name=f"{sub.name}~beta",
-        max_order=MAX_EXTENSION_ORDER,
-        check_associativity=order <= 64,
-    )
-    return CentralExtension(group=ext, m=m, sub_order=ns)
+    return finite_group(rows, name=f"{sub.name}~beta", max_order=MAX_EXTENSION_ORDER), m
 
 
 def twisted_char_table(G: FiniteGroup, elements, beta) -> CharTable:
@@ -519,15 +489,14 @@ def twisted_char_table(G: FiniteGroup, elements, beta) -> CharTable:
     sub, to_parent = subgroup_of(G, elements)
     if beta.is_trivial:
         return ordinary_char_table(sub, to_parent)
-    extension = central_extension(sub, beta, to_parent)
-    ext, m, ns = extension.group, extension.m, extension.sub_order
+    ext, m = central_extension(sub, beta, to_parent)
     ext_table = ordinary_char_table(ext)
-    central = extension.index_of(sub.identity, 1)  # (1_G, 1)
+    central = sub.identity * m + 1  # (1_G, 1)
     zeta_m = root_of_unity(1, m)
     kept = []
     for c in ext_table.chars:
         if c.value(central) == rational(c.dim) * zeta_m:
-            vals = {to_parent[a]: c.value(extension.index_of(a, 0)) for a in range(ns)}
+            vals = {to_parent[a]: c.value(a * m) for a in range(sub.order)}
             elems = tuple(sorted(vals))
             kept.append(TwistedChar(elems, tuple(vals[g] for g in elems), c.dim))
     table = _sorted_table(kept, "central-extension")

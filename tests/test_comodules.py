@@ -24,18 +24,14 @@ def test_cf_subcoalgebra_h_z_z2(h_z_z2):
     ctx = h_z_z2.ctx
     basis = cf_subcoalgebra(ctx, ctx.orbit_of((1,)))
     assert basis.dimension == 4
-    assert basis.is_simple
-    assert basis.antipode_stable
     unit_basis = cf_subcoalgebra(ctx, ctx.orbit_of((0,)))
     assert unit_basis.dimension == 2
-    assert not unit_basis.is_simple  # stabilizer is all of G
 
 
 def test_cf_subcoalgebra_z2n_2(h_z_z2n_2):
     ctx = h_z_z2n_2.ctx
     basis = cf_subcoalgebra(ctx, ctx.orbit_of((1,)))
     assert basis.dimension == 8
-    assert not basis.is_simple  # stabilizer has order 2
 
 
 def test_simples_for_orbit_h_z_z2(h_z_z2):

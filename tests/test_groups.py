@@ -113,6 +113,35 @@ def test_abelian_invariants():
     assert len(seen) == 8
 
 
+def _product(*orders):
+    G = cyclic_group(orders[0])
+    for n in orders[1:]:
+        G = direct_product(G, cyclic_group(n))
+    return G
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (lambda: _product(2, 4), ((2, 4), (4, 1))),
+        (lambda: _product(4, 2), ((2, 4), (1, 2))),
+        (lambda: _product(3, 6), ((3, 6), (6, 1))),
+        (lambda: _product(6, 3), ((3, 6), (1, 3))),
+        (lambda: _product(2, 2, 4), ((2, 2, 4), (8, 4, 1))),
+        (lambda: _product(4, 8), ((4, 8), (8, 1))),
+        (lambda: _product(2, 4, 8), ((2, 4, 8), (32, 8, 1))),
+        (lambda: _product(4, 8, 8), ((4, 8, 8), (64, 8, 1))),
+        (lambda: permutation_group([(1, 0, 3, 2), (2, 3, 0, 1)]), ((2, 2), (2, 1))),
+    ],
+    ids=["Z2xZ4", "Z4xZ2", "Z3xZ6", "Z6xZ3", "Z2xZ2xZ4", "Z4xZ8", "Z2xZ4xZ8", "Z4xZ8xZ8", "V4perm"],
+)
+def test_abelian_invariants_choices(build, expected):
+    """The greedy choices (first coset of maximal order, first lift of the
+    right order) fix the generators, and through them every abelian
+    character table and report; these are their values."""
+    assert abelian_invariants(build()) == expected
+
+
 def test_abelian_invariants_rejects_nonabelian():
     S3 = permutation_group([(1, 0, 2), (1, 2, 0)])
     with pytest.raises(ConfigError):
@@ -124,8 +153,9 @@ def test_subgroup_of():
     H, to_parent = subgroup_of(Z6, [0, 2, 4])
     assert H.order == 3
     assert to_parent == (0, 2, 4)
-    with pytest.raises(ConfigError):
-        subgroup_of(Z6, [0, 1, 2])  # not closed
+    for bad in ([0, 1, 2], []):  # not closed; empty
+        with pytest.raises(ConfigError):
+            subgroup_of(Z6, bad)
 
 
 def test_f_ball_free_abelian():

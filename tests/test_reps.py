@@ -47,6 +47,56 @@ def test_abelian_tables():
     assert any(c.values[1] == z3 for c in t3.chars)
 
 
+# abelian_char_table(Z3 x Z6), one string of literals per character in
+# table order, values in element order.
+Z3XZ6_TABLE = [
+    "1 -1 1 -1 1 -1 -1-z^1@3 z^1@6 -1-z^1@3 "
+    "z^1@6 -1-z^1@3 z^1@6 z^1@3 1-z^1@6 z^1@3 1-z^1@6 z^1@3 1-z^1@6",
+    "1 -1 1 -1 1 -1 1 -1 1 "
+    "-1 1 -1 1 -1 1 -1 1 -1",
+    "1 -1 1 -1 1 -1 z^1@3 1-z^1@6 z^1@3 "
+    "1-z^1@6 z^1@3 1-z^1@6 -1-z^1@3 z^1@6 -1-z^1@3 z^1@6 -1-z^1@3 z^1@6",
+    "1 -1+z^1@6 -z^1@6 1 -1+z^1@6 -z^1@6 -1-z^1@3 1 -1+z^1@6 "
+    "-1-z^1@3 1 -1+z^1@6 z^1@3 -z^1@6 1 z^1@3 -z^1@6 1",
+    "1 -1+z^1@6 -z^1@6 1 -1+z^1@6 -z^1@6 1 -1+z^1@6 -z^1@6 "
+    "1 -1+z^1@6 -z^1@6 1 -1+z^1@6 -z^1@6 1 -1+z^1@6 -z^1@6",
+    "1 -1+z^1@6 -z^1@6 1 -1+z^1@6 -z^1@6 z^1@3 -z^1@6 1 "
+    "z^1@3 -z^1@6 1 -1-z^1@3 1 -1+z^1@6 -1-z^1@3 1 -1+z^1@6",
+    "1 -z^1@6 -1+z^1@6 1 -z^1@6 -1+z^1@6 -1-z^1@3 -1+z^1@6 1 "
+    "-1-z^1@3 -1+z^1@6 1 z^1@3 1 -z^1@6 z^1@3 1 -z^1@6",
+    "1 -z^1@6 -1+z^1@6 1 -z^1@6 -1+z^1@6 1 -z^1@6 -1+z^1@6 "
+    "1 -z^1@6 -1+z^1@6 1 -z^1@6 -1+z^1@6 1 -z^1@6 -1+z^1@6",
+    "1 -z^1@6 -1+z^1@6 1 -z^1@6 -1+z^1@6 z^1@3 1 -z^1@6 "
+    "z^1@3 1 -z^1@6 -1-z^1@3 -1+z^1@6 1 -1-z^1@3 -1+z^1@6 1",
+    "1 1 1 1 1 1 -1-z^1@3 -1-z^1@3 -1-z^1@3 "
+    "-1-z^1@3 -1-z^1@3 -1-z^1@3 z^1@3 z^1@3 z^1@3 z^1@3 z^1@3 z^1@3",
+    "1 1 1 1 1 1 1 1 1 "
+    "1 1 1 1 1 1 1 1 1",
+    "1 1 1 1 1 1 z^1@3 z^1@3 z^1@3 "
+    "z^1@3 z^1@3 z^1@3 -1-z^1@3 -1-z^1@3 -1-z^1@3 -1-z^1@3 -1-z^1@3 -1-z^1@3",
+    "1 1-z^1@6 -z^1@6 -1 -1+z^1@6 z^1@6 -1-z^1@3 -1 -1+z^1@6 "
+    "z^1@6 1 1-z^1@6 z^1@3 z^1@6 1 1-z^1@6 -z^1@6 -1",
+    "1 1-z^1@6 -z^1@6 -1 -1+z^1@6 z^1@6 1 1-z^1@6 -z^1@6 "
+    "-1 -1+z^1@6 z^1@6 1 1-z^1@6 -z^1@6 -1 -1+z^1@6 z^1@6",
+    "1 1-z^1@6 -z^1@6 -1 -1+z^1@6 z^1@6 z^1@3 z^1@6 1 "
+    "1-z^1@6 -z^1@6 -1 -1-z^1@3 -1 -1+z^1@6 z^1@6 1 1-z^1@6",
+    "1 z^1@6 -1+z^1@6 -1 -z^1@6 1-z^1@6 -1-z^1@3 1-z^1@6 1 "
+    "z^1@6 -1+z^1@6 -1 z^1@3 -1 -z^1@6 1-z^1@6 1 z^1@6",
+    "1 z^1@6 -1+z^1@6 -1 -z^1@6 1-z^1@6 1 z^1@6 -1+z^1@6 "
+    "-1 -z^1@6 1-z^1@6 1 z^1@6 -1+z^1@6 -1 -z^1@6 1-z^1@6",
+    "1 z^1@6 -1+z^1@6 -1 -z^1@6 1-z^1@6 z^1@3 -1 -z^1@6 "
+    "1-z^1@6 1 z^1@6 -1-z^1@3 1-z^1@6 1 z^1@6 -1+z^1@6 -1",
+]
+
+
+def test_abelian_table_z3xz6_literals():
+    """The table follows the invariant-factor generators: another
+    decomposition would move these literals, and with them the reports."""
+    t = abelian_char_table(direct_product(cyclic_group(3), cyclic_group(6)))
+    assert all(c.elements == tuple(range(18)) for c in t.chars)
+    assert [" ".join(v.literal() for v in c.values) for c in t.chars] == Z3XZ6_TABLE
+
+
 def test_dim_sum_property():
     for G in (cyclic_group(5), cyclic_group(6), direct_product(cyclic_group(2), cyclic_group(4))):
         t = abelian_char_table(G)
@@ -216,21 +266,20 @@ def test_central_extension_structure():
 
     K4, beta = klein_beta()
     sub, to_parent = subgroup_of(K4, (0, 1, 2, 3))
-    ext = central_extension(sub, beta, to_parent)
-    E = ext.group
+    E, m = central_extension(sub, beta, to_parent)
     assert E.order == 8
-    assert ext.m == 2
-    # the section {(1, j)} is central of order m
-    for j in range(ext.m):
-        z = ext.index_of(sub.identity, j)
+    assert m == 2
+    # the section {(1, j)}, at index 1*m + j, is central of order m
+    for j in range(m):
+        z = sub.identity * m + j
         assert all(E.mul(z, x) == E.mul(x, z) for x in E.elements())
-    assert E.element_order(ext.index_of(sub.identity, 1)) == 2
+    assert E.element_order(sub.identity * m + 1) == 2
     # the quotient by the center section is the Klein group again: every
     # coset {(a,0), (a,1)} squares into the section
     for a in range(4):
-        x = ext.index_of(a, 0)
+        x = a * m
         sq = E.mul(x, x)
-        assert sq // ext.m == sub.identity
+        assert sq // m == sub.identity
 
 
 def test_user_char_table_json_literals():
