@@ -9,6 +9,12 @@ presets.py, never a file) or --config PATH.  Exit codes: 0 success,
 1 verification failure (the report carries witnesses), 2 invalid config
 or usage, 3 internal inconsistency.  JSON is the machine output; text
 rendering is a view of the same payload.
+
+A cmd_* computes every value of its payload, and raises every error,
+before _emit writes the first byte; the emitter only formats.  A payload
+may hold records (objects with to_payload(), such as FusionRow), which
+both formats convert as they are written, so a fusion table's rows are
+never all dicts at once.
 """
 
 from __future__ import annotations
@@ -49,49 +55,84 @@ def _report(build: Build, command: str, status: str, payload: dict) -> dict:
     }
 
 
+# List items encoded per call when a long list is streamed.
+_SLICE = 256
+
+
+def _payload_of(obj):
+    """The JSON value of a record: its to_payload(), called as it is encoded."""
+    to_payload = getattr(obj, "to_payload", None)
+    if to_payload is None:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return to_payload()
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_payload_of)
+
+
 def _write_json(report: dict) -> None:
-    sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+    """Write the report as json.dumps(report, sort_keys=True,
+    separators=(",", ":")) would, with records as their payloads, while
+    it is encoded: a dict with str keys goes out key by key and a long
+    list slice by slice, so no encoding of the whole report is held."""
+    write = sys.stdout.write
+    _stream_json(report, write)
+    write("\n")
+
+
+def _stream_json(value, write) -> None:
+    if isinstance(value, dict) and all(type(k) is str for k in value):
+        write("{")
+        for i, k in enumerate(sorted(value)):
+            write(f"{',' if i else ''}{_ENCODER.encode(k)}:")
+            _stream_json(value[k], write)
+        write("}")
+    elif isinstance(value, list) and len(value) > _SLICE:
+        write("[")
+        for start in range(0, len(value), _SLICE):
+            # one slice's items, without the slice's own brackets
+            items = _ENCODER.encode(value[start : start + _SLICE])[1:-1]
+            write(f"{',' if start else ''}{items}")
+        write("]")
+    else:
+        # a dict with a non-str key too, so json's key coercion and order apply
+        write(_ENCODER.encode(value))
 
 
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
         _write_json(report)
     else:
-        sys.stdout.write(_render_text(report))
+        _write_text(report)
 
 
-def _render_text(report: dict) -> str:
-    lines = [
-        f"command:  {report['command']}",
-        f"config:   {report['config']} (hash {report['config_hash']}, level {report['level']})",
-        f"status:   {report['status']}",
-    ]
-    payload = report["payload"]
-    lines.extend(_render_value(payload, indent=0))
-    return "\n".join(lines) + "\n"
+def _write_text(report: dict) -> None:
+    """Write the text view of a report, line by line as it is made."""
+    write = sys.stdout.write
+    write(f"command:  {report['command']}\n")
+    write(f"config:   {report['config']} (hash {report['config_hash']}, level {report['level']})\n")
+    write(f"status:   {report['status']}\n")
+    _write_value(report["payload"], 0, write)
 
 
-def _render_value(value, indent: int) -> list[str]:
+def _write_value(value, indent: int, write) -> None:
     pad = "  " * indent
-    out = []
     if isinstance(value, dict):
-        for k in sorted(value):
-            v = value[k]
-            if isinstance(v, (dict, list)):
-                out.append(f"{pad}{k}:")
-                out.extend(_render_value(v, indent + 1))
-            else:
-                out.append(f"{pad}{k}: {v}")
+        items = ((f"{pad}{k}:", value[k]) for k in sorted(value))
     elif isinstance(value, list):
-        for v in value:
-            if isinstance(v, (dict, list)):
-                out.append(f"{pad}-")
-                out.extend(_render_value(v, indent + 1))
-            else:
-                out.append(f"{pad}- {v}")
+        dash = f"{pad}-"
+        items = ((dash, v) for v in value)
     else:
-        out.append(f"{pad}{value}")
-    return out
+        write(f"{pad}{value}\n")
+        return
+    for head, v in items:
+        if hasattr(v, "to_payload"):
+            v = v.to_payload()
+        if isinstance(v, (dict, list)):
+            write(f"{head}\n")
+            _write_value(v, indent + 1, write)
+        else:
+            write(f"{head} {v}\n")
 
 
 def _character_terms(build: Build, elem: HElem) -> list[dict]:
@@ -145,7 +186,7 @@ def cmd_verify(build: Build, radius: int) -> tuple[str, dict, int]:
         verify_hopf(build.hopf, radius),
     ]
     ok = all(r.ok for r in reports)
-    payload = {"radius": radius, "reports": [r.to_payload() for r in reports]}
+    payload = {"radius": radius, "reports": reports}
     return ("pass" if ok else "fail"), payload, (EXIT_OK if ok else EXIT_VERIFICATION)
 
 
@@ -170,7 +211,7 @@ def cmd_simples(build: Build, radius: int) -> tuple[str, dict, int]:
         "count": len(simples),
         "simples": [_simple_payload(build, d) for d in simples],
         "dimension_audit": audit,
-        "direct_sum": cert.to_payload(),
+        "direct_sum": cert,
     }
     ok = audit["ok"] and cert.ok
     return ("pass" if ok else "fail"), payload, (EXIT_OK if ok else EXIT_VERIFICATION)
@@ -213,7 +254,7 @@ def cmd_fuse(build: Build, id1: str, id2: str, radius: int) -> tuple[str, dict, 
     d1, d2 = ring.index.find(id1), ring.index.find(id2)
     row = ring.decompose_product(d1, d2)
     payload = {
-        "row": row.to_payload(),
+        "row": row,
         "dimension_product": d1.dim_total * d2.dim_total,
     }
     return "pass", payload, EXIT_OK
@@ -256,7 +297,7 @@ def cmd_fusion_table(build: Build, radius: int) -> tuple[str, dict, int]:
     payload = {
         "radius": radius,
         "simples": [_simple_payload(build, d) for d in table.simples],
-        "rows": [r.to_payload() for r in table.rows],
+        "rows": table.rows,
         "duals": table.duals,
         "indicators": table.indicators,
         "noncommutative_pairs": table.noncommutative_pairs,
@@ -282,7 +323,7 @@ def cmd_cqg_check(build: Build, radius: int) -> tuple[str, dict, int]:
     payload = {
         "unitary": True,
         "radius": radius,
-        "star_checks": star.to_payload(),
+        "star_checks": star,
         "haar_unit": haar_unit.literal(),
         "gram_diagonal_expected": gram_expected.literal(),
         "gram_certified": "exact (rational coefficients)",

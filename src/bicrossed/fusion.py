@@ -221,21 +221,19 @@ class FusionRing:
     # -- tables and the based-ring laws ---------------------------------------
 
     def fusion_table(self, radius: int) -> FusionTable:
+        """The rows of every ordered pair of simples in the ball; the row of
+        (simples[i], simples[j]) is rows[i * n + j]."""
         simples = self.index.enumerate(radius)
-        rows = []
-        asym = []
-        row_of = {}
-        for d1 in simples:
-            for d2 in simples:
-                # candidates resolve on demand beyond the ball; the radius
-                # only selects which simples get rows
-                row = self.decompose_product(d1, d2)
-                rows.append(row)
-                row_of[(d1.uid, d2.uid)] = row.summands
-        for d1 in simples:
-            for d2 in simples:
-                if d1.uid < d2.uid and row_of[(d1.uid, d2.uid)] != row_of[(d2.uid, d1.uid)]:
-                    asym.append([d1.uid, d2.uid])
+        # candidates resolve on demand beyond the ball; the radius only
+        # selects which simples get rows
+        rows = [self.decompose_product(d1, d2) for d1 in simples for d2 in simples]
+        n = len(simples)
+        asym = [
+            [d1.uid, d2.uid]
+            for i, d1 in enumerate(simples)
+            for j, d2 in enumerate(simples)
+            if d1.uid < d2.uid and rows[i * n + j].summands != rows[j * n + i].summands
+        ]
         duals = {d.uid: self.dual_of(d).uid for d in simples}
         indicators = {d.uid: self.fs_indicator(d) for d in simples}
         return FusionTable(
@@ -249,18 +247,26 @@ class FusionRing:
 
     def verify_based_ring(self, table: FusionTable) -> dict:
         """Unit laws, the unit-multiplicity/duality pairing, duality as an
-        anti-involution, and associativity on sampled triples."""
+        anti-involution, and associativity on sampled triples.  The rows
+        are in fusion_table's order, and their summands are sorted with
+        distinct ids, so two rows agree exactly when their tuples do."""
         unit_uid = self.index.unit_simple().uid
         problems = []
-        row_of = {(r.left, r.right): dict(r.summands) for r in table.rows}
         uids = [d.uid for d in table.simples]
+        n = len(uids)
+        position = {uid: i for i, uid in enumerate(uids)}
+
+        def summands(left: str, right: str):
+            i, j = position.get(left), position.get(right)
+            return None if i is None or j is None else table.rows[i * n + j].summands
+
         for uid in uids:
-            if row_of.get((unit_uid, uid)) != {uid: 1}:
+            if summands(unit_uid, uid) != ((uid, 1),):
                 problems.append({"law": "left unit", "id": uid})
-            if row_of.get((uid, unit_uid)) != {uid: 1}:
+            if summands(uid, unit_uid) != ((uid, 1),):
                 problems.append({"law": "right unit", "id": uid})
         for r in table.rows:
-            mult = dict(r.summands).get(unit_uid, 0)
+            mult = next((m for u, m in r.summands if u == unit_uid), 0)
             want = 1 if table.duals[r.left] == r.right else 0
             if mult != want:
                 problems.append({"law": "unit multiplicity", "left": r.left, "right": r.right})
@@ -270,11 +276,10 @@ class FusionRing:
         # (x y)* = y* x* at the level of rows; summands may lie outside
         # the tabulated ball, so their duals resolve through the ring
         for r in table.rows:
-            dual_sum = sorted(
-                (self.dual_of(self.index.find(u)).uid, m) for u, m in r.summands
+            dual_sum = tuple(
+                sorted((self.dual_of(self.index.find(u)).uid, m) for u, m in r.summands)
             )
-            other = row_of.get((table.duals[r.right], table.duals[r.left]))
-            if other is None or sorted(other.items()) != dual_sum:
+            if summands(table.duals[r.right], table.duals[r.left]) != dual_sum:
                 problems.append({"law": "duality antihomomorphism", "left": r.left, "right": r.right})
         # associativity on a deterministic sample of triples
         triples = _sampled_triples(len(uids))

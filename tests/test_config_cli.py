@@ -1,20 +1,30 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
-from conftest import broken_compat_config, checkout_env, sigma_two_config, twisted_tau_config
+from conftest import (
+    broken_compat_config,
+    build_preset,
+    checkout_env,
+    sigma_two_config,
+    twisted_tau_config,
+)
 
+from bicrossed import cli
 from bicrossed.cli import run
 from bicrossed.config import build_config, config_hash, load_config_file, parse_scalar
 from bicrossed.cyclotomic import one, rational, root_of_unity
 from bicrossed.errors import ConfigError
+from bicrossed.fusion import FusionRow
 from bicrossed import presets
 from bicrossed.presets import resolve_preset, z_poly_zp_config
 
@@ -326,6 +336,124 @@ def test_cli_determinism_subprocess(tmp_path):
         assert out == want_out.encode() and err == b"", argv
         if argv[1] == "z_poly_zp:3":
             assert len(out) > 400_000
+
+
+# -- report emission ----------------------------------------------------------
+
+# sha256 of text reports as the emitter wrote them when it still joined
+# every line into one string; the streamed writer must give the same bytes.
+TEXT_REPORT_DIGESTS = [
+    (
+        0,
+        ["--preset", "h_z_z2", "fusion-table", "--radius", "3"],
+        "368c91b5b4ec17e3b6266ddfa6050e8618c01423deec11271e4d78de9667c528",
+    ),
+    (
+        0,
+        ["--preset", "h_z_z2n:3", "--radius", "4", "fusion-table"],
+        "bd8e3e2857e3528cf40cb919556b87240b29cd4d568376fcf358747c0178ee12",
+    ),
+    (
+        1,
+        ["--config", "BROKEN", "verify"],
+        "c2ff4b0873a397d83a76ef4c8167c6b8d0ef746030b6ea55e84076b0bc6e1b60",
+    ),
+]
+
+
+def test_cli_text_reports_pinned(tmp_path):
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(broken_compat_config()))
+    for want_code, argv, digest in TEXT_REPORT_DIGESTS:
+        argv = [str(broken) if a == "BROKEN" else a for a in argv]
+        code, out = capture(["--format", "text", *argv])
+        assert code == want_code, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+class _Wrapped:
+    """A record whose payload holds another value, records included."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def to_payload(self) -> dict:
+        return {"kind": "wrapped", "inner": self.inner}
+
+
+def _materialized(value):
+    """value with every record replaced by its to_payload(), all the way down."""
+    if hasattr(value, "to_payload"):
+        return _materialized(value.to_payload())
+    if isinstance(value, dict):
+        return {k: _materialized(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_materialized(v) for v in value]
+    return value
+
+
+def _emitted(report, fmt: str) -> str:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        cli._emit(report, fmt)
+    return buf.getvalue()
+
+
+def test_streamed_report_matches_one_shot_encoding():
+    build = build_preset("h_z_z2n:3")
+    status, payload, _code = cli.cmd_fusion_table(build, 4)
+    table_report = cli._report(build, "fusion-table", status, payload)
+    assert len(payload["rows"]) == 324 > cli._SLICE
+    n = cli._SLICE
+    row = FusionRow("0:0", "-1:0", (("-1:0", 1),))
+    synthetic = {
+        "empty": [],
+        "empty_dict": {},
+        "one_slice": list(range(n)),
+        "one_slice_plus_one": [{"i": i, "row": row} for i in range(n + 1)],
+        "two_slices": [[i, "x", None] for i in range(2 * n)],
+        "int_keys": {10: "ten", 2: [row], -1: None},
+        "nested": {"b": [{"z": 1, "a": [1, {"y": 2.5, "x": True}]}], "a": {"deep": {"er": []}}},
+        "non_ascii": "caf\u00e9 \u03b6\u2081\u2082 \u2014 \u221e \"q\"\n",
+        "k\u00e9y \"quoted\"": 1,
+        "record": _Wrapped(_Wrapped(row)),
+        "records": [_Wrapped(row)] * (n + 1),
+    }
+    for report in (table_report, synthetic, {"payload": synthetic}):
+        want = json.dumps(_materialized(report), sort_keys=True, separators=(",", ":")) + "\n"
+        assert _emitted(report, "json") == want
+    # the text view renders a record as its payload
+    assert _emitted(table_report, "text") == _emitted(_materialized(table_report), "text")
+
+
+class _CharCount:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text: str) -> int:
+        self.size += len(text)
+        return len(text)
+
+
+def test_emit_memory_bounded(z_poly_zp3):
+    # Writing the 414 KB z_poly_zp:3 table raised the traced heap by 3.4 MB
+    # when the rows became dicts and the report one string; streamed, with
+    # rows converted as they are encoded, it rises by about 0.4 MB.
+    status, payload, _code = cli.cmd_fusion_table(z_poly_zp3, 2)
+    report = cli._report(z_poly_zp3, "fusion-table", status, payload)
+    sink = _CharCount()
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        with redirect_stdout(sink):
+            cli._emit(report, "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 400_000
+    assert peak - entry < 1_000_000
 
 
 def test_load_config_file_errors(tmp_path):
