@@ -1,9 +1,11 @@
 """Irreducible characters of the (possibly twisted) stabilizer groups.
 
 Three providers build CharTables: a direct construction for abelian
-groups via invariant factors, a Burnside-Dixon computation over F_p with
-exact lifting to Q(zeta_exp) for the general case, and a parser/verifier
-for user-supplied tables.  Twisted tables reduce to ordinary ones of a
+groups via invariant factors, a Burnside-Dixon computation over F_p for
+the general case (common eigenspaces of the class matrices kept in
+row-echelon form, so no linear solve; the identity class found by
+lookup) with exact lifting to Q(zeta_exp), and a parser/verifier for
+user-supplied tables.  Twisted tables reduce to ordinary ones of a
 central extension by the group generated by the cocycle values.
 
 Whatever the search path, every table is verified exactly before it is
@@ -18,6 +20,7 @@ needs no elimination.  The verification is the correctness contract.
 from __future__ import annotations
 
 import itertools
+import operator
 from math import isqrt, lcm
 
 from .cyclotomic import CycNum, rational, root_of_unity, row_reduce
@@ -140,21 +143,6 @@ def _primitive_root(p: int) -> int:
     raise InternalInconsistencyError("no primitive root found")
 
 
-def _matmul_fp(A, B, p):
-    n, m, k = len(A), len(B[0]), len(B)
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                row = out[i]
-                for j in range(m):
-                    row[j] = (row[j] + a * Bt[j]) % p
-    return out
-
-
 def _row_reduce_fp(rows, ncols: int, p: int) -> list[int]:
     """Gauss-Jordan elimination over F_p on the first ncols columns of
     rows, in place; returns the pivot columns in order (row i has its
@@ -197,46 +185,16 @@ def _nullspace_fp(A, p):
     return basis
 
 
-def _solve_fp(B, rhs_list, p):
-    """Solve B x = rhs for each rhs (columns); B has full column rank."""
-    m = len(B[0])
-    k = len(rhs_list)
-    aug = [[B[i][j] for j in range(m)] + [rhs[i] for rhs in rhs_list] for i in range(len(B))]
-    pivots = _row_reduce_fp(aug, m, p)
-    if len(pivots) < m:
-        raise InternalInconsistencyError("dependent basis in F_p solve")
-    sols = [[0] * m for _ in range(k)]
-    for r, col in enumerate(pivots):
-        for t in range(k):
-            sols[t][col] = aug[r][m + t]
-    return sols
-
-
-def _class_matrices(G: FiniteGroup, classes):
-    """M_i with (M_i)[j][k] = #{(x,y) in C_i x C_j : xy = rep_k}."""
-    r = len(classes)
-    class_of = {}
-    for idx, cls in enumerate(classes):
-        for g in cls:
-            class_of[g] = idx
-    reps = [cls[0] for cls in classes]
-    mats = []
-    for i in range(r):
-        M = [[0] * r for _ in range(r)]
-        for k, z in enumerate(reps):
-            for x in classes[i]:
-                y = G.mul(G.inv(x), z)
-                j = class_of[y]
-                M[j][k] += 1
-        mats.append(M)
-    return mats, class_of, reps
-
-
 def dixon_char_table(G: FiniteGroup, to_parent=None) -> CharTable:
     """Ordinary irreducible characters over Q(zeta_exp(G)), Burnside-Dixon.
 
-    Common eigenvectors of the class multiplication matrices over F_p
-    give the central characters; degrees come from the orthogonality
+    The commuting class matrices (M_i)[j][k] = #{x in C_i : x^-1 z_k in
+    C_j}, z_k the representative of C_k, have the central characters as
+    common eigenvectors over F_p.  Each common eigenspace is a basis S in
+    reduced row-echelon form, so w = sum_t w[piv_t] S_t for w in it: M_i
+    restricted to it is read off M_i S_t at the pivots, with no solve, and
+    M_i S_t is summed over the classes of x^-1 z_k.  The identity class,
+    found by lookup, is skipped.  Degrees come from the orthogonality
     normalization, and values lift exactly through eigenvalue-multiplicity
     recovery (a discrete Fourier inversion over F_p).
     """
@@ -244,42 +202,46 @@ def dixon_char_table(G: FiniteGroup, to_parent=None) -> CharTable:
     r = len(classes)
     e = G.exponent()
     p = _find_dixon_prime(G.order, e)
-    mats, class_of, reps = _class_matrices(G, classes)
+    class_of = {g: k for k, cls in enumerate(classes) for g in cls}
+    reps = [cls[0] for cls in classes]
+    ident_class = class_of[G.identity]
 
-    # Split into common eigenspaces of all class matrices.  Blocks stay
-    # whole until an eigen-decomposition of some restriction separates
-    # them; the class matrices commute, so every block is invariant.
-    spaces = [[[1 if i == j else 0 for j in range(r)] for i in range(r)]]
-    for M in mats[1:]:
-        if all(len(S) == 1 for S in spaces):
+    # Split F_p^r into common eigenspaces, one class matrix at a time;
+    # the class matrices commute, so every block is invariant.
+    spaces = [([[int(i == j) for j in range(r)] for i in range(r)], list(range(r)))]
+    for i in range(r):
+        if all(len(S) == 1 for S, _ in spaces):
             break
+        if i == ident_class:
+            continue
+        rows_inv = [G.table[G.inv(x)] for x in classes[i]]
         new_spaces = []
-        for S in spaces:
+        for S, piv in spaces:
             d = len(S)
             if d == 1:
-                new_spaces.append(S)
+                new_spaces.append((S, piv))
                 continue
-            # Restriction A of M to span(S): column j solves St a = M b_j,
-            # where the b_j (rows of S) are the block basis.
-            St = [[S[j][i] for j in range(d)] for i in range(r)]
-            MSt = _matmul_fp(M, St, p)
-            rhs_cols = [[MSt[i][j] for i in range(r)] for j in range(d)]
-            A_cols = _solve_fp(St, rhs_cols, p)
-            A = [[A_cols[j][i] for j in range(d)] for i in range(d)]
+            A = [[0] * d for _ in range(d)]  # M_i S_j = sum_t A[t][j] S_t
+            for j, v in enumerate(S):
+                Mv = [0] * r
+                for k, c in enumerate(v):
+                    if c:
+                        z = reps[k]
+                        for row in rows_inv:
+                            Mv[class_of[row[z]]] += c
+                for t, col in enumerate(piv):
+                    A[t][j] = Mv[col] % p
+            S_cols = list(zip(*S))
             found = 0
             for lam in range(p):
-                B = [[(A[i][j] - (lam if i == j else 0)) % p for j in range(d)] for i in range(d)]
+                B = [[(A[t][j] - (lam if t == j else 0)) % p for j in range(d)] for t in range(d)]
                 null = _nullspace_fp(B, p)
                 if null:
-                    block = []
-                    for vec in null:
-                        w = [0] * r
-                        for t, c in enumerate(vec):
-                            if c:
-                                for i in range(r):
-                                    w[i] = (w[i] + c * S[t][i]) % p
-                        block.append(w)
-                    new_spaces.append(block)
+                    block = [
+                        [sum(map(operator.mul, vec, col)) % p for col in S_cols]
+                        for vec in null
+                    ]
+                    new_spaces.append((block, _row_reduce_fp(block, r, p)))
                     found += len(null)
                     if found == d:
                         break
@@ -288,81 +250,52 @@ def dixon_char_table(G: FiniteGroup, to_parent=None) -> CharTable:
                     "class-matrix restriction not diagonalizable over F_p"
                 )
         spaces = new_spaces
-    if any(len(S) > 1 for S in spaces) or len(spaces) != r:
+    if any(len(S) > 1 for S, _ in spaces) or len(spaces) != r:
         raise InternalInconsistencyError("class matrices failed to separate characters")
 
-    omegas = []
-    ident_class = class_of[G.identity]
-    for S in spaces:
-        v = S[0]
-        if v[ident_class] % p == 0:
+    inv_class = [class_of[G.inv(z)] for z in reps]
+    inv_sizes = [pow(len(cls), p - 2, p) for cls in classes]
+    chars_fp = []
+    for (v,), _ in spaces:
+        if v[ident_class] == 0:
             raise InternalInconsistencyError("eigenvector vanishes at the identity class")
         inv = pow(v[ident_class], p - 2, p)
-        omegas.append([(x * inv) % p for x in v])
-
-    inv_class = [class_of[G.inv(reps[k])] for k in range(r)]
-    class_sizes = [len(c) for c in classes]
-    chars_fp = []
-    for om in omegas:
-        s = 0
-        for k in range(r):
-            s = (s + om[k] * om[inv_class[k]] * pow(class_sizes[k], p - 2, p)) % p
+        om = [(x * inv) % p for x in v]
+        s = sum(om[k] * om[inv_class[k]] * inv_sizes[k] for k in range(r)) % p
         if s == 0:
             raise InternalInconsistencyError("degenerate norm in Dixon normalization")
         chi1_sq = (G.order * pow(s, p - 2, p)) % p
-        chi1 = None
-        for cand in range(1, p):
-            if cand * cand % p == chi1_sq:
-                chi1 = min(cand, p - cand)
-                break
+        chi1 = next((min(c, p - c) for c in range(1, p) if c * c % p == chi1_sq), None)
         if chi1 is None:
             raise InternalInconsistencyError("character degree is not a square mod p")
-        row = [(om[k] * chi1 * pow(class_sizes[k], p - 2, p)) % p for k in range(r)]
-        chars_fp.append((chi1, row))
+        chars_fp.append((chi1, [(om[k] * chi1 * inv_sizes[k]) % p for k in range(r)]))
 
     # Exact lift. chi(g) = sum_t mu_t zeta_e^t with mu_t the multiplicity
-    # of the eigenvalue zeta_e^t; mu_t < p recovers exactly.
+    # of the eigenvalue zeta_e^t; 0 <= mu_t <= dim < p recovers exactly.
+    # omega has order e in F_p^x, dft[t][a] = omega^(-ta) / e, and
+    # power_class[k][a] is the class of z_k^a.
     omega = pow(_primitive_root(p), (p - 1) // e, p)
-    power_class = {}
-    for k in range(r):
-        g = reps[k]
-        cur = G.identity
-        lst = []
-        for _a in range(e):
-            lst.append(class_of[cur])
-            cur = G.mul(cur, g)
-        power_class[k] = lst
     e_inv = pow(e, p - 2, p)
+    dft = [[pow(omega, -t * a % e, p) * e_inv % p for a in range(e)] for t in range(e)]
+    zetas = [root_of_unity(t, e) for t in range(e)]
+    power_class = [[class_of[G.power(z, a)] for a in range(e)] for z in reps]
     n = G.order
     parent = tuple(to_parent) if to_parent is not None else tuple(range(n))
+    order = sorted(range(n), key=parent.__getitem__)
+    elements = tuple(parent[g] for g in order)
     chars = []
     for chi1, row in chars_fp:
         values_by_class = []
-        for k in range(r):
+        for pcs in power_class:
+            ys = [row[c] for c in pcs]
             val = rational(0)
-            for t in range(e):
-                mu = 0
-                wat = pow(omega, (-t) % (p - 1), p)
-                acc = 1
-                for a in range(e):
-                    mu = (mu + row[power_class[k][a]] * acc) % p
-                    acc = (acc * wat) % p
-                mu = (mu * e_inv) % p  # true multiplicity: 0 <= mu <= dim < p
+            for zeta, wt in zip(zetas, dft):
+                mu = sum(map(operator.mul, ys, wt)) % p
                 if mu:
-                    val = val + rational(mu) * root_of_unity(t, e)
+                    val = val + rational(mu) * zeta
             values_by_class.append(val)
-        vals = [None] * n
-        for k, cls in enumerate(classes):
-            for g in cls:
-                vals[g] = values_by_class[k]
-        pairs = sorted(zip(parent, range(n)))
-        chars.append(
-            TwistedChar(
-                tuple(pid for pid, _gi in pairs),
-                tuple(vals[gi] for _pid, gi in pairs),
-                chi1,
-            )
-        )
+        values = tuple(values_by_class[class_of[g]] for g in order)
+        chars.append(TwistedChar(elements, values, chi1))
     table = _sorted_table(chars, "burnside-dixon")
     verify_char_table(G, table, to_parent=parent, twisted=False)
     return table
@@ -495,8 +428,9 @@ def twisted_char_table(G: FiniteGroup, elements, beta) -> CharTable:
     zeta_m = root_of_unity(1, m)
     kept = []
     for c in ext_table.chars:
-        if c.value(central) == rational(c.dim) * zeta_m:
-            vals = {to_parent[a]: c.value(a * m) for a in range(sub.order)}
+        vmap = c.value_map()
+        if vmap[central] == rational(c.dim) * zeta_m:
+            vals = {to_parent[a]: vmap[a * m] for a in range(sub.order)}
             elems = tuple(sorted(vals))
             kept.append(TwistedChar(elems, tuple(vals[g] for g in elems), c.dim))
     table = _sorted_table(kept, "central-extension")

@@ -157,6 +157,32 @@ def broken_linear_config() -> dict:
     }
 
 
+def drinfeld_s3_relabeled_config() -> dict:
+    """drinfeld:S3 on a table whose identity is element 1 and whose
+    element 0 is a transposition, so conjugacy class 0 is not the
+    identity class: right action g f g^-1, left action trivial."""
+    table = [
+        [1, 0, 4, 5, 2, 3],
+        [0, 1, 2, 3, 4, 5],
+        [3, 2, 1, 0, 5, 4],
+        [2, 3, 5, 4, 1, 0],
+        [5, 4, 0, 1, 3, 2],
+        [4, 5, 3, 2, 0, 1],
+    ]
+    n = len(table)
+    inv = [table[a].index(1) for a in range(n)]
+    right = [[table[table[g][f]][inv[g]] for f in range(n)] for g in range(n)]
+    return {
+        "name": "drinfeld_s3_identity_at_1",
+        "group": {"type": "table", "table": table, "name": "S3"},
+        "f_group": {"type": "finite", "table": table, "name": "S3"},
+        "action": {"type": "tables", "right": right, "left": [[g] * n for g in range(n)]},
+        "sigma": {"type": "trivial"},
+        "tau": {"type": "trivial"},
+        "radius": 0,
+    }
+
+
 def sigma_two_config() -> dict:
     """One sigma value set to 2: rejected by the unitarity gate."""
     one = "1"

@@ -15,6 +15,7 @@ from conftest import (
     broken_compat_config,
     build_preset,
     checkout_env,
+    drinfeld_s3_relabeled_config,
     sigma_two_config,
     twisted_tau_config,
 )
@@ -288,6 +289,27 @@ def test_cli_sigma_two_witness(tmp_path):
     w = rep["payload"]["witness"]
     assert w["kind"] == "sigma"
     assert (w["g"], w["f"], w["f2"], w["value"]) == (1, "1", "1", "2")
+
+
+def test_cli_identity_not_at_index_0(tmp_path):
+    """A double of S3 whose class 0 is the transpositions, not the identity
+    class, has the simples and the based ring of drinfeld:S3."""
+    path = tmp_path / "s3_identity_at_1.json"
+    path.write_text(json.dumps(drinfeld_s3_relabeled_config()))
+
+    def shape(rep):
+        keys = ("dim_total", "orbit_size", "stabilizer_order")
+        return sorted(tuple(s[k] for k in keys) for s in rep["payload"]["simples"])
+
+    code, rep = capture_json(["--config", str(path), "simples"])
+    assert code == 0 and rep["status"] == "pass"
+    assert rep["payload"]["count"] == 8
+    _, ref = capture_json(["--preset", "drinfeld:S3", "simples", "--radius", "0"])
+    assert shape(rep) == shape(ref)
+    code, rep = capture_json(["--config", str(path), "fusion-table"])
+    assert code == 0
+    assert rep["payload"]["based_ring"]["ok"]
+    assert shape(rep) == shape(ref)
 
 
 def test_cli_cqg_pass():
