@@ -180,23 +180,28 @@ _SIMPLE_ID = "simple id '<f>:<index>'"
 
 @_command("verify", "matched pair + cocycles + Hopf axioms")
 def cmd_verify(build: Build, radius: int) -> tuple[str, dict, int]:
-    reports = [
+    # The premise reports decide whether the Hopf laws are read off them
+    # or walked (verify_hopf); the payload is the same either way.
+    premises = (
         verify_matched_pair(build.ctx, radius),
         verify_cocycles(build.ctx, build.sigma, build.tau, radius),
-        verify_hopf(build.hopf, radius),
-    ]
+    )
+    reports = [*premises, verify_hopf(build.hopf, radius, premises=premises)]
     ok = all(r.ok for r in reports)
     payload = {"radius": radius, "reports": reports}
     return ("pass" if ok else "fail"), payload, (EXIT_OK if ok else EXIT_VERIFICATION)
 
 
-def _require_verified(build: Build, radius: int) -> None:
+def _require_verified(build: Build, radius: int) -> tuple:
+    """Raise unless the matched-pair and cocycle laws pass; return their
+    two reports, the premises of verify_hopf and verify_star."""
     mp = verify_matched_pair(build.ctx, radius)
     if not mp.ok:
         raise VerificationFailure("matched-pair laws fail", mp.to_payload())
     cc = verify_cocycles(build.ctx, build.sigma, build.tau, radius)
     if not cc.ok:
         raise VerificationFailure("cocycle laws fail", cc.to_payload())
+    return mp, cc
 
 
 @_command("simples", "enumerate simple comodules in the ball")
@@ -315,8 +320,8 @@ def cmd_cqg_check(build: Build, radius: int) -> tuple[str, dict, int]:
     if not ok:
         payload = {"unitary": False, "witness": witness}
         return "fail", payload, EXIT_VERIFICATION
-    _require_verified(build, radius)
-    star = verify_star(build.hopf, radius)
+    premises = _require_verified(build, radius)
+    star = verify_star(build.hopf, radius, premises=premises)
     unit = build.hopf.unit()
     haar_unit = build.hopf.integral(unit)
     gram_expected = rational(1) / rational(build.hopf.G.order)

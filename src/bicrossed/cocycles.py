@@ -73,7 +73,7 @@ class _CocycleSpec:
     def finite_table(cls, ctx: MatchedPairCtx, values):
         m = ctx.F.group.order
         spec = cls("table", table=_check_3d_table(values, *cls._shape(ctx.G.order, m), cls.name))
-        spec._check_normalization(ctx, range(m), ctx.F.group.identity)
+        spec._check_normalization(ctx)
         return spec
 
     @classmethod
@@ -84,13 +84,24 @@ class _CocycleSpec:
         if len(moduli) != ctx.F.rank:
             raise ConfigError("moduli vector length must equal the free-abelian rank")
         spec.table = _check_3d_table(values, *cls._shape(ctx.G.order, spec.quot.size), cls.name)
-        spec._check_normalization(ctx, spec.quot.representatives(), ctx.F.identity)
+        spec._check_normalization(ctx)
         return spec
 
-    def _check_normalization(self, ctx, f_domain, f_identity) -> None:
-        for message, value in self._normalization(ctx, f_domain, f_identity):
+    def _normalization_values(self, ctx):
+        """(message, value) per normalization instance, on all of a finite
+        F or one representative per quotient class; each value must be 1."""
+        domain = range(ctx.F.group.order) if self.quot is None else self.quot.representatives()
+        return self._normalization(ctx, domain, ctx.F.identity)
+
+    def _check_normalization(self, ctx) -> None:
+        for message, value in self._normalization_values(ctx):
             if not value.is_one():
                 raise ConfigError(message)
+
+    def is_normalized(self, ctx: MatchedPairCtx) -> bool:
+        """The normalizations hold.  trivial, finite_table and quotient_lift
+        enforce them; a spec made by the constructor itself need not."""
+        return self.is_trivial or all(v.is_one() for _m, v in self._normalization_values(ctx))
 
     @property
     def is_trivial(self) -> bool:
@@ -282,7 +293,7 @@ def verify_cocycles(
             ("sigma/tau compatibility", n**2 * nd**2, compatibility),
         )
     ]
-    return VerifyReport("cocycles", checks)
+    return VerifyReport("cocycles", checks, (ctx, sigma, tau))
 
 
 class Beta2Cocycle:

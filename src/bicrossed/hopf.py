@@ -14,7 +14,7 @@ import functools
 from .cyclotomic import CycNum, one, rational
 from .errors import InternalInconsistencyError, VerificationFailure
 from .groups import f_ball
-from .matched_pair import CheckResult, MatchedPairCtx, VerifyReport, run_check
+from .matched_pair import _LAWS, CheckResult, MatchedPairCtx, VerifyReport, run_check
 from .cocycles import SigmaCocycle, TauCocycle, is_unitary
 
 _ONE = one()
@@ -338,6 +338,32 @@ def comul_product(product, da_by_x: dict, db_by_x: dict) -> dict:
     return out
 
 
+# The premise laws a Hopf or star law is derived from, as named in the
+# matched-pair and cocycle reports.
+_RIGHT, _LEFT, _COMPAT_F, _COMPAT_G, _INVERSES = _LAWS
+_SIGMA, _TAU, _SIGMA_TAU = "sigma cocycle law", "tau cocycle law", "sigma/tau compatibility"
+_UNITARY = "unitarity"
+_EVERY_LAW = (*_LAWS, _SIGMA, _TAU, _SIGMA_TAU)
+
+
+def _certified(premises, H: BicrossedHopf) -> bool:
+    """True when premises are the matched-pair and the cocycle report of H
+    (by their subjects), both passing, every check with a global scope,
+    and both cocycles are normalized.  The global scopes are "global" for
+    finite F and for cocycles read on quotient representatives or
+    trivial, and "global (spot ball)" for a linear action whose
+    homomorphism check passed.  A "ball radius r" scope certifies the
+    laws on a ball only, so it certifies nothing here."""
+    if premises is None or len(premises) != 2:
+        return False
+    subjects = {r.title: r.subject for r in premises}
+    if subjects != {"matched pair": H.ctx, "cocycles": (H.ctx, H.sigma, H.tau)}:
+        return False
+    if not all(r.ok and all(c.scope.startswith("global") for c in r.checks) for r in premises):
+        return False
+    return H.sigma.is_normalized(H.ctx) and H.tau.is_normalized(H.ctx)
+
+
 PAIR_BUDGET = 90
 
 
@@ -362,10 +388,15 @@ class _Sweep:
     matched pair, times a weight, read off the cocycles: product(k1, k2) is
     None or (key, weight sigma), coproduct(k) is {(k1, k2): weight tau},
     antipode(k) is (key, weight of sigma and tau) and star(k) is (key,
-    weight sigma).  A weight is None where its cocycles are trivial."""
+    weight sigma).  A weight is None where its cocycles are trivial.
 
-    def __init__(self, H: BicrossedHopf, radius: int, max_violations: int):
+    When the premises are certified (_certified), a law given the
+    premise laws it derives from is reported with its scope and instance
+    count and no walk; otherwise every law is walked."""
+
+    def __init__(self, H: BicrossedHopf, radius: int, max_violations: int, premises=None):
         self.H = H
+        self.certified = _certified(premises, H)
         G, F = H.G, H.F
         self.keys = [(g, f) for f in f_ball(F, radius) for g in G.elements()]
         r_pair = pair_check_radius(H, radius)
@@ -396,19 +427,28 @@ class _Sweep:
             self._with_g[gs] = [k for k in self.pair_keys if k[0] in gs]
         return self._with_g[gs]
 
-    def run(self, name, scope, instances, witnesses):
-        self.checks.append(run_check(name, scope, instances, witnesses, self.max_violations))
+    def run(self, name, scope, instances, witnesses, by=()):
+        """Report a law: implied by the premise laws `by` when the premises
+        are certified and `by` names some, else walked.  witnesses is
+        lazy, so an implied law evaluates no instance."""
+        if self.certified and by:
+            basis = "implied by: " + ", ".join(by)
+            self.checks.append(CheckResult(name, scope, instances, [], 0, basis))
+        else:
+            self.checks.append(
+                run_check(name, scope, instances, witnesses, self.max_violations, "walked")
+            )
 
-    def per_element(self, name, holds):
+    def per_element(self, name, holds, by=()):
         """A law on single basis elements, holds(key) -> bool."""
         witnesses = (self.name_key(k) for k in self.keys if not holds(k))
-        self.run(name, self.scope_elem, len(self.keys), witnesses)
+        self.run(name, self.scope_elem, len(self.keys), witnesses, by)
 
-    def per_pair(self, name, law):
+    def per_pair(self, name, law, by=()):
         """A law on pairs of basis elements; law() yields the witnesses."""
-        self.run(name, self.scope_pair, len(self.pair_keys) ** 2, law())
+        self.run(name, self.scope_pair, len(self.pair_keys) ** 2, law(), by)
 
-    def involution(self, name, m, scalar):
+    def involution(self, name, m, scalar, by=()):
         """m(m(p_k)) = p_k for m the antipode or star memo and scalar its rule,
         m(v p_k) = scalar(v) m(p_k): one term, scalar(c) d p_t, against p_k."""
 
@@ -417,9 +457,9 @@ class _Sweep:
             t, d = m(s)
             return t == k and _number(_weigh(scalar(c), d)) == _ONE
 
-        self.per_element(name, holds)
+        self.per_element(name, holds, by)
 
-    def comultiplicative(self, name, m, scalar, flip):
+    def comultiplicative(self, name, m, scalar, flip, by=()):
         """Delta(m(p_k)) = (m (x) m) Delta(p_k), its legs flipped first if flip.
         Delta(p_s) has |G| distinct keys and nonzero values, so the right side
         matches it only if its |G| keys are distinct too: no sums needed."""
@@ -432,20 +472,20 @@ class _Sweep:
                 rhs[(s2, s1) if flip else (s1, s2)] = _weigh(_weigh(scalar(w), c1), c2)
             return _scaled(c0, self.coproduct(s)) == rhs
 
-        self.per_element(name, holds)
+        self.per_element(name, holds, by)
 
-    def antimultiplicative(self, name, m, scalar):
+    def antimultiplicative(self, name, m, scalar, by=()):
         """m(ab) = m(b) m(a) on pairs of basis elements, each side 0 or one
         term.  It walks only the b with g-part g < f for a = p_g#f (ab) or
         whose image key acts on the left to the g-part of a's (m(b) m(a))."""
         product, act_left = self.product, self.H.ctx.act_left
-        images = {k: m(k) for k in self.pair_keys}
-        position = {k: i for i, k in enumerate(self.pair_keys)}
-        by_image: dict = {}
-        for k, (s, _c) in images.items():
-            by_image.setdefault(act_left(*s), []).append(k)
 
         def law():
+            images = {k: m(k) for k in self.pair_keys}
+            position = {k: i for i, k in enumerate(self.pair_keys)}
+            by_image: dict = {}
+            for k, (s, _c) in images.items():
+                by_image.setdefault(act_left(*s), []).append(k)
             for k1, (s1, c1) in images.items():
                 walk = set(self.keys_with_g({act_left(*k1)}))
                 walk.update(by_image.get(s1[0], ()))
@@ -462,15 +502,63 @@ class _Sweep:
                     if lhs != rhs:
                         yield {"a": self.name_key(k1), "b": self.name_key(k2)}
 
-        self.per_pair(name, law)
+        self.per_pair(name, law, by)
 
 
 def verify_hopf(
     H: BicrossedHopf,
     radius: int = 3,
     max_violations: int = 10,
+    premises=None,
 ) -> VerifyReport:
     """Axiom sweep over basis elements with f-parts in the ball.
+
+    premises, when given, is the pair of reports of verify_matched_pair on
+    H.ctx and verify_cocycles on H.ctx, H.sigma, H.tau.  If both pass with
+    a global scope and the cocycles are normalized (_certified), each law
+    below is implied by the premise laws named with it and reported with
+    its scope and instance count and no walk: H is then a Hopf algebra
+    (Takeuchi 1981, Masuoka 2002).  A failing or ball-scoped premise, the
+    reports of another H, or none, walks every law, so the walk's
+    witnesses are unchanged.  The derivations, on p_g#f with
+    p_g#f . p_g2#f2 = delta(g < f, g2) sigma(g; f, f2) p_g#ff2 and
+    Delta(p_g#f) = sum_x tau(g x^-1, x; f) p_{g x^-1}#(x > f) (x) p_x#f.  The
+    normalizations sigma(g; 1, f) = sigma(g; f, 1) = sigma(1; f, f2) = 1 and
+    tau(1, g; f) = tau(g, 1; f) = tau(g, g2; 1) = 1 are a premise too: every
+    config enforces them, and a spec that fails them walks (sigma = c,
+    tau = 1/c pass the cocycle laws but not the unit laws):
+    - unit laws: g < 1 = g (left action law) and sigma normalized.
+    - associativity: both sides are p_g#ff2f3 exactly when g2 = g < f and
+      g3 = (g < f) < f2 = g < ff2 (left action law), with the two sides of
+      the sigma cocycle law at (g; f, f2, f3) as coefficients.
+    - counit laws: eps picks x = g with e > f = f (right action law), or
+      x = e; tau normalized.
+    - coassociativity: with z = y x the two sides have the keys
+      p_{g x^-1 y^-1}#(y x > f) (x) p_y#(x > f) (x) p_x#f (right action law)
+      and the two sides of the tau cocycle law at (g x^-1 y^-1, y, x; f).
+    - bialgebra compatibility: in Delta(a) Delta(b) the right legs meet
+      only at y = x < f, the left legs give g x^-1 < (x > f) = (g < f) y^-1
+      (left compatibility) and (x > f)(y > f2) = x > f f2 (right
+      compatibility); the coefficients are the two sides of sigma/tau
+      compatibility at (g x^-1, x; f, f2).  Delta(1) = 1 (x) 1 as g > 1 = 1
+      (inverse identities); eps(ab) = eps(a) eps(b) as e < f = e.
+    - antipode law: S(p_{g x^-1}#(x > f)) p_x#f is nonzero only at g = e
+      (inverse identities, left action law), and there its coefficient is
+      tau(x^-1, x; f)/tau(x, x^-1; x > f) = 1 (tau cocycle law at
+      (x, x^-1, x; f)) with sigma(x < f; f^-1, f) = sigma(x; f, f^-1)
+      (sigma cocycle law at (x; f, f^-1, f)); p_{g x^-1}#(x > f) S(p_x#f)
+      needs (g < f) = e by the left compatibility.
+    - antipode antimultiplicative, antipode coalgebra antihomomorphism:
+      with the laws above H is a bialgebra and S its convolution inverse of
+      id, which in any bialgebra is an algebra and coalgebra
+      antihomomorphism.
+    - S^2 = id: S^2 p_g#f has key (g, f) by the inverse identities and the
+      action laws, and coefficient 1 by the sigma cocycle law at
+      (g; f, f^-1, f), sigma/tau compatibility at (g^-1, g; f, f^-1) and the
+      tau cocycle law at (g < f, (g < f)^-1, g < f; f^-1).
+    - left integral law: only f = 1 counts, and Delta(p_g#1) =
+      sum_x p_{g x^-1}#1 (x) p_x#1 as x > 1 = 1 (inverse identities).
+    "<T, unit> = 1" is one evaluation and always runs.
 
     Per-element laws (unit laws, counit, coassociativity, antipode law,
     S^2, left integral) run on every basis element at the full radius.
@@ -482,13 +570,13 @@ def verify_hopf(
     the rest are 0 == 0.  They read the structure maps as keys times weights
     from the memos of _Sweep.  With the global cocycle-law checks these
     cover the polyadic axioms: on basis elements associativity at a triple
-    is equivalent to the right-action law plus the sigma law there.
+    is equivalent to the left action law plus the sigma law there.
 
     "bialgebra compatibility" checks each pair against Delta and eps, each
     with its own witness, and Delta(1) = 1 (x) 1 once more, so its
     violation_count can reach 2 * instances + 1.
     """
-    sweep = _Sweep(H, radius, max_violations)
+    sweep = _Sweep(H, radius, max_violations, premises)
     pair_keys, name_key = sweep.pair_keys, sweep.name_key
     product, coproduct, antipode = sweep.product, sweep.coproduct, sweep.antipode
     basis = HElem.basis
@@ -498,7 +586,7 @@ def verify_hopf(
         b = basis(*k)
         return H.mul(unit, b) == b and H.mul(b, unit) == b
 
-    sweep.per_element("unit laws", unit_laws)
+    sweep.per_element("unit laws", unit_laws, (_LEFT,))
 
     act_left = H.ctx.act_left
 
@@ -522,7 +610,8 @@ def verify_hopf(
                     if q != r or _weigh(c12, w) != _weigh(v, c23):
                         yield {"a": name_key(k1), "b": name_key(k2), "c": name_key(k3)}
 
-    sweep.run("associativity", sweep.scope_pair, len(pair_keys) ** 3, associativity())
+    by = (_LEFT, _SIGMA)
+    sweep.run("associativity", sweep.scope_pair, len(pair_keys) ** 3, associativity(), by)
 
     # counit laws: (eps (x) id) Delta = id = (id (x) eps) Delta, each a sum of
     # the terms of Delta(p_k) whose other leg has g-part e
@@ -534,7 +623,7 @@ def verify_hopf(
         right = _accumulate((k1, _number(c)) for (k1, k2), c in terms if k2[0] == e)
         return left == right == {k: _ONE}
 
-    sweep.per_element("counit laws", counit_laws)
+    sweep.per_element("counit laws", counit_laws, (_RIGHT,))
 
     def coassociativity(k):
         # (Delta (x) id) Delta = (id (x) Delta) Delta, keyed by triples.  The terms
@@ -545,7 +634,7 @@ def verify_hopf(
         rhs = {(a, m1, m2): c for (a, b), v in t for (m1, m2), c in _scaled(v, coproduct(b)).items()}
         return lhs == rhs
 
-    sweep.per_element("coassociativity", coassociativity)
+    sweep.per_element("coassociativity", coassociativity, (_RIGHT, _TAU))
 
     # Delta and eps are algebra maps
     def bialgebra():
@@ -571,7 +660,8 @@ def verify_hopf(
                 if k1[0] == e and (_number(p[1]) if p else zero) != (_ONE if k2[0] == e else zero):
                     yield {"law": "eps", "a": name_key(k1), "b": name_key(k2)}
 
-    sweep.per_pair("bialgebra compatibility", bialgebra)
+    by = (_RIGHT, _COMPAT_F, _COMPAT_G, _INVERSES, _SIGMA_TAU)
+    sweep.per_pair("bialgebra compatibility", bialgebra, by)
 
     # antipode law: m(S (x) id)Delta = m(id (x) S)Delta = eps * unit, summed
     # term by term: S(p_k1) p_k2 and p_k1 S(p_k2) are 0 or one basis term
@@ -586,12 +676,15 @@ def verify_hopf(
                     _add_term(side, p[0], _number(_weigh(_weigh(c, w), p[1])))
         return left == target and right == target
 
-    sweep.per_element("antipode law", antipode_law)
+    by = (_RIGHT, _LEFT, _COMPAT_G, _INVERSES, _SIGMA, _TAU)
+    sweep.per_element("antipode law", antipode_law, by)
 
-    sweep.antimultiplicative("antipode antimultiplicative", antipode, _linear)
+    sweep.antimultiplicative("antipode antimultiplicative", antipode, _linear, _EVERY_LAW)
     # S is a coalgebra antihomomorphism: Delta(S(b)) = (S (x) S) flip Delta(b)
-    sweep.comultiplicative("antipode coalgebra antihomomorphism", antipode, _linear, flip=True)
-    sweep.involution("S^2 = id", antipode, _linear)
+    name = "antipode coalgebra antihomomorphism"
+    sweep.comultiplicative(name, antipode, _linear, flip=True, by=_EVERY_LAW)
+    by = (_RIGHT, _LEFT, _INVERSES, _SIGMA, _TAU, _SIGMA_TAU)
+    sweep.involution("S^2 = id", antipode, _linear, by)
 
     # left integral law: h1 <T, h2> = <T, h> unit.  <T, p_g#f> = delta(f, 1)/|G| and
     # Delta(p_g#f) has right legs p_x#f and distinct left legs, so only f = 1 counts.
@@ -601,7 +694,7 @@ def verify_hopf(
     def left_integral(k):
         return k[1] != f1 or {k1: _weigh(c, inv_order) for (k1, _k2), c in coproduct(k).items()} == t_terms
 
-    sweep.per_element("left integral law", left_integral)
+    sweep.per_element("left integral law", left_integral, (_INVERSES,))
 
     t_unit = H.integral(unit)
     witnesses = [] if t_unit.is_one() else [{"value": t_unit.literal()}]
@@ -614,15 +707,39 @@ def verify_star(
     H: BicrossedHopf,
     radius: int = 3,
     max_violations: int = 10,
+    premises=None,
 ) -> VerifyReport:
     """Star-structure sweep: involution, conjugate linearity against the
     coproduct, antimultiplicativity, and the Haar form on basis elements.
     The first three are antipode laws too, here read off the star memo.
 
     Callers should run is_unitary first; this raises on non-unitary data.
+    Past that gate the cocycle values have modulus one on the cocycle
+    domain, all of F when the cocycle scope is global, so conj(sigma) is
+    sigma^-1 there.  premises are as for verify_hopf, and when they are
+    certified each law below is implied by the laws named with it and is
+    not walked; (p_g#f)* = conj(sigma(g; f, f^-1)) p_{g < f}#f^-1:
+    - star involution: (p_g#f)** has key (g, f) (left action law) and
+      coefficient conj(sigma(g; f, f^-1)) sigma(g < f; f^-1, f) =
+      |sigma(g; f, f^-1)|^2 = 1 (sigma cocycle law at (g; f, f^-1, f)).
+    - Delta is a star map: the terms of Delta((p_g#f)*) and of
+      (* (x) *) Delta(p_g#f) meet at x = y < f, with left legs
+      (g < f)(y < f)^-1 = g y^-1 < (y > f) (left compatibility) and
+      (y < f) > f^-1 = (y > f)^-1 (inverse identities); the coefficients
+      agree by sigma/tau compatibility at (g y^-1, y; f, f^-1).
+    - star antimultiplicative: (p_{g < f}#f^-1)(p_g#f) = sigma(g; f, f^-1)
+      p_{g < f}#1, so with unitary sigma a* is the inverse of a in the
+      groupoid of arrows g -> g < f (associative by the sigma cocycle law),
+      and inverses reverse products.
+    - haar_gram(b,b) = 1/|G|: <T, b* b> = |sigma(g; f, f^-1)|^2/|G|, as for
+      the involution.
+    - haar_gram off-diagonal = 0: b2* b1 has f-part f2^-1 f1 and is nonzero
+      only if g1 = (g2 < f2) < f2^-1 = g2 (left action law), so its
+      integral vanishes unless b1 = b2.
+    "star fixes the unit" is one evaluation and always runs.
     """
     H.require_unitary(radius)
-    sweep = _Sweep(H, radius, max_violations)
+    sweep = _Sweep(H, radius, max_violations, premises)
     pair_keys, name_key = sweep.pair_keys, sweep.name_key
     basis = HElem.basis
     unit = H.unit()
@@ -630,16 +747,18 @@ def verify_star(
     witnesses = [] if H.star(unit) == unit else [{"element": "unit"}]
     sweep.run("star fixes the unit", "single", 1, witnesses)
 
-    sweep.involution("star involution", sweep.star, _conj)
-    sweep.comultiplicative("Delta is a star map", sweep.star, _conj, flip=False)
-    sweep.antimultiplicative("star antimultiplicative", sweep.star, _conj)
+    groupoid = (_LEFT, _SIGMA, _UNITARY)  # a* is the inverse of a
+    sweep.involution("star involution", sweep.star, _conj, groupoid)
+    by = (_LEFT, _COMPAT_G, _INVERSES, _SIGMA_TAU, _UNITARY)
+    sweep.comultiplicative("Delta is a star map", sweep.star, _conj, flip=False, by=by)
+    sweep.antimultiplicative("star antimultiplicative", sweep.star, _conj, groupoid)
 
     # Haar form: <b, b>_r = 1/|G| on basis elements, 0 off the diagonal
     def haar_diagonal(k):
         b = basis(*k)
         return H.haar_gram(b, b) == H._inv_g_order
 
-    sweep.per_element("haar_gram(b,b) = 1/|G|", haar_diagonal)
+    sweep.per_element("haar_gram(b,b) = 1/|G|", haar_diagonal, groupoid)
 
     def haar_off_diagonal():
         # <b1, b2>_r = <T, b2* b1> reads b1 only at the Haar partner of a
@@ -655,6 +774,7 @@ def verify_star(
                     yield {"a": name_key(k1), "b": name_key(k2)}
 
     n = len(pair_keys)
-    sweep.run("haar_gram off-diagonal = 0", sweep.scope_pair, n * (n - 1), haar_off_diagonal())
+    name = "haar_gram off-diagonal = 0"
+    sweep.run(name, sweep.scope_pair, n * (n - 1), haar_off_diagonal(), (_LEFT,))
 
     return VerifyReport("star structure", sweep.checks)

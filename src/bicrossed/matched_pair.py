@@ -10,7 +10,8 @@ Each action kind owns its validation, its maps and its certificate:
 bind checks the data against G and F and returns act_right and act_left
 (closures over the tables, or each M_g compiled to sparse integer rows),
 and certificate runs the checks that certify the laws globally and names
-the laws they imply.  No caller dispatches on the kind.
+the laws they imply, each with its basis.  No caller dispatches on the
+kind.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ _LAWS = (
     "compatibility: (g g')<f = (g<(g'>f))(g'<f)",
     "inverse identities",
 )
+
+# The basis of a law certified by a check over a generating set.
+_ON_GENERATORS = "generators, full walk on failure"
 
 
 class TableActions:
@@ -60,8 +64,76 @@ class TableActions:
         return all(x == g for g, row in enumerate(self.left) for x in row)
 
     def certificate(self, ctx: "MatchedPairCtx", radius: int, max_violations: int):
-        """No check certifies the laws: each is walked on all of F."""
-        return [], f_ball(ctx.F, radius), "global", frozenset()
+        """Each of the four action and compatibility laws is checked with
+        one argument running over a generating set S (groups.generating_set),
+        the induction of Light's test, and the inverse identities follow
+        from the four.  The laws stay global: a passing generator check
+        certifies its law on all of G and F, and a law whose check fails, or
+        whose induction needs a law that failed, is walked on all of F for
+        its witnesses.  Law by law, for every g, f and s in S:
+        - right action law: e > f = f and (g s) > f = g > (s > f).  The s that
+          pass are closed under products: (g s t) > f = (g s) > (t > f)
+          = g > (s > (t > f)) = g > ((s t) > f).  So they are all of G.
+        - left action law: g < 1 = g and g < (f t) = (g < f) < t for t in the
+          generating set of F; closed under products the same way.
+        - g > (f t) = (g > f)((g < f) > t), given the left action law: for t
+          and t' that pass, g > (f t t') = (g > f)((g < f) > t)((g < f t) > t')
+          and g < f t = (g < f) < t, which is (g > f)((g < f) > (t t')).
+        - (g s) < f = (g < (s > f))(s < f), given the right action law: for s
+          and s' that pass, (g s s') < f = (g s < (s' > f))(s' < f)
+          = (g < (s > (s' > f)))(s < (s' > f))(s' < f), and
+          s > (s' > f) = (s s') > f.
+        - inverse identities, given the four: g < 1 = g by the left action
+          law; g > 1 = (g > 1)((g < 1) > 1) = (g > 1)^2, so g > 1 = 1;
+          1 = g > (f f^-1) = (g > f)((g < f) > f^-1); e < f = (e < f)^2 by
+          the right action law and the left compatibility at (e, e), so
+          e = e < f = (g^-1 < (g > f))(g < f), the left compatibility at
+          (g^-1, g)."""
+        G, FG = ctx.G, ctx.F.group
+        right, left = self.right, self.left
+        gmul, fmul = G.table, FG.table
+        e, one = G.identity, FG.identity
+        gens_g, gens_f = generating_set(gmul, e), generating_set(fmul, one)
+
+        def right_action():
+            return right[e] == tuple(FG.elements()) and all(
+                right[gmul[g][s]] == tuple(map(right[g].__getitem__, right[s]))
+                for s in gens_g
+                for g in G.elements()
+            )
+
+        def left_action():
+            if any(row[one] != g for g, row in enumerate(left)):
+                return False
+            for t in gens_f:
+                col = [row[t] for row in fmul]  # f -> f t
+                left_t = [row[t] for row in left]  # x -> x < t
+                if any([lg[c] for c in col] != [left_t[x] for x in lg] for lg in left):
+                    return False
+            return True
+
+        def right_compatibility():
+            for t in gens_f:
+                col = [row[t] for row in fmul]
+                right_t = [row[t] for row in right]  # x -> x > t
+                for rg, lg in zip(right, left):
+                    if [rg[c] for c in col] != [fmul[a][right_t[x]] for a, x in zip(rg, lg)]:
+                        return False
+            return True
+
+        def left_compatibility():
+            return all(
+                left[gmul[g][s]] == tuple(gmul[left[g][a]][b] for a, b in zip(right[s], left[s]))
+                for s in gens_g
+                for g in G.elements()
+            )
+
+        ra, la = right_action(), left_action()
+        holds = (ra, la, la and right_compatibility(), ra and left_compatibility())
+        implied = {name: _ON_GENERATORS for name, ok in zip(_LAWS, holds) if ok}
+        if all(holds):
+            implied[_LAWS[4]] = "implied by: " + ", ".join(_LAWS[:4])
+        return [], f_ball(ctx.F, radius), "global", implied
 
 
 class LinearAction:
@@ -140,8 +212,10 @@ class LinearAction:
                         yield {"law": "matrix homomorphism", "g": g, "g2": g2}
 
         name = "linear action homomorphism (implies all laws globally)"
-        hom = run_check(name, "global", G.order**2, homomorphism(), max_violations)
-        implied = frozenset(_LAWS if hom.ok else _LAWS[1:])
+        hom = run_check(name, "global", G.order**2, homomorphism(), max_violations, _ON_GENERATORS)
+        implied = dict.fromkeys(_LAWS[1:], "implied by: integer matrices, trivial left action")
+        if hom.ok:
+            implied[_LAWS[0]] = f"implied by: {name}"
         return [hom], ball, "global (spot ball)", implied
 
 
@@ -284,18 +358,32 @@ def orbit_product(ctx: MatchedPairCtx, o1: Orbit, o2: Orbit) -> list[Orbit]:
 
 class CheckResult:
     """One verified law: every instance is counted, the first few violated
-    instances are listed as witnesses."""
+    instances are listed as witnesses.
 
-    __slots__ = ("name", "scope", "instances", "violations", "violation_count")
+    basis records how the verdict was reached: "walked" (every instance
+    evaluated), "generators, full walk on failure" (a check over a
+    generating set, every instance walked only if it fails) or
+    "implied by: <laws>" (no instance evaluated).  It is None where no
+    basis is recorded, and to_payload leaves it out, so reports do not
+    depend on it."""
+
+    __slots__ = ("name", "scope", "instances", "violations", "violation_count", "basis")
 
     def __init__(
-        self, name: str, scope: str, instances: int, violations: list, violation_count: int
+        self,
+        name: str,
+        scope: str,
+        instances: int,
+        violations: list,
+        violation_count: int,
+        basis: str | None = None,
     ):
         self.name = name
         self.scope = scope
         self.instances = instances
         self.violations = violations
         self.violation_count = violation_count
+        self.basis = basis
 
     @property
     def ok(self) -> bool:
@@ -312,11 +400,17 @@ class CheckResult:
 
 
 class VerifyReport:
-    __slots__ = ("title", "checks")
+    """The checks of one verifier.  subject is what they were run on (the
+    matched-pair context, or the context and cocycles), so a report handed
+    on as a premise can be matched to its Hopf algebra; to_payload leaves
+    it out."""
 
-    def __init__(self, title: str, checks: list[CheckResult]):
+    __slots__ = ("title", "checks", "subject")
+
+    def __init__(self, title: str, checks: list[CheckResult], subject=None):
         self.title = title
         self.checks = checks
+        self.subject = subject
 
     @property
     def ok(self) -> bool:
@@ -330,12 +424,15 @@ class VerifyReport:
         }
 
 
-def run_check(name: str, scope: str, instances: int, witnesses, max_violations: int) -> CheckResult:
+def run_check(
+    name: str, scope: str, instances: int, witnesses, max_violations: int, basis: str | None = None
+) -> CheckResult:
     """Build the result of one law from the witnesses of its failing
     instances: all of them are counted, the first max_violations kept."""
     witnesses = iter(witnesses)
     kept = list(islice(witnesses, max_violations))
-    return CheckResult(name, scope, instances, kept, len(kept) + sum(1 for _ in witnesses))
+    count = len(kept) + sum(1 for _ in witnesses)
+    return CheckResult(name, scope, instances, kept, count, basis)
 
 
 def verify_matched_pair(ctx: MatchedPairCtx, radius: int = 4, max_violations: int = 20) -> VerifyReport:
@@ -343,8 +440,9 @@ def verify_matched_pair(ctx: MatchedPairCtx, radius: int = 4, max_violations: in
     inverse identities.
 
     The action's certificate gives its own checks, the ball and scope of
-    the laws, and the laws it implies.  An implied law is reported with
-    its instance count and no walk; the others are walked for witnesses.
+    the laws, and the laws it certifies, each with its basis.  A certified
+    law is reported with its instance count and no walk; the others are
+    walked for witnesses.
     """
     G, F = ctx.G, ctx.F
     checks, ball, scope, implied = ctx.action.certificate(ctx, radius, max_violations)
@@ -400,6 +498,9 @@ def verify_matched_pair(ctx: MatchedPairCtx, radius: int = 4, max_violations: in
         (n * nb, inverse_identities),
     )
     for name, (instances, law) in zip(_LAWS, sweeps):
-        witnesses = () if name in implied else law()
-        checks.append(run_check(name, scope, instances, witnesses, max_violations))
-    return VerifyReport("matched pair", checks)
+        basis = implied.get(name)
+        if basis is None:
+            checks.append(run_check(name, scope, instances, law(), max_violations, "walked"))
+        else:
+            checks.append(CheckResult(name, scope, instances, [], 0, basis))
+    return VerifyReport("matched pair", checks, ctx)

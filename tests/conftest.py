@@ -183,6 +183,27 @@ def drinfeld_s3_relabeled_config() -> dict:
     }
 
 
+def ball_scoped_lift_config() -> dict:
+    """Z2 swapping the coordinates of Z^2, tau lifted through
+    Z^2 -> Z1 x Z2 with every value 1: a valid config, but the swap does
+    not descend to the quotient (it would send (0, 1) to (1, 0), whose
+    class differs), so the cocycle laws are checked on a ball only and
+    their scope is "ball radius r"."""
+    return {
+        "name": "swap_ball_scoped_tau",
+        "group": {"type": "table", "table": [[0, 1], [1, 0]], "name": "Z2"},
+        "f_group": {"type": "free_abelian", "rank": 2},
+        "action": {"type": "linear", "matrices": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]},
+        "sigma": {"type": "trivial"},
+        "tau": {
+            "type": "quotient_lift",
+            "moduli": [1, 2],
+            "values": [[["1", "1"], ["1", "1"]], [["1", "1"], ["1", "1"]]],
+        },
+        "radius": 1,
+    }
+
+
 def sigma_two_config() -> dict:
     """One sigma value set to 2: rejected by the unitarity gate."""
     one = "1"

@@ -12,6 +12,11 @@ each of which fails a test here:
   M_1 and M_2 swapped;
 - skip the walk after a failing check as well: test_sweeps_match_naive_laws
   fails on the shear action and on that swapped z_poly(4).
+Each was rerun after table actions moved to generator checks and still
+fails: 1, 1 and 4 failing tier-1 tests.  Table actions check four laws
+over a generating set and walk a law only when its check fails; skipping
+that walk fails test_sweeps_match_naive_laws here and the witness-parity
+tests of test_implied_laws, which also catch a dropped generator.
 """
 
 from __future__ import annotations

@@ -71,6 +71,15 @@ named after the mutation:
 The scalar drop and the four wrong weights passed every test until
 sigma_asymmetric, tau_s3_i and sigma_z4_i were added: every earlier
 fixture had real or symmetric weights, or failed the law anyway.
+
+Since the CLI reads the Hopf and star laws off certified premises, these
+sweeps run only where a test (or a failing premise) asks for the walk;
+every test here calls verify_hopf and verify_star without premises, so
+it still walks.  Each mutation above was rerun after that change and
+still fails, with these numbers of failing tier-1 tests, in list order:
+6, 1, 4, 9, 2, 15, 24, 57, 5, 59, 1, 32, 58, 57, 4, 44, 3, 28, 1, 2, 2
+and 2.  The last three also fail
+test_implied_laws.py::test_implied_matches_walk on the same twist.
 """
 
 from __future__ import annotations
