@@ -431,13 +431,10 @@ class _Sweep:
         """Report a law: implied by the premise laws `by` when the premises
         are certified and `by` names some, else walked.  witnesses is
         lazy, so an implied law evaluates no instance."""
+        basis = "walked"
         if self.certified and by:
-            basis = "implied by: " + ", ".join(by)
-            self.checks.append(CheckResult(name, scope, instances, [], 0, basis))
-        else:
-            self.checks.append(
-                run_check(name, scope, instances, witnesses, self.max_violations, "walked")
-            )
+            witnesses, basis = (), "implied by: " + ", ".join(by)
+        self.checks.append(run_check(name, scope, instances, witnesses, self.max_violations, basis))
 
     def per_element(self, name, holds, by=()):
         """A law on single basis elements, holds(key) -> bool."""

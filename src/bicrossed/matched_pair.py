@@ -498,9 +498,7 @@ def verify_matched_pair(ctx: MatchedPairCtx, radius: int = 4, max_violations: in
         (n * nb, inverse_identities),
     )
     for name, (instances, law) in zip(_LAWS, sweeps):
-        basis = implied.get(name)
-        if basis is None:
-            checks.append(run_check(name, scope, instances, law(), max_violations, "walked"))
-        else:
-            checks.append(CheckResult(name, scope, instances, [], 0, basis))
+        basis = implied.get(name, "walked")
+        witnesses = law() if basis == "walked" else ()
+        checks.append(run_check(name, scope, instances, witnesses, max_violations, basis))
     return VerifyReport("matched pair", checks, ctx)
