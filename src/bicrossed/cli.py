@@ -25,7 +25,7 @@ import os
 import sys
 
 from .certs import dimension_audit, direct_sum_check
-from .cocycles import is_unitary, verify_cocycles
+from .cocycles import verify_cocycles
 from .comodules import SimpleIndex
 from .config import Build, build_config, load_config_file
 from .cyclotomic import rational
@@ -315,8 +315,9 @@ def cmd_fusion_table(build: Build, radius: int) -> tuple[str, dict, int]:
 @_command("cqg-check", "compact-quantum-group certification")
 def cmd_cqg_check(build: Build, radius: int) -> tuple[str, dict, int]:
     # Unitarity is the gate: report its witness before any law sweep, so
-    # non-modulus-one data is rejected with the offending tuple.
-    ok, witness = is_unitary(build.sigma, build.tau, build.ctx, radius)
+    # non-modulus-one data is rejected with the offending tuple.  The
+    # verdict stays on H, where verify_star reads it.
+    ok, witness = build.hopf.unitary(radius)
     if not ok:
         payload = {"unitary": False, "witness": witness}
         return "fail", payload, EXIT_VERIFICATION

@@ -230,6 +230,12 @@ class SimpleIndex:
                 self._by_uid[d.uid] = d
         return self._by_rep[rep]
 
+    def stabilizer_table(self, orbit: Orbit) -> CharTable | None:
+        """The untwisted character table kept for the orbit's stabilizer,
+        or None.  With tau trivial every simple of the orbit is a row of
+        it once simples_for_orbit has run on the orbit."""
+        return self._tables.get(orbit.stabilizer)
+
     def simples_for_f(self, f) -> tuple[SimpleDesc, ...]:
         return self.simples_for_orbit(self.hopf.ctx.orbit_of(f))
 

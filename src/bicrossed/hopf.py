@@ -146,7 +146,7 @@ class BicrossedHopf:
         self.F = ctx.F
         self.sigma = sigma
         self.tau = tau
-        self._unitary: bool | None = None
+        self._unitary: tuple | None = None  # (verdict, witness) of is_unitary
         self._inv_g_order = rational(self.G.order).inv()
 
     # -- structure maps -------------------------------------------------------
@@ -220,14 +220,17 @@ class BicrossedHopf:
             _add_term(out, k2, v * c)
         return HElem._of(out)
 
-    def require_unitary(self, radius: int = 4) -> None:
+    def unitary(self, radius: int = 4) -> tuple[bool, dict | None]:
+        """is_unitary's verdict and witness, walked once per H at the
+        radius of the first call; later calls read it."""
         if self._unitary is None:
-            verdict = is_unitary(self.sigma, self.tau, self.ctx, radius)
-            self._unitary, self._unitary_witness = verdict
-        if not self._unitary:
-            raise VerificationFailure(
-                "star structure needs modulus-one cocycles", self._unitary_witness
-            )
+            self._unitary = is_unitary(self.sigma, self.tau, self.ctx, radius)
+        return self._unitary
+
+    def require_unitary(self, radius: int = 4) -> None:
+        ok, witness = self.unitary(radius)
+        if not ok:
+            raise VerificationFailure("star structure needs modulus-one cocycles", witness)
 
     def star_basis(self, key):
         g, f = key

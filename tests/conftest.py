@@ -241,3 +241,48 @@ def s4_factorization_ctx():
     G = permutation_group([(1, 0, 2, 3), (1, 2, 0, 3)], name="S3")
     F = FiniteF(permutation_group([(1, 2, 3, 0)], name="Z4"))
     return MatchedPairCtx(G, F, TableActions(right=tuple(right), left=tuple(left)))
+
+
+def _permutation_closure(generators) -> list:
+    """The elements of the permutation group the generators span, sorted:
+    permutation_group's index order."""
+    elems = {tuple(range(len(generators[0])))}
+    frontier = list(elems)
+    while frontier:
+        new = {tuple(p[g[i]] for i in range(len(p))) for p in frontier for g in generators}
+        frontier = list(new - elems)
+        elems |= new
+    return sorted(elems)
+
+
+def split_extension_ctx(f_gens, g_gens):
+    """X = F x| G for a normal subgroup F with complement G in a permutation
+    group: g f = (g f g^-1) g, so g > f = g f g^-1 and g < f = g."""
+    Fl, Gl = _permutation_closure(f_gens), _permutation_closure(g_gens)
+    f_index = {f: i for i, f in enumerate(Fl)}
+
+    def compose(p, q):
+        return tuple(p[q[i]] for i in range(len(q)))
+
+    def inverse(p):
+        out = [0] * len(p)
+        for i, x in enumerate(p):
+            out[x] = i
+        return tuple(out)
+
+    right = tuple(tuple(f_index[compose(compose(g, f), inverse(g))] for f in Fl) for g in Gl)
+    left = tuple((gi,) * len(Fl) for gi in range(len(Gl)))
+    G, F = permutation_group(g_gens, name="G"), FiniteF(permutation_group(f_gens, name="F"))
+    return MatchedPairCtx(G, F, TableActions(right=right, left=left))
+
+
+# The split extensions X = F x| G with F normal: the trivial-left-action
+# matched pairs of finite groups, as (F generators, G generators).
+_V4 = [(1, 0, 3, 2), (2, 3, 0, 1)]
+SPLIT_EXTENSIONS = {
+    "S3 = Z3 x| Z2": ([(1, 2, 0)], [(1, 0, 2)]),
+    "A4 = V4 x| Z3": (_V4, [(1, 2, 0, 3)]),
+    "S4 = V4 x| S3": (_V4, [(1, 0, 2, 3), (1, 2, 0, 3)]),
+    "S4 = A4 x| Z2": ([(1, 0, 3, 2), (1, 2, 0, 3)], [(1, 0, 2, 3)]),
+    "D4 = Z4 x| Z2": ([(1, 2, 3, 0)], [(0, 3, 2, 1)]),
+}

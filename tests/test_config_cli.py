@@ -319,6 +319,27 @@ def test_cli_cqg_pass():
     assert rep["payload"]["gram_diagonal_expected"] == "1/2"
 
 
+def test_cli_cqg_check_walks_unitarity_once(tmp_path, monkeypatch):
+    # the gate's verdict stays on H, where verify_star reads it
+    from bicrossed import cocycles, hopf
+
+    calls = []
+    real = cocycles.is_unitary
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (cli, hopf):  # wherever the name is looked up
+        if hasattr(module, "is_unitary"):
+            monkeypatch.setattr(module, "is_unitary", counted)
+    path = tmp_path / "twisted_tau.json"
+    path.write_text(json.dumps(twisted_tau_config()))
+    code, rep = capture_json(["--config", str(path), "cqg-check"])
+    assert code == 0 and rep["payload"]["unitary"] is True
+    assert len(calls) == 1
+
+
 def test_cli_text_format():
     code, out = capture(["--preset", "h_z_z2", "--format", "text", "dual", "-1:0"])
     assert code == 0
