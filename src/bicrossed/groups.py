@@ -216,19 +216,17 @@ def permutation_group(generators, name: str = "G", max_order: int = DEFAULT_MAX_
     return finite_group(rows, name=name, max_order=max_order)
 
 
-def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Conjugacy classes as sorted tuples, ordered by least member."""
-    seen = [False] * G.order
+def conjugacy_classes(G: FiniteGroup, elements=None) -> tuple[tuple[int, ...], ...]:
+    """Conjugacy classes of G, or of its subgroup `elements`, as sorted
+    tuples, ordered by least member."""
+    elements = G.elements() if elements is None else elements
+    seen: set = set()
     classes = []
-    for a in G.elements():
-        if seen[a]:
+    for a in elements:
+        if a in seen:
             continue
-        cls = set()
-        for x in G.elements():
-            y = G.mul(G.mul(x, a), G.inv(x))
-            cls.add(y)
-        for y in cls:
-            seen[y] = True
+        cls = {G.mul(G.mul(x, a), G.inv(x)) for x in elements}
+        seen |= cls
         classes.append(tuple(sorted(cls)))
     classes.sort(key=lambda c: c[0])
     return tuple(classes)

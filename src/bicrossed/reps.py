@@ -61,11 +61,16 @@ class TwistedChar:
 
 
 class CharTable:
-    __slots__ = ("chars", "provenance")
+    """The characters of a table, and the conjugacy classes (parent
+    indices) on which verify_char_table certified an untwisted table;
+    None until then, and for a twisted table."""
+
+    __slots__ = ("chars", "provenance", "classes")
 
     def __init__(self, chars: tuple[TwistedChar, ...], provenance: str):
         self.chars = chars
         self.provenance = provenance
+        self.classes = None
 
     def __len__(self):
         return len(self.chars)
@@ -355,6 +360,7 @@ def verify_char_table(group: FiniteGroup, table: CharTable, to_parent=None, twis
                 raise InternalInconsistencyError(
                     f"orthogonality fails for characters {i},{j} ({table.provenance})"
                 )
+    table.classes = tuple(tuple(parent[g] for g in cls) for cls in classes)
 
 
 def ordinary_char_table(G: FiniteGroup, to_parent=None) -> CharTable:

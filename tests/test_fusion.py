@@ -394,3 +394,66 @@ def test_fs_indicator_matches_integral_of_product(name):
     simples = ring.index.enumerate(radius)
     got = [rational(ring.fs_indicator(d)) for d in simples]
     assert got == [_nu2_by_integral_of_product(ring, d) for d in simples]
+
+
+# The fusion rules of D(S3) (Dijkgraaf, Pasquier and Roche 1990), written
+# out by hand: A, B, C over the identity class (the trivial, sign and
+# 2-dimensional characters of S3), D, E over the transpositions (the
+# trivial and sign characters of Z2), F, G, H over the 3-cycles (the
+# characters 1, w, w^2 of Z3).  Entry [i][j] is the product of the i-th
+# and j-th label.
+_DPR_LABELS = "ABCDEFGH"
+_DPR_S3 = [
+    ["A", "B", "C", "D", "E", "F", "G", "H"],
+    ["B", "A", "C", "E", "D", "F", "G", "H"],
+    ["C", "C", "A+B+C", "D+E", "D+E", "G+H", "F+H", "F+G"],
+    ["D", "E", "D+E", "A+C+F+G+H", "B+C+F+G+H", "D+E", "D+E", "D+E"],
+    ["E", "D", "D+E", "B+C+F+G+H", "A+C+F+G+H", "D+E", "D+E", "D+E"],
+    ["F", "F", "G+H", "D+E", "D+E", "A+B+F", "C+H", "C+G"],
+    ["G", "G", "F+H", "D+E", "D+E", "C+H", "A+B+G", "C+F"],
+    ["H", "H", "F+G", "D+E", "D+E", "C+G", "C+F", "A+B+H"],
+]
+# (orbit size, dimension, self-dual) of each label; every simple of D(S3)
+# is self-dual
+_DPR_KINDS = {
+    "A": (1, 1, True),
+    "B": (1, 1, True),
+    "C": (1, 2, True),
+    "D": (3, 3, True),
+    "E": (3, 3, True),
+    "F": (2, 2, True),
+    "G": (2, 2, True),
+    "H": (2, 2, True),
+}
+
+
+def test_drinfeld_s3_matches_dpr_rules(drinfeld_s3):
+    """The drinfeld:S3 table at radius 0 equals the rules of D(S3) under
+    some relabeling that keeps each label's orbit size, dimension and
+    self-duality: labels of one kind may be permuted among themselves."""
+    ring = FusionRing(drinfeld_s3.hopf)
+    table = ring.fusion_table(0)
+    uids = [d.uid for d in table.simples]
+    kinds = {d.uid: (d.orbit.size, d.dim_total, table.duals[d.uid] == d.uid) for d in table.simples}
+    assert sorted(kinds.values()) == sorted(_DPR_KINDS.values())
+    expected = {
+        (a, b): tuple(sorted(entry.split("+")))
+        for a, row in zip(_DPR_LABELS, _DPR_S3)
+        for b, entry in zip(_DPR_LABELS, row)
+    }
+    groups = [
+        ([u for u in uids if kinds[u] == kind], [x for x in _DPR_LABELS if _DPR_KINDS[x] == kind])
+        for kind in sorted(set(_DPR_KINDS.values()))
+    ]
+    matches = []
+    for choice in itertools.product(*(itertools.permutations(labels) for _uids, labels in groups)):
+        label = {
+            u: x for (group_uids, _labels), perm in zip(groups, choice) for u, x in zip(group_uids, perm)
+        }
+        got = {
+            (label[r.left], label[r.right]): tuple(sorted(label[u] for u, m in r.summands for _ in range(m)))
+            for r in table.rows
+        }
+        if got == expected:
+            matches.append(label)
+    assert matches
