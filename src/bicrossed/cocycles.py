@@ -285,8 +285,9 @@ def verify_cocycles(
     # With sigma = tau = 1 every instance reads 1 * 1 == 1 * 1: the laws
     # hold identically and no tuple is walked.
     trivial = sigma.is_trivial and tau.is_trivial
+    basis = "trivial cocycles, no walk" if trivial else "walked"
     checks = [
-        run_check(name, scope, instances, () if trivial else law(), max_violations)
+        run_check(name, scope, instances, () if trivial else law(), max_violations, basis)
         for name, instances, law in (
             ("sigma cocycle law", n * nd**3, sigma_law),
             ("tau cocycle law", n**3 * nd, tau_law),

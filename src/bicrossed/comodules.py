@@ -85,7 +85,12 @@ def simples_for_orbit(
 
     Asserts the counting identity: the squared total dimensions add up to
     dim C_f = |G| * |O_f|."""
-    table, _beta = stabilizer_char_table(hopf, orbit, tables)
+    return _simples_of_table(hopf, orbit, stabilizer_char_table(hopf, orbit, tables)[0])
+
+
+def _simples_of_table(
+    hopf: BicrossedHopf, orbit: Orbit, table: CharTable
+) -> tuple[SimpleDesc, ...]:
     t_len = len(orbit.transversal)
     out = []
     rep_label = hopf.F.label(orbit.representative)
@@ -220,21 +225,25 @@ class SimpleIndex:
         self._by_uid: dict = {}
         self._char_cache: dict = {}
         self._tables: dict = {}  # stabilizer -> untwisted character table
+        self._orbit_tables: dict = {}  # representative -> the table of its simples
 
     def simples_for_orbit(self, orbit: Orbit) -> tuple[SimpleDesc, ...]:
         rep = orbit.representative
         if rep not in self._by_rep:
-            simples = simples_for_orbit(self.hopf, orbit, self._tables)
+            table = stabilizer_char_table(self.hopf, orbit, self._tables)[0]
+            simples = _simples_of_table(self.hopf, orbit, table)
             self._by_rep[rep] = simples
+            self._orbit_tables[rep] = table
             for d in simples:
                 self._by_uid[d.uid] = d
         return self._by_rep[rep]
 
     def stabilizer_table(self, orbit: Orbit) -> CharTable | None:
-        """The untwisted character table kept for the orbit's stabilizer,
-        or None.  With tau trivial every simple of the orbit is a row of
-        it once simples_for_orbit has run on the orbit."""
-        return self._tables.get(orbit.stabilizer)
+        """The character table the orbit's simples were read from, or None
+        before simples_for_orbit has run on the orbit: the untwisted table
+        of its stabilizer, shared between orbits, or the beta-twisted table
+        of the orbit alone.  Every simple of the orbit is a row of it."""
+        return self._orbit_tables.get(orbit.representative)
 
     def simples_for_f(self, f) -> tuple[SimpleDesc, ...]:
         return self.simples_for_orbit(self.hopf.ctx.orbit_of(f))

@@ -1,10 +1,13 @@
 """The Grothendieck ring on irreducible characters.
 
-A fusion row d1 * d2 is read by one of two routes, fixed per ring.
+A fusion row d1 * d2 is read at the representative f3 of each orbit
+O3 of O1 O2, from the stabilizer data there (the orbit route): on the
+classes of G_f3 when sigma and tau are trivial (class form), on its
+elements when either is twisted (slice form).
 
-The orbit route serves trivial sigma and tau, whatever the left action
-(the Drinfeld doubles, the lattice presets, every split extension
-F x| G and every exact factorization X = F G).  A simple (O_f, rho) has
+The class form serves trivial cocycles whatever the left action (the
+Drinfeld doubles, the lattice presets, every split extension F x| G and
+every exact factorization X = F G).  A simple (O_f, rho) has
 the value rho(z_x h z_x^-1) at p_h # x for h in G_x, z_x the transversal
 element with z_x^-1 > f = x, and basis_mul makes p_h#x . p_h'#y equal to
 p_h#xy when h' = h < x and 0 otherwise.  So chi1 chi2 at p_h # f3, for
@@ -44,7 +47,7 @@ is certified by the exact residual psi = sum m_c rho_c on every class
 of G_f3.  No product of characters, Haar pairing or character of a
 product orbit is formed.
 
-Duals on the orbit route.  With trivial cocycles antipode_basis sends
+Duals in the class form.  With trivial cocycles antipode_basis sends
 p_h#x to p_{(h < x)^-1} # (h > x)^-1, so for f' the representative of
 the orbit of f^-1 and x = f'^-1 in O_f, S(chi) at p_k # f' is
 rho(z_x h z_x^-1) for the h in G_x with (h < x)^-1 = k.  By the left
@@ -54,33 +57,52 @@ this is a class function of G_f' (rho* when the left action is
 trivial), matched against the rows of its stabilizer table on the
 classes of G_f'.
 
-The Haar route serves twisted cocycles.  H is cosemisimple, so its
-normalized integral T gives every multiplicity as one Haar pairing,
-N_ab^c = <T, chi_a chi_b S(chi_c)> (Larson's character orthogonality).
-Each simple keeps its dual vector k -> <T, p_k S(chi)>, so a pairing is
-one sparse dot product over the terms of the product, and a row's
-candidates resolve once per pair of orbits.  The characters of each
-orbit are certified orthonormal for this pairing once, and each product
-row by a zero sparse residual.  Its duals match the antipode of a
-character against the characters over the orbit of f^-1.  It stays
-callable as FusionRing._haar_row and FusionRing._antipode_dual, the
-oracles of the orbit route (tests/test_fusion_routes.py lists the
-mutations they catch).
+The slice form.  With sigma or tau nontrivial a simple
+(O_f, chi) carries an irreducible beta_f-projective character chi of
+G_f, beta_f = tau(., .; f) (Karpilovsky 1985).  The product
+chi1 chi2 at p_h # f3, h in G_f3, is read off the two factors'
+character terms as basis_mul forms it:
+psi(h) = sum chi1(p_h # x) chi2(p_{h < x} # y) sigma(h; x, y) over the
+fiber {(x, y) in O1 x O2 : xy = f3}, a term vanishing unless h fixes x
+and h < x fixes y.  chi1 chi2 is the character of a comodule, so it is
+sum m_c chi_c over the simples c.  A simple over another orbit vanishes
+at every key with f-part f3, so psi is sum m_c s_c over the simples of
+O3 alone, s_c(h) the value of chi_c at p_h # f3.  _induced_terms gives
+it at z = 1 (the transversal starts at 1_G) as
+tau(1, h; f3)^-1 tau(h, 1; f3) chi_c(h), and zero where chi_c vanishes;
+the factor is 1 when beta_f3 is normalized, which beta_for_orbit
+verifies.  So the s_c are the rows of the table that verify_char_table
+certified independent, psi decides the m_c, and no beta-regular class
+theory is needed.  The beta_f3 values are roots of unity (as
+central_extension requires), so the rows obey Schur's projective
+orthogonality (1/|G_f3|) sum_h chi_c(h) conj(chi_c'(h)) = delta, which
+gives m_c = (1/|G_f3|) sum_h psi(h) conj(s_c(h)).  Each row is certified
+by the exact residual psi = sum m_c s_c on every element of G_f3.  The
+fiber is kept per pair of orbits and a decomposition per (O3, psi).
+Twisted duals match the antipode of a character against the characters
+over the orbit of f^-1 (FusionRing._antipode_dual).
 
-On both routes the multiplicities must come out as nonnegative integers
+The Haar route, N_ab^c = <T, chi_a chi_b S(chi_c)> through the
+normalized integral (Larson's character orthogonality), is no longer
+read here: tests/haar_oracle.py keeps it as the oracle of both forms
+(tests/test_fusion_routes.py lists the mutations they catch).
+
+In both forms the multiplicities must come out as nonnegative integers
 matching the dimensions, and violations abort loudly.  The degree-2
 indicator is the integral of m(Delta(chi)).
 """
 
 from __future__ import annotations
 
-from .certs import solve_in_span
-from .comodules import SimpleDesc, SimpleIndex
+# certs.solve_in_span stays importable from here: bench/tracer.py counts
+# its calls as fusion.solve_in_span, and no row reads it any more
+from .certs import solve_in_span  # noqa: F401
+from .comodules import SimpleDesc, SimpleIndex, _induced_terms
 from .cyclotomic import rational
 from .errors import InternalInconsistencyError
 from .groups import conjugacy_classes
-from .hopf import BicrossedHopf, HElem
-from .matched_pair import Orbit, orbit_product
+from .hopf import BicrossedHopf
+from .matched_pair import Orbit
 from .reps import CharTable
 
 # Triples sampled by the associativity law of verify_based_ring.
@@ -133,13 +155,11 @@ class FusionRing:
         self.index = index if index is not None else SimpleIndex(hopf)
         self._row_cache: dict = {}
         self._dual_cache: dict = {}
-        self._dual_vectors: dict = {}  # id(chi) -> (chi, dual vector of chi)
-        self._candidates: dict = {}  # (rep1, rep2) -> candidate simples
-        self._orthonormal: set = set()
         # chi1 chi2 = chi2 chi1 in a commutative H, so a row also gives its swap
         self._commutative = hopf.is_commutative
-        # the orbit route's data (see the module docstring)
-        self.orbit_route = hopf.sigma.is_trivial and hopf.tau.is_trivial
+        # rows in slice form (module docstring) when either cocycle is twisted
+        self._twisted = not (hopf.sigma.is_trivial and hopf.tau.is_trivial)
+        # the class form's data
         self._orbits: dict = {}  # rep -> (simples, _Stabilizer)
         self._stabilizers: dict = {}  # stabilizer table -> _Stabilizer
         self._transport: dict = {}  # rep -> {x: (z_x, z_x^-1)}
@@ -150,104 +170,48 @@ class FusionRing:
         # (stabilizer 1, i1, stabilizer 2, i2, stabilizer 3, id(terms)) -> [(j, m)]
         self._decompositions: dict = {}
         # every stabilizer character value lies in Q(zeta_exp(G))
-        self._level = hopf.G.exponent() if self.orbit_route else None
-
-    # -- the Haar pairing ------------------------------------------------------
-
-    def _dual_vector(self, chi: HElem) -> dict:
-        """k -> <T, p_k S(chi)> where nonzero.  As in integral_of_product,
-        p_k pairs only with the term of S(chi) at its Haar partner; the key
-        whose partner is the term k2 is the partner of k2."""
-        H = self.hopf
-        dual = {}
-        for k2, w in H.antipode(chi).terms.items():
-            key = H.haar_partner(k2)
-            dual[key] = w * H.haar_weight(key)
-        return dual
-
-    def pair(self, x: HElem, chi: HElem):
-        """<x, chi> = <T, x S(chi)> for a character chi of self.index: x dotted
-        with the dual vector of chi, kept per character object (per simple)."""
-        entry = self._dual_vectors.get(id(chi))
-        if entry is None:
-            entry = self._dual_vectors[id(chi)] = (chi, self._dual_vector(chi))
-        # summed from the first term, so the value stays at the terms' level
-        x_terms = x.terms
-        total = None
-        for k, w in entry[1].items():
-            v = x_terms.get(k)
-            if v is not None:
-                total = v * w if total is None else total + v * w
-        return rational(0) if total is None else total
-
-    def _orthonormal_simples(self, orbit: Orbit) -> tuple[SimpleDesc, ...]:
-        """The orbit's simples, once the Gram matrix <chi_c, chi_c'> of their
-        characters is certified to be the identity.  Characters over
-        distinct orbits have disjoint f-supports and pair to zero, so this
-        makes every candidate set of a product orthonormal, hence independent."""
-        simples = self.index.simples_for_orbit(orbit)
-        if orbit.representative in self._orthonormal:
-            return simples
-        chars = [self.index.character(d) for d in simples]
-        for i, x in enumerate(chars):
-            for j, y in enumerate(chars):
-                value = self.pair(x, y)
-                if not (value.is_one() if i == j else value.is_zero()):
-                    raise InternalInconsistencyError(
-                        f"characters over the orbit of {self.hopf.F.label(orbit.representative)} "
-                        "are not orthonormal for the Haar pairing"
-                    )
-        self._orthonormal.add(orbit.representative)
-        return simples
+        self._level = None if self._twisted else hopf.G.exponent()
+        # the slice form's data
+        self._slices: dict = {}  # rep -> _Slices
+        self._fibers: dict = {}  # (rep1, rep2) -> [(_Slices, terms by h in G_f3)]
+        self._slice_decompositions: dict = {}  # (rep3, key of psi) -> [(simple, m)]
 
     # -- product decomposition ------------------------------------------------
 
-    def _candidates_for(self, o1: Orbit, o2: Orbit) -> list[SimpleDesc]:
-        """The simples over the orbits of O1 O2, each orbit certified
-        orthonormal; they depend only on the pair of orbits."""
-        key = (o1.representative, o2.representative)
-        if key not in self._candidates:
-            orbits = orbit_product(self.hopf.ctx, o1, o2)
-            self._candidates[key] = [c for o in orbits for c in self._orthonormal_simples(o)]
-        return self._candidates[key]
+    def _orbit_row(self, d1: SimpleDesc, d2: SimpleDesc) -> list:
+        """The (simple, multiplicity) pairs of d1 * d2: in slice form for
+        twisted cocycles, else in class form."""
+        return (self._slice_row if self._twisted else self._class_row)(d1, d2)
 
-    def _haar_row(self, d1: SimpleDesc, d2: SimpleDesc) -> list:
-        """The (simple, multiplicity) pairs of d1 * d2 by the Haar route:
-        the product chi1 chi2 paired with every candidate character and
-        certified by a zero residual on all its terms."""
-        H, index = self.hopf, self.index
-        product = H.mul(index.character(d1), index.character(d2))
-        candidates = self._candidates_for(d1.orbit, d2.orbit)
-        coeffs = solve_in_span(
-            [index.character(c) for c in candidates],
-            product,
-            self.pair,
-            description=f"fusion {d1.uid} * {d2.uid}",
-        )
-        return _multiplicities(d1, d2, zip(candidates, coeffs))
+    def _table_rows(self, orbit: Orbit, certified_classes: bool) -> tuple:
+        """The orbit's simples and their table, once the simples are checked
+        to be the rows of that table, in order and indexed like the
+        stabilizer; with certified_classes, of a table that
+        verify_char_table certified on its classes."""
+        simples = self.index.simples_for_orbit(orbit)
+        table = self.index.stabilizer_table(orbit)
+        if (
+            table is None
+            or (certified_classes and table.classes is None)
+            or len(simples) != len(table.chars)
+            or any(
+                d.chi is not c or c.elements != orbit.stabilizer
+                for d, c in zip(simples, table.chars)
+            )
+        ):
+            raise InternalInconsistencyError(
+                f"characters over the orbit of {self.hopf.F.label(orbit.representative)} "
+                "are not orthonormal: they are not the rows of its stabilizer table"
+            )
+        return simples, table
 
     def _simples_on(self, orbit: Orbit) -> tuple[tuple[SimpleDesc, ...], _Stabilizer]:
         """The orbit's simples and its _Stabilizer, once the simples are
-        checked to be the rows of the stabilizer table, in order and
-        indexed like the stabilizer, that verify_char_table certified on
-        its classes: orthonormal and complete on G_f, the premise of m_c."""
+        the rows of the stabilizer table that verify_char_table certified
+        on its classes: orthonormal and complete on G_f, the premise of m_c."""
         found = self._orbits.get(orbit.representative)
         if found is None:
-            simples = self.index.simples_for_orbit(orbit)
-            table = self.index.stabilizer_table(orbit)
-            if (
-                table is None
-                or table.classes is None
-                or len(simples) != len(table.chars)
-                or any(
-                    d.chi is not c or c.elements != orbit.stabilizer
-                    for d, c in zip(simples, table.chars)
-                )
-            ):
-                raise InternalInconsistencyError(
-                    f"characters over the orbit of {self.hopf.F.label(orbit.representative)} "
-                    "are not orthonormal: they are not the rows of its stabilizer table"
-                )
+            simples, table = self._table_rows(orbit, certified_classes=True)
             stab = self._stabilizers.get(table)
             if stab is None:
                 stab = self._stabilizers[table] = _Stabilizer(self.hopf.G, table, self._level)
@@ -349,9 +313,9 @@ class FusionRing:
             data.append((simples, stab3, interned.setdefault(terms, terms)))
         return data
 
-    def _orbit_row(self, d1: SimpleDesc, d2: SimpleDesc) -> list:
-        """The (simple, multiplicity) pairs of d1 * d2 by the orbit route,
-        one stabilizer decomposition per product orbit.  A decomposition
+    def _class_row(self, d1: SimpleDesc, d2: SimpleDesc) -> list:
+        """The (simple, multiplicity) pairs of d1 * d2 in class form, one
+        stabilizer decomposition per product orbit.  A decomposition
         depends only on the three stabilizer tables, the two character
         indices and the terms, so it is kept on them."""
         products = self._products_for(d1.orbit, d2.orbit)
@@ -407,11 +371,110 @@ class FusionRing:
                 )
         return [(c.chi_index, m) for c, m in _multiplicities(d1, d2, zip(simples, coeffs))]
 
+    def _slices_on(self, orbit: Orbit) -> _Slices:
+        """The orbit's _Slices, once its simples are the rows of the table
+        they were read from, which verify_char_table certified independent
+        (the premise that psi decides the m_c; module docstring)."""
+        found = self._slices.get(orbit.representative)
+        if found is None:
+            simples = self._table_rows(orbit, certified_classes=False)[0]
+            found = self._slices[orbit.representative] = _Slices(self.hopf, orbit, simples)
+        return found
+
+    def _fibers_for(self, o1: Orbit, o2: Orbit) -> list:
+        """Per orbit O3 of O1 O2: its _Slices and, for each h in G_f3 in
+        stabilizer order, the terms (key in chi1, key in chi2, sigma or
+        None where 1) of the pairs (x, y) of the fiber over f3 that h
+        fixes: the keys (h, x) and (h < x, y) and sigma(h; x, y).  The
+        orbits of O1 O2 are those of f1 O2, as every pair orbit meets
+        f1 x O2."""
+        key = (o1.representative, o2.representative)
+        found = self._fibers.get(key)
+        if found is not None:
+            return found
+        ctx, F = self.hopf.ctx, self.hopf.F
+        act_right, act_left, fmul, finv = ctx.act_right, ctx.act_left, F.mul, F.inv
+        sigma = None if self.hopf.sigma.is_trivial else self.hopf.sigma.eval
+        f1, in_o2 = o1.representative, set(o2.elements)
+        found = self._fibers[key] = []
+        seen: set = set()
+        for y in o2.elements:
+            o3 = ctx.orbit_of(fmul(f1, y))
+            f3 = o3.representative
+            if f3 in seen:
+                continue
+            seen.add(f3)
+            fiber = [(x, fmul(finv(x), f3)) for x in o1.elements]
+            fiber = [(x, y3) for x, y3 in fiber if y3 in in_o2]
+            by_h = []
+            for h in o3.stabilizer:
+                terms = []
+                for x, y3 in fiber:
+                    if act_right(h, x) != x:
+                        continue
+                    hx = act_left(h, x)
+                    if act_right(hx, y3) != y3:
+                        continue
+                    s = None if sigma is None else sigma(h, x, y3)
+                    terms.append(((h, x), (hx, y3), None if s is None or s.is_one() else s))
+                by_h.append(terms)
+            found.append((self._slices_on(o3), by_h))
+        return found
+
+    def _slice_row(self, d1: SimpleDesc, d2: SimpleDesc) -> list:
+        """The (simple, multiplicity) pairs of d1 * d2 in slice form: psi on
+        each G_f3 off the two factors' character terms, decomposed once per
+        (O3, psi)."""
+        t1, t2 = self.index.character(d1).terms, self.index.character(d2).terms
+        decompositions = self._slice_decompositions
+        out = []
+        for slices, by_h in self._fibers_for(d1.orbit, d2.orbit):
+            psi = []
+            for terms in by_h:
+                total = _ZERO
+                for k1, k2, s in terms:
+                    a, b = t1.get(k1), t2.get(k2)
+                    if a is not None and b is not None:
+                        v = a * b
+                        total = total + (v if s is None else v * s)
+                psi.append(total)
+            key = (slices.orbit.representative, tuple(map(_value_key, psi)))
+            found = decompositions.get(key)
+            if found is None:
+                found = decompositions[key] = self._decompose_on_slices(psi, slices, d1, d2)
+            out.extend(found)
+        return out
+
+    def _decompose_on_slices(self, psi: list, slices: _Slices, d1, d2) -> list:
+        """The (simple, multiplicity) pairs of psi on G_f3:
+        m_c = (1/|G_f3|) sum_h psi(h) conj(s_c(h)), certified by the
+        residual psi = sum m_c s_c on every element."""
+        coeffs, nonzero = [], []
+        for row, conj in zip(slices.rows, slices.conj_rows):
+            m = _ZERO
+            for p, c in zip(psi, conj):
+                m = m + p * c
+            if slices.inv_order is not None:
+                m = m * slices.inv_order
+            coeffs.append(m)
+            if not m.is_zero():
+                nonzero.append((m, row))
+        for i, p in enumerate(psi):
+            total = _ZERO
+            for m, row in nonzero:
+                total = total + m * row[i]
+            if total != p:
+                raise InternalInconsistencyError(
+                    f"fusion {d1.uid} * {d2.uid}: nonzero residual on the stabilizer "
+                    f"of {self.hopf.F.label(slices.orbit.representative)}"
+                )
+        return _multiplicities(d1, d2, zip(slices.simples, coeffs))
+
     def decompose_product(self, d1: SimpleDesc, d2: SimpleDesc) -> FusionRow:
         key = (d1.uid, d2.uid)
         if key in self._row_cache:
             return self._row_cache[key]
-        pairs = (self._orbit_row if self.orbit_route else self._haar_row)(d1, d2)
+        pairs = self._orbit_row(d1, d2)
         total = sum(m * c.dim_total for c, m in pairs)
         if total != d1.dim_total * d2.dim_total:
             raise InternalInconsistencyError(
@@ -431,7 +494,7 @@ class FusionRing:
     def dual_of(self, d: SimpleDesc) -> SimpleDesc:
         found = self._dual_cache.get(d.uid)
         if found is None:
-            dual = self._stabilizer_dual if self.orbit_route else self._antipode_dual
+            dual = self._antipode_dual if self._twisted else self._stabilizer_dual
             found = self._dual_cache[d.uid] = dual(d)
         return found
 
@@ -593,7 +656,7 @@ class FusionRing:
 
 
 class _Stabilizer:
-    """What the orbit route reads of one certified stabilizer table, shared
+    """What the class form reads of one certified stabilizer table, shared
     by the orbits with that stabilizer, on the conjugacy classes it was
     certified on: the class of each element (cls), a representative (reps),
     the inverse class of each, the character values at the
@@ -619,6 +682,27 @@ class _Stabilizer:
         self.inv_order = None if len(elements) == 1 else rational(len(elements)).inv()
         self.inv_sizes = [None if len(c) == 1 else rational(len(c)).inv() for c in classes]
         self.row_of = {tuple(map(_value_key, row)): j for j, row in enumerate(self.values)}
+
+
+class _Slices:
+    """What the slice form reads of one orbit: its simples, each one's
+    values s_c(h) at p_h # f for h in G_f in stabilizer order (rows), with
+    zeros where the character vanishes, their conjugates (conj_rows), and
+    1/|G_f|, None where 1."""
+
+    __slots__ = ("orbit", "simples", "rows", "conj_rows", "inv_order")
+
+    def __init__(self, hopf: BicrossedHopf, orbit: Orbit, simples):
+        e, f = hopf.G.identity, orbit.representative
+        self.orbit = orbit
+        self.simples = simples
+        self.rows = []
+        for d in simples:
+            terms = _induced_terms(hopf, orbit, e, e, d.chi.value_map())
+            self.rows.append(tuple(terms.get((h, f), _ZERO) for h in orbit.stabilizer))
+        self.conj_rows = [tuple(v.conj() for v in row) for row in self.rows]
+        n = len(orbit.stabilizer)
+        self.inv_order = None if n == 1 else rational(n).inv()
 
 
 def _at_level(v, level: int):

@@ -362,10 +362,11 @@ class CheckResult:
 
     basis records how the verdict was reached: "walked" (every instance
     evaluated), "generators, full walk on failure" (a check over a
-    generating set, every instance walked only if it fails) or
-    "implied by: <laws>" (no instance evaluated).  It is None where no
-    basis is recorded, and to_payload leaves it out, so reports do not
-    depend on it."""
+    generating set, every instance walked only if it fails),
+    "implied by: <laws>" or "trivial cocycles, no walk" (no instance
+    evaluated).  Every check of the matched-pair, cocycle, Hopf and star
+    verifiers records one; run_check leaves it None when not given.
+    to_payload leaves it out, so reports do not depend on it."""
 
     __slots__ = ("name", "scope", "instances", "violations", "violation_count", "basis")
 

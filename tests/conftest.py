@@ -115,6 +115,30 @@ def twisted_sigma_config() -> dict:
     }
 
 
+def klein_twisted_config() -> dict:
+    """V4 acting trivially on Z, sigma trivial, tau lifted through Z -> Z2
+    with tau(a, b; odd) = (-1)^(a_1 b_0) for the bits a = (a_0, a_1),
+    index 2 a_0 + a_1: test_reps.klein_beta at odd f, a nondegenerate
+    class.  Each odd orbit carries one 2-dimensional simple, whose
+    character vanishes off the identity, its one beta-regular element;
+    each even orbit carries four 1-dimensional ones."""
+    odd = [["-1" if (a % 2) * (b // 2) else "1" for b in range(4)] for a in range(4)]
+    v4 = [[a ^ b for b in range(4)] for a in range(4)]
+    return {
+        "name": "klein_twisted",
+        "group": {"type": "table", "table": v4, "name": "V4"},
+        "f_group": {"type": "free_abelian", "rank": 1},
+        "action": {"type": "linear", "matrices": [[[1]]] * 4},
+        "sigma": {"type": "trivial"},
+        "tau": {
+            "type": "quotient_lift",
+            "moduli": [2],
+            "values": [[["1", odd[a][b]] for b in range(4)] for a in range(4)],
+        },
+        "radius": 3,
+    }
+
+
 def broken_compat_config() -> dict:
     """tau(g, g; f_k) = i^(k mod 2 ... ) pattern with t1*t1 != t2: the tau
     law holds but the sigma/tau compatibility fails, so the coproduct is

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from haar_oracle import HaarOracle
 
 from bicrossed.certs import dimension_audit, direct_sum_check, exact_rank, solve_in_span
 from bicrossed.comodules import SimpleIndex, coefficient_basis
@@ -49,7 +50,7 @@ def test_solve_in_span(h_z_z2):
     ring = FusionRing(h_z_z2.hopf)
     chars = [ring.index.character(d) for d in ring.index.enumerate(2)]
     target = chars[0].scale(rational(2)) + chars[3]
-    coeffs = solve_in_span(chars, target, ring.pair)
+    coeffs = solve_in_span(chars, target, HaarOracle(ring).pair)
     assert [c.literal() for c in coeffs] == ["2", "0", "0", "1"]
 
 
@@ -58,7 +59,7 @@ def test_solve_in_span_rejects_residual(h_z_z2):
     chars = [ring.index.character(d) for d in ring.index.enumerate(1)]
     outside = HElem.basis(0, (2,))
     with pytest.raises(InternalInconsistencyError, match="nonzero residual"):
-        solve_in_span(chars, outside, ring.pair)
+        solve_in_span(chars, outside, HaarOracle(ring).pair)
 
 
 def test_solve_in_span_rejects_non_orthonormal_orbit(drinfeld_s3, monkeypatch):

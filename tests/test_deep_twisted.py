@@ -84,6 +84,30 @@ def s3_factorization_config() -> dict:
     }
 
 
+def s3_factorization_tau_config() -> dict:
+    """s3_factorization with tau(g, g2; (01)) = mu(g) mu(g2) / mu(g g2) for
+    mu(g) = i^m(g), m = 0, 1, 3 on 1, (012), (021): a valid co-cocycle,
+    as g < (01) = g^-1 and mu(g^-1) = mu(g)^-1, with a left action that
+    moves g.  beta at (01) is a coboundary but not 1, so its stabilizer
+    table is read off the central extension, with values at level 12."""
+    config = s3_factorization_config()
+    table = config["group"]["table"]
+    m = [0, 1, 3]
+
+    def power_of_i(n):
+        n %= 4
+        return "1" if n == 0 else f"z^{n}@4"
+
+    config["name"] = "s3_factorization_tau"
+    config["tau"] = {
+        "type": "table",
+        "values": [
+            [["1", power_of_i(m[a] + m[b] - m[table[a][b]])] for b in range(3)] for a in range(3)
+        ],
+    }
+    return config
+
+
 def sigma_and_tau_config() -> dict:
     """Both cocycles nontrivial at once, on the trivial-action pair."""
     return {

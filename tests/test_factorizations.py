@@ -9,7 +9,8 @@ whose TableActions factorization_ctx builds as
 conftest.s4_factorization_ctx does.  The cases whose left action is
 nontrivial are the ones the orbit route reads through the twist
 s -> s < f1 of its pair orbits.  With trivial cocycles, each case checks:
-- the orbit route against FusionRing._haar_row, row for row;
+- the orbit route against the Haar route (tests/haar_oracle.py), row for
+  row;
 - the stabilizer dual against the antipode-search dual,
   FusionRing._antipode_dual;
 - sum dim^2 = |G||O| for each orbit;
@@ -29,6 +30,7 @@ import random
 import pytest
 
 from conftest import _permutation_closure
+from haar_oracle import HaarOracle
 
 from bicrossed.cocycles import SigmaCocycle, TauCocycle
 from bicrossed.fusion import FusionRing
@@ -110,14 +112,15 @@ def _check_factorization(F, G) -> None:
     assert verify_matched_pair(ctx, 0).ok
     H = BicrossedHopf(ctx, SigmaCocycle.trivial(), TauCocycle.trivial())
     ring = FusionRing(H)
-    assert ring.orbit_route
+    assert not ring._twisted
+    haar = HaarOracle(ring)
     index = ring.index
     simples = index.enumerate(0)
     rows = [
         (d1.uid, d2.uid)
         for d1 in simples
         for d2 in simples
-        if _summands(ring._orbit_row(d1, d2)) != _summands(ring._haar_row(d1, d2))
+        if _summands(ring._orbit_row(d1, d2)) != _summands(haar.row(d1, d2))
     ]
     assert rows == []
     duals = [ring._stabilizer_dual(d).uid for d in simples]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import cmath
 import itertools
 import random
 
@@ -457,3 +458,79 @@ def test_drinfeld_s3_matches_dpr_rules(drinfeld_s3):
         if got == expected:
             matches.append(label)
     assert matches
+
+
+def _complex(v) -> complex:
+    """A cyclotomic value in floating point, from its power basis."""
+    return sum(c * cmath.exp(2j * cmath.pi * k / v.level) for k, c in enumerate(v.num)) / v.den
+
+
+def _dpr_rules(G, labels) -> dict:
+    """The fusion rules of D(G) over labels (class representative a, class
+    of a, centralizer character of a as {element: complex}), by the
+    Verlinde formula N_ij^k = sum_m S_im S_jm conj(S_km) / S_0m over the
+    Dijkgraaf-Pasquier-Roche S-matrix
+    S_(a,alpha),(b,beta) = (1/|G|) sum conj(alpha(x_g^-1 h x_g)) conj(beta(x_h^-1 g x_h))
+    over the commuting g in the class of a and h in that of b, with
+    g = x_g a x_g^-1 and h = x_h b x_h^-1, in floating point.  Label 0
+    is the unit.  Every N is asserted within 1e-9 of an integer; the
+    rules are {(i, j): {k: N_ij^k}} over the nonzero N."""
+    mul, inv = G.mul, G.inv
+
+    def conjugator(a, g):  # some x with x a x^-1 = g
+        return next(x for x in G.elements() if mul(mul(x, a), inv(x)) == g)
+
+    def pull(a, g, h):  # x_g^-1 h x_g for g in the class of a
+        x = conjugator(a, g)
+        return mul(mul(inv(x), h), x)
+
+    n = len(labels)
+    S = [[0j] * n for _ in range(n)]
+    for i, (a, class_a, alpha) in enumerate(labels):
+        for j, (b, class_b, beta) in enumerate(labels):
+            S[i][j] = sum(
+                (alpha[pull(a, g, h)] * beta[pull(b, h, g)]).conjugate()
+                for g in class_a
+                for h in class_b
+                if mul(g, h) == mul(h, g)
+            ) / G.order
+    rules = {}
+    for i in range(n):
+        for j in range(n):
+            row = {}
+            for k in range(n):
+                value = sum(S[i][m] * S[j][m] * S[k][m].conjugate() / S[0][m] for m in range(n))
+                rounded = round(value.real)
+                assert abs(value - rounded) < 1e-9, (i, j, k, value)
+                if rounded:
+                    row[k] = rounded
+            rules[i, j] = row
+    return rules
+
+
+def test_drinfeld_a4_matches_dpr_rules():
+    """The drinfeld:A4 table at radius 0 equals the Verlinde rules of
+    D(A4): the simple f:i is the label (class of f, the i-th character of
+    the centralizer of f), the stabilizer of f under conjugation."""
+    build = build_preset("drinfeld:A4")
+    G = build.hopf.G
+    ring = FusionRing(build.hopf)
+    table = ring.fusion_table(0)
+    unit = ring.index.unit_simple()
+    simples = [unit] + [d for d in table.simples if d.uid != unit.uid]
+    labels = [
+        (
+            d.orbit.representative,
+            d.orbit.elements,
+            {g: _complex(v) for g, v in d.chi.value_map().items()},
+        )
+        for d in simples
+    ]
+    assert len(labels) == 14
+    rules = _dpr_rules(G, labels)
+    position = {d.uid: i for i, d in enumerate(simples)}
+    got = {
+        (position[r.left], position[r.right]): {position[u]: m for u, m in r.summands}
+        for r in table.rows
+    }
+    assert got == rules

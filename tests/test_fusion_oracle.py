@@ -1,16 +1,18 @@
 """Differential oracles for the term-level fusion shortcuts.
 
-FusionRing.pair dots a product with a dual vector kept per simple,
-decompose_product resolves its candidates once per pair of orbits,
-solve_in_span accumulates its residual in place, MatchedPairCtx.orbit_of
-looks its argument up by element, and verify_based_ring steps straight
-to its sampled triples.  Each is pinned here to the slow exact path it
-replaces: integral_of_product against the antipode, orbit_product with
-the per-orbit Gram check, a fresh orbit computation, and the filter over
-all n^3 index triples.  Both the dual vectors and integral_of_product
-read BicrossedHopf.haar_partner and haar_weight, so the Haar partner
-rule itself is pinned by test_pair_matches_integral_of_mul to the
-integral of the full product H.mul(x, S(chi)), which reads neither.
+The Haar route of tests/haar_oracle.py, the oracle of every fusion row,
+has shortcuts of its own: HaarOracle.pair dots a product with a dual
+vector kept per simple, and a row resolves its candidates once per pair
+of orbits.  solve_in_span accumulates its residual in place,
+MatchedPairCtx.orbit_of looks its argument up by element, and
+verify_based_ring steps straight to its sampled triples.  Each is pinned
+here to the slow exact path it replaces: integral_of_product against the
+antipode, orbit_product with the per-orbit Gram check, a fresh orbit
+computation, and the filter over all n^3 index triples.  Both the dual
+vectors and integral_of_product read BicrossedHopf.haar_partner and
+haar_weight, so the Haar partner rule itself is pinned by
+test_pair_matches_integral_of_mul to the integral of the full product
+H.mul(x, S(chi)), which reads neither.
 
 Mutations of the fast paths, each of which fails a test:
 - a dual vector without sigma(g; f, f^-1) (twisted_sigma and sigma_and_tau
@@ -25,8 +27,8 @@ Mutations of the fast paths, each of which fails a test:
   test_pair_matches_integral_of_mul; the same);
 - haar_partner without the left action (s3_factorization there);
 - the candidate memo keyed by one orbit only
-  (test_candidates_match_orbit_product, and
-  test_fusion.py::test_rows_match_dense_solve);
+  (test_candidates_match_orbit_product, and the route agreement tests of
+  test_fusion_routes.py, whose oracle row reads it);
 - the residual skipping a candidate's terms (test_certs.py::
   test_solve_in_span, whose target has two summands);
 - orbit_of registering only the representative
@@ -47,6 +49,7 @@ import random
 import pytest
 
 from conftest import build_preset, s4_factorization_ctx
+from haar_oracle import HaarOracle
 from test_fusion import _ORACLE_CONFIGS, sign_sigma_config
 
 from bicrossed.config import build_config
@@ -80,6 +83,7 @@ def test_pair_matches_integral_of_product(name):
     b = build()
     H = b.hopf
     ring = FusionRing(H)
+    pair = HaarOracle(ring).pair
     simples = ring.index.enumerate(radius)
     candidates = {
         c.uid: c for d1 in simples for d2 in simples for c in _candidates(ring, d1.orbit, d2.orbit)
@@ -95,8 +99,8 @@ def test_pair_matches_integral_of_product(name):
         keys = sorted((g, f) for f in fs for g in H.G.elements())
         for _ in range(3):
             x = _random_element(rng, keys, level)
-            assert ring.pair(x, chi) == H.integral_of_product(x, s_chi), (uid, x)
-        assert ring.pair(chi, chi) == H.integral_of_product(chi, s_chi)
+            assert pair(x, chi) == H.integral_of_product(x, s_chi), (uid, x)
+        assert pair(chi, chi) == H.integral_of_product(chi, s_chi)
 
 
 @pytest.mark.parametrize("name", sorted(_PAIR_CONFIGS))
@@ -107,6 +111,7 @@ def test_pair_matches_integral_of_mul(name):
     b = build()
     H = b.hopf
     ring = FusionRing(H)
+    pair = HaarOracle(ring).pair
     rng = random.Random(20261019)
     level = max(b.level, 4)
     for d in ring.index.enumerate(radius):
@@ -115,17 +120,18 @@ def test_pair_matches_integral_of_mul(name):
         fs = {H.F.inv(e) for _h, e in s_chi.terms} | {e for _h, e in chi.terms}
         keys = sorted((g, f) for f in fs for g in H.G.elements())
         for x in [chi] + [_random_element(rng, keys, level) for _ in range(3)]:
-            assert ring.pair(x, chi) == H.integral(H.mul(x, s_chi)), (d.uid, x)
+            assert pair(x, chi) == H.integral(H.mul(x, s_chi)), (d.uid, x)
 
 
 @pytest.mark.parametrize("name", sorted(_ORACLE_CONFIGS))
 def test_candidates_match_orbit_product(name):
     build, radius = _ORACLE_CONFIGS[name]
     ring = FusionRing(build().hopf)
+    haar = HaarOracle(ring)
     simples = ring.index.enumerate(radius)
     for d1 in simples:
         for d2 in simples:
-            got = ring._candidates_for(d1.orbit, d2.orbit)
+            got = haar._candidates_for(d1.orbit, d2.orbit)
             assert got == _candidates(ring, d1.orbit, d2.orbit), (d1.uid, d2.uid)
 
 

@@ -1,16 +1,18 @@
 """The orbit route of FusionRing against the Haar route, on one ring.
 
-With sigma and tau trivial, decompose_product reads each row off the
-stabilizer tables at the product orbits' representatives, one term per
-class of each pair-orbit stabilizer K_i (the orbit route), and dual_of
-reads the dual off the stabilizer tables too; only twisted cocycles take
-the Haar route, which stays callable as FusionRing._haar_row and
-FusionRing._antipode_dual and is the oracle here: both routes run on the
-same ring, row for row.  _full_residual, the walk over every pair and
-every element of G_f3 that the orbit route no longer makes, pins the
-reading of psi on classes.
+decompose_product reads each row at the representatives of the product
+orbits.  With sigma and tau trivial it reads it on the classes of each
+pair-orbit stabilizer K_i (class form), and dual_of reads the dual off
+the stabilizer tables too.  With either cocycle twisted it reads psi on
+the elements of G_f3, off the two factors' character terms, against the
+beta-projective slices of the simples over O3 (slice form), and dual_of
+searches the antipode, FusionRing._antipode_dual.  The Haar route of
+tests/haar_oracle.py is the oracle of both forms: both run on the same
+ring, row for row.  _full_residual, the walk over every pair and every
+element of G_f3 that the class form no longer makes, pins the reading
+of psi on classes.
 
-Mutations of the orbit route, each of which fails a tier-1 test:
+Mutations of the class form, each of which fails a tier-1 test:
 - the transport dropped, the class of s < f1 read in G_f2 without the
   conjugation by z_y (test_routes_agree on drinfeld:S3 and A4,
   test_class_residual_matches_full_residual,
@@ -56,8 +58,33 @@ Mutations of the orbit route, each of which fails a tier-1 test:
   (test_stabilizer_duals_match_antipode on drinfeld:S3, A4, h_z_z2n:2,
   h_z_z2n:3 and s3_factorization, test_drinfeld_s3_matches_dpr_rules).
 
-The full tables of z_poly_zp:3 at radius 2 and drinfeld:S4 at radius 0
-are compared behind the sweep marker.
+Mutations of the slice form, each of which fails a tier-1 test:
+- conj dropped in m_c, psi(h) s_c(h) summed for psi(h) conj(s_c(h))
+  (test_slice_form_matches_haar_route on z4_twisted, twisted_tau,
+  sigma_and_tau and s3_factorization_tau, whose slices take non-real
+  values; test_fusion.py::test_rows_match_dense_solve);
+- the sigma(h; x, y) factor dropped (test_slice_form_matches_haar_route
+  on twisted_sigma and sigma_and_tau,
+  test_slice_form_refuses_sigma_two_like_the_haar_route,
+  test_deep_twisted.py::test_sigma_and_tau_pipeline);
+- the right factor read at h instead of h < x
+  (test_slice_form_matches_haar_route[s3_factorization_tau], the one
+  twisted fixture whose left action moves g);
+- zero values skipped in a slice, so that it no longer runs over all of
+  G_f (test_slice_form_matches_haar_route[klein_twisted] and
+  test_klein_twisted_simples_are_projective: the only fixture whose
+  projective characters vanish somewhere);
+- the residual skipped (test_slice_form_residual_catches_a_wrong_slice);
+- O3 left out of the decomposition memo key, so that equal psi on two
+  product orbits give one orbit's simples (test_slice_form_matches_haar_route
+  on every twisted fixture but s3_factorization_tau, where no psi recurs
+  on a second product orbit, and test_fusion.py::test_rows_match_dense_solve);
+- the check that an orbit's simples are the rows of its table dropped
+  (test_slice_form_rejects_non_orthonormal_orbit, whose duplicated
+  simples the residual would reject with another message).
+
+The full tables of z_poly_zp:3 at radius 2, drinfeld:S4 at radius 0 and
+z4_twisted at radius 6 are compared behind the sweep marker.
 """
 
 from __future__ import annotations
@@ -67,11 +94,20 @@ from pathlib import Path
 
 import pytest
 
-from conftest import SPLIT_EXTENSIONS, build_preset, s4_factorization_ctx, split_extension_ctx
+from conftest import (
+    SPLIT_EXTENSIONS,
+    build_preset,
+    klein_twisted_config,
+    s4_factorization_ctx,
+    sigma_two_config,
+    split_extension_ctx,
+)
+from haar_oracle import HaarOracle, HaarRing
+from test_deep_twisted import s3_factorization_tau_config, z4_twisted_config
 from test_fusion import _ORACLE_CONFIGS
 
 from bicrossed import fusion
-from bicrossed.cocycles import SigmaCocycle, TauCocycle
+from bicrossed.cocycles import SigmaCocycle, TauCocycle, verify_cocycles
 from bicrossed.config import build_config
 from bicrossed.cyclotomic import rational
 from bicrossed.errors import InternalInconsistencyError
@@ -81,7 +117,7 @@ from bicrossed.matched_pair import orbit_product, verify_matched_pair
 
 S4_Z4 = Path(__file__).resolve().parents[1] / "bench" / "configs" / "s4_z4.json"
 
-_ORBIT_ROUTE = (
+_CLASS_FORM = (
     "drinfeld:A4",
     "drinfeld:S3",
     "h_z_z2n:2",
@@ -89,7 +125,7 @@ _ORBIT_ROUTE = (
     "z2_trivial_on_s3",
     "z_poly_zp:2",
 )
-_HAAR_ROUTE = ("sigma_and_tau", "twisted_sigma", "twisted_tau", "z4_twisted")
+_SLICE_FORM = ("sigma_and_tau", "twisted_sigma", "twisted_tau", "z4_twisted")
 
 
 def _summands(pairs) -> tuple:
@@ -98,20 +134,21 @@ def _summands(pairs) -> tuple:
 
 def _disagreements(ring, radius) -> list:
     """The pairs of simples in the ball whose rows differ between routes."""
+    haar = HaarOracle(ring)
     simples = ring.index.enumerate(radius)
     return [
         (d1.uid, d2.uid)
         for d1 in simples
         for d2 in simples
-        if _summands(ring._orbit_row(d1, d2)) != _summands(ring._haar_row(d1, d2))
+        if _summands(ring._orbit_row(d1, d2)) != _summands(haar.row(d1, d2))
     ]
 
 
 def test_route_choice():
-    assert sorted(_ORBIT_ROUTE + _HAAR_ROUTE) == sorted(_ORACLE_CONFIGS)
-    for name in _ORBIT_ROUTE + _HAAR_ROUTE:
+    assert sorted(_CLASS_FORM + _SLICE_FORM) == sorted(_ORACLE_CONFIGS)
+    for name in _CLASS_FORM + _SLICE_FORM:
         ring = FusionRing(_ORACLE_CONFIGS[name][0]().hopf)
-        assert ring.orbit_route is (name in _ORBIT_ROUTE), name
+        assert ring._twisted is (name in _SLICE_FORM), name
 
 
 def test_orbit_route_forms_no_character_product(monkeypatch):
@@ -121,7 +158,6 @@ def test_orbit_route_forms_no_character_product(monkeypatch):
         raise AssertionError("the orbit route reached the Haar route")
 
     monkeypatch.setattr(ring.hopf, "mul", refuse)
-    monkeypatch.setattr(ring, "pair", refuse)
     monkeypatch.setattr(fusion, "solve_in_span", refuse)
     monkeypatch.setattr(ring.index, "character", refuse)
     monkeypatch.setattr(ring.hopf, "antipode", refuse)
@@ -131,8 +167,23 @@ def test_orbit_route_forms_no_character_product(monkeypatch):
     assert len({ring.dual_of(d).uid for d in simples}) == 12
 
 
+def test_slice_form_forms_no_product_in_h(monkeypatch):
+    # the slice form reads the factors' character terms, but forms no
+    # product in H and solves in no span
+    ring = FusionRing(build_config(z4_twisted_config()).hopf)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the slice form reached the Haar route")
+
+    monkeypatch.setattr(ring.hopf, "mul", refuse)
+    monkeypatch.setattr(fusion, "solve_in_span", refuse)
+    simples = ring.index.enumerate(3)
+    rows = [ring.decompose_product(d1, d2) for d1 in simples for d2 in simples]
+    assert len(rows) == 10 * 10
+
+
 _ROUTE_CASES = {
-    **{name: _ORACLE_CONFIGS[name] for name in _ORBIT_ROUTE},
+    **{name: _ORACLE_CONFIGS[name] for name in _CLASS_FORM},
     "h_z_z2n:3": (lambda: build_preset("h_z_z2n:3"), 4),
     "s4_z4": (lambda: build_config(json.loads(S4_Z4.read_text(encoding="utf-8"))), 0),
 }
@@ -142,7 +193,7 @@ _ROUTE_CASES = {
 def test_routes_agree(name):
     build, radius = _ROUTE_CASES[name]
     ring = FusionRing(build().hopf)
-    assert ring.orbit_route
+    assert not ring._twisted
     assert _disagreements(ring, radius) == []
 
 
@@ -228,7 +279,7 @@ def test_orbit_route_residual_reads_every_class():
         ring.decompose_product(d1, d2)
 
 
-@pytest.mark.parametrize("name", sorted(_ORBIT_ROUTE))
+@pytest.mark.parametrize("name", sorted(_CLASS_FORM))
 def test_product_orbits_match_orbit_product(name):
     # the orbits of f1 O2 are those of O1 O2
     build, radius = _ORACLE_CONFIGS[name]
@@ -246,7 +297,7 @@ def test_split_extensions_routes_agree(name):
     ctx = split_extension_ctx(*SPLIT_EXTENSIONS[name])
     assert verify_matched_pair(ctx, 0).ok
     ring = FusionRing(BicrossedHopf(ctx, SigmaCocycle.trivial(), TauCocycle.trivial()))
-    assert ring.orbit_route
+    assert not ring._twisted
     assert _disagreements(ring, 0) == []
     assert ring.verify_based_ring(ring.fusion_table(0))["ok"]
 
@@ -262,12 +313,12 @@ def test_orbit_route_residual_catches_a_wrong_table(drinfeld_s3):
         ring.decompose_product(unit, unit)
 
 
-def test_haar_route_rejects_non_orthonormal_orbit(monkeypatch):
-    """The per-orbit Gram certificate of the Haar route, on a config the
-    orbit route does not serve."""
+def test_slice_form_rejects_non_orthonormal_orbit(monkeypatch):
+    """The check that an orbit's simples are the rows of its table, on a
+    twisted config: the same error as the class form's."""
     build, radius = _ORACLE_CONFIGS["twisted_sigma"]
     ring = FusionRing(build().hopf)
-    assert not ring.orbit_route
+    assert ring._twisted
     index = ring.index
     d = index.enumerate(radius)[0]
     real = index.simples_for_orbit
@@ -279,6 +330,7 @@ def test_haar_route_rejects_non_orthonormal_orbit(monkeypatch):
 _SWEEP_CASES = {
     "z_poly_zp:3": (lambda: build_preset("z_poly_zp:3"), 2),
     "drinfeld:S4": (lambda: build_preset("drinfeld:S4"), 0),
+    "z4_twisted": (lambda: build_config(z4_twisted_config()), 6),
 }
 
 
@@ -287,9 +339,7 @@ _SWEEP_CASES = {
 def test_full_tables_match_haar_route(name):
     build, radius = _SWEEP_CASES[name]
     H = build().hopf
-    orbit_ring, haar_ring = FusionRing(H), FusionRing(H)
-    assert orbit_ring.orbit_route
-    haar_ring.orbit_route = False
+    orbit_ring, haar_ring = FusionRing(H), HaarRing(H)
     tables = [ring.fusion_table(radius) for ring in (orbit_ring, haar_ring)]
     assert [r.to_payload() for r in tables[0].rows] == [r.to_payload() for r in tables[1].rows]
     assert tables[0].duals == tables[1].duals
@@ -306,3 +356,70 @@ def test_orbit_route_rejects_simples_off_the_table(monkeypatch):
     monkeypatch.setattr(index, "simples_for_orbit", lambda orb: (real(orb)[0], *real(orb)[:-1]))
     with pytest.raises(InternalInconsistencyError, match="not the rows of its stabilizer table"):
         ring.decompose_product(d, d)
+
+
+_SLICE_CASES = {
+    **{name: _ORACLE_CONFIGS[name] for name in _SLICE_FORM},
+    "klein_twisted": (lambda: build_config(klein_twisted_config()), 3),
+    "s3_factorization_tau": (lambda: build_config(s3_factorization_tau_config()), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SLICE_CASES))
+def test_slice_form_matches_haar_route(name):
+    build, radius = _SLICE_CASES[name]
+    H = build().hopf
+    assert verify_cocycles(H.ctx, H.sigma, H.tau).ok
+    ring = FusionRing(H)
+    assert ring._twisted
+    assert _disagreements(ring, radius) == []
+    assert ring.verify_based_ring(ring.fusion_table(radius))["ok"]
+    G = ring.hopf.G
+    for orbit in ring.index.orbits_in_ball(radius):
+        dims = [d.dim_total for d in ring.index.simples_for_orbit(orbit)]
+        assert sum(n * n for n in dims) == G.order * orbit.size
+
+
+def test_klein_twisted_simples_are_projective():
+    # one 2-dimensional simple per odd orbit, whose slice vanishes off the
+    # identity: the zeros the slice form must read as values
+    ring = FusionRing(build_config(klein_twisted_config()).hopf)
+    index = ring.index
+    (odd,) = index.simples_for_f((1,))
+    assert odd.dim_total == 2
+    slices = ring._slices_on(odd.orbit)
+    assert [[v.literal() for v in row] for row in slices.rows] == [["2", "0", "0", "0"]]
+    assert [d.dim_total for d in index.simples_for_f((2,))] == [1, 1, 1, 1]
+    row = ring.decompose_product(odd, odd)
+    assert row.summands == tuple((f"2:{j}", 1) for j in range(4))
+
+
+def test_slice_form_residual_catches_a_wrong_slice():
+    # the slices of z4_twisted's two simples over the orbit of 1 (values
+    # 1, +-i on Z2) read as one: both coefficients of the unit times 1:0
+    # come out 1, and their sum misses psi
+    ring = FusionRing(build_config(z4_twisted_config()).hopf)
+    unit = ring.index.unit_simple()
+    d = ring.index.find("1:0")
+    slices = ring._slices_on(d.orbit)
+    slices.rows[1], slices.conj_rows[1] = slices.rows[0], slices.conj_rows[0]
+    with pytest.raises(InternalInconsistencyError, match="nonzero residual"):
+        ring.decompose_product(unit, d)
+
+
+def test_slice_form_refuses_sigma_two_like_the_haar_route():
+    # sigma(1; 1, 1) = 2 breaks the compatibility law; both routes give
+    # the same rows, and the same refusals where a multiplicity is 3/2
+    ring = FusionRing(build_config(sigma_two_config()).hopf)
+    haar = HaarOracle(ring)
+
+    def outcome(row, d1, d2):
+        try:
+            return _summands(row(d1, d2))
+        except InternalInconsistencyError as exc:
+            return str(exc)
+
+    simples = ring.index.enumerate(1)
+    got = [outcome(ring._orbit_row, d1, d2) for d1 in simples for d2 in simples]
+    assert got == [outcome(haar.row, d1, d2) for d1 in simples for d2 in simples]
+    assert sum(isinstance(x, str) for x in got) == 4

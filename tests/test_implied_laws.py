@@ -285,3 +285,19 @@ def test_table_certificate_basis(case):
     else:
         assert bases[4] == "walked"
         assert {b for c, b in zip(rep.checks, bases) if not c.ok} == {"walked"}
+
+
+@pytest.mark.parametrize("case", IMPLIED_CASES + WALKED_CASES)
+def test_every_check_records_its_basis(case):
+    # to_payload leaves basis out, so no report pins it; every check of the
+    # four verifiers records one, walked or not, premises or none
+    H, radius = _case(case)
+    premises = _premises(H, radius)
+    reports = [*premises]
+    for kw in ({}, {"premises": premises}):
+        reports += [verify_hopf(H, radius, **kw), verify_star(H, radius, **kw)]
+    missing = [(r.title, c.name) for r in reports for c in r.checks if c.basis is None]
+    assert missing == []
+    trivial = H.sigma.is_trivial and H.tau.is_trivial
+    want = "trivial cocycles, no walk" if trivial else "walked"
+    assert {c.basis for c in premises[1].checks} == {want}
