@@ -59,21 +59,24 @@ def stabilizer_char_table(
 ) -> tuple[CharTable, Beta2Cocycle]:
     """Character table of the twisted stabilizer algebra of the orbit.
 
-    With beta trivial the table is that of the stabilizer subgroup alone,
-    so a tables dict shares it between orbits, keyed by the stabilizer
-    tuple; a twisted table depends on beta and is never read from it."""
+    The table depends only on the stabilizer and the values of beta on
+    it, so a tables dict shares it between orbits, keyed by the
+    stabilizer tuple and those values (None where beta is trivial)."""
     beta = beta_for_orbit(hopf.ctx, hopf.tau, orbit)
-    if not beta.is_trivial:
-        return twisted_char_table(hopf.G, orbit.stabilizer, beta), beta
-    table = None if tables is None else tables.get(orbit.stabilizer)
+    values = None if beta.is_trivial else tuple((v.level, v.num, v.den) for v in beta.values.values())
+    key = orbit.stabilizer, values
+    table = None if tables is None else tables.get(key)
     if table is None:
-        sub, to_parent = subgroup_of(hopf.G, orbit.stabilizer)
-        if sub.is_abelian():
-            table = abelian_char_table(sub, to_parent)
+        if values is not None:
+            table = twisted_char_table(hopf.G, orbit.stabilizer, beta)
         else:
-            table = ordinary_char_table(sub, to_parent)
+            sub, to_parent = subgroup_of(hopf.G, orbit.stabilizer)
+            if sub.is_abelian():
+                table = abelian_char_table(sub, to_parent)
+            else:
+                table = ordinary_char_table(sub, to_parent)
         if tables is not None:
-            tables[orbit.stabilizer] = table
+            tables[key] = table
     return table, beta
 
 
@@ -120,13 +123,14 @@ def _induced_terms(hopf: BicrossedHopf, orbit: Orbit, z2, z, a: dict) -> dict:
     G, f = hopf.G, orbit.representative
     z2inv, zinv = G.inv(z2), G.inv(z)
     fz = hopf.ctx.act_right(zinv, f)
+    tau = None if hopf.tau.is_trivial else hopf.tau.eval  # trivial: no factor
     acc: dict = {}
     for g in orbit.stabilizer:
         val = a[g]
         if val.is_zero():
             continue
         zgz = G.mul(G.mul(z2inv, g), z)
-        acc[(zgz, fz)] = hopf.tau.eval(z2inv, g, f).inv() * hopf.tau.eval(zgz, zinv, f) * val
+        acc[(zgz, fz)] = val if tau is None else tau(z2inv, g, f).inv() * tau(zgz, zinv, f) * val
     return acc
 
 
@@ -224,7 +228,7 @@ class SimpleIndex:
         self._by_rep: dict = {}
         self._by_uid: dict = {}
         self._char_cache: dict = {}
-        self._tables: dict = {}  # stabilizer -> untwisted character table
+        self._tables: dict = {}  # (stabilizer, beta values) -> character table
         self._orbit_tables: dict = {}  # representative -> the table of its simples
 
     def simples_for_orbit(self, orbit: Orbit) -> tuple[SimpleDesc, ...]:
@@ -240,9 +244,9 @@ class SimpleIndex:
 
     def stabilizer_table(self, orbit: Orbit) -> CharTable | None:
         """The character table the orbit's simples were read from, or None
-        before simples_for_orbit has run on the orbit: the untwisted table
-        of its stabilizer, shared between orbits, or the beta-twisted table
-        of the orbit alone.  Every simple of the orbit is a row of it."""
+        before simples_for_orbit has run on the orbit: the table of its
+        stabilizer and beta, shared between the orbits with both equal.
+        Every simple of the orbit is a row of it."""
         return self._orbit_tables.get(orbit.representative)
 
     def simples_for_f(self, f) -> tuple[SimpleDesc, ...]:

@@ -139,6 +139,44 @@ def klein_twisted_config() -> dict:
     }
 
 
+def s4_sign_tau_config() -> dict:
+    """S4 acting on Z by the sign, sigma trivial, tau lifted through
+    Z -> Z2 with tau(g, g'; odd) = nu(g) nu(g') / nu(g g') for nu = -1 at
+    the 3-cycle (1 2 3) alone: a coboundary, so a valid co-cocycle.  The
+    stabilizer of an odd f is A4, on which beta = tau(., .; f) is not 1,
+    and nu is no class function there, so the projective characters of
+    its twisted table are no class functions either.  Its transversal
+    {1, (2 3)} makes the tau weight of the induced characters differ from
+    1: w(h, -f) = nu((2 3) h) nu(h) / (nu((2 3) h (2 3)) nu(h (2 3)))."""
+    perms = sorted(itertools.permutations(range(4)))
+    index = {p: i for i, p in enumerate(perms)}
+
+    def compose(p, q):
+        return tuple(p[q[i]] for i in range(4))
+
+    def sign(p):
+        return (-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
+
+    def nu(p):
+        return -1 if p == (0, 2, 3, 1) else 1
+
+    table = [[index[compose(p, q)] for q in perms] for p in perms]
+    odd = [[nu(p) * nu(q) * nu(compose(p, q)) for q in perms] for p in perms]
+    return {
+        "name": "s4_sign_tau",
+        "group": {"type": "table", "table": table, "name": "S4"},
+        "f_group": {"type": "free_abelian", "rank": 1},
+        "action": {"type": "linear", "matrices": [[[sign(p)]] for p in perms]},
+        "sigma": {"type": "trivial"},
+        "tau": {
+            "type": "quotient_lift",
+            "moduli": [2],
+            "values": [[["1", str(odd[a][b])] for b in range(24)] for a in range(24)],
+        },
+        "radius": 1,
+    }
+
+
 def broken_compat_config() -> dict:
     """tau(g, g; f_k) = i^(k mod 2 ... ) pattern with t1*t1 != t2: the tau
     law holds but the sigma/tau compatibility fails, so the coproduct is

@@ -10,6 +10,10 @@ residual.  Each simple keeps its dual vector k -> <T, p_k S(chi)>, so a
 pairing is one sparse dot product over the terms of the product.  It
 shares its ring's SimpleIndex and character cache.
 
+HaarOracle.antipode_dual is the oracle of the duals: the simple over the
+orbit of f^-1 whose character is the antipode of the character of d,
+found by searching the characters of that orbit.
+
 HaarRing is a FusionRing whose rows all take this route and whose duals
 all take the antipode search, so whole tables and based-ring reports can
 be compared between the two.
@@ -102,6 +106,18 @@ class HaarOracle:
         )
         return _multiplicities(d1, d2, zip(candidates, coeffs))
 
+    def antipode_dual(self, d):
+        """The simple over the orbit of f^-1 whose character is the
+        antipode of the character of d."""
+        H, index = self.hopf, self.index
+        target = H.antipode(index.character(d))
+        for cand in index.simples_for_f(H.F.inv(d.orbit.representative)):
+            if index.character(cand) == target:
+                return cand
+        raise InternalInconsistencyError(
+            f"no simple matches the antipode of the character of {d.uid}"
+        )
+
 
 class HaarRing(FusionRing):
     """A FusionRing reading every row by the Haar route and every dual by
@@ -115,4 +131,4 @@ class HaarRing(FusionRing):
         return self.haar.row(d1, d2)
 
     def _stabilizer_dual(self, d):
-        return self._antipode_dual(d)
+        return self.haar.antipode_dual(d)

@@ -272,9 +272,10 @@ _SHARED_TABLE_BALLS = {
 
 @pytest.mark.parametrize("name", sorted(_SHARED_TABLE_BALLS))
 def test_shared_stabilizer_tables_match_per_orbit(name):
-    # SimpleIndex shares one untwisted table per stabilizer; every orbit of
-    # the ball must get the simples and characters of a table built for it
-    # alone, and an orbit with nontrivial beta must not read the memo.
+    # SimpleIndex shares one table per stabilizer and beta, twisted or
+    # not; every orbit of the ball must get the simples and characters of
+    # a table built for it alone, and z4_twisted must build fewer twisted
+    # tables than it has twisted orbits.
     build, radius = _SHARED_TABLE_BALLS[name]
     H = build().hopf
     index = SimpleIndex(H)
@@ -288,12 +289,15 @@ def test_shared_stabilizer_tables_match_per_orbit(name):
             assert d.chi.elements == e.chi.elements and d.chi.values == e.chi.values
             assert index.character(d) == irreducible_character(H, e)
     assert len(index._tables) < len(orbits)
-    tables, twisted = _ReadLog(), 0
+    twisted_orbits = sum(not beta_for_orbit(H.ctx, H.tau, orb).is_trivial for orb in orbits)
+    twisted_tables = sum(table.classes is None for table in index._tables.values())
+    if name == "z4_twisted":
+        assert 0 < twisted_tables < twisted_orbits
+    else:
+        assert twisted_tables == twisted_orbits == 0
+    tables = _ReadLog()
     for orb in orbits:
         before = len(tables.reads)
         simples_for_orbit(H, orb, tables)
-        if not beta_for_orbit(H.ctx, H.tau, orb).is_trivial:
-            twisted += 1
-            assert len(tables.reads) == before, f"twisted orbit {orb.representative} read the memo"
-    assert twisted > 0 if name == "z4_twisted" else twisted == 0
-    assert len(tables.reads) == len(orbits) - twisted
+        assert len(tables.reads) == before + 1, f"orbit {orb.representative} did not read the memo"
+    assert len(tables) == len(index._tables)

@@ -12,7 +12,7 @@ s -> s < f1 of its pair orbits.  With trivial cocycles, each case checks:
 - the orbit route against the Haar route (tests/haar_oracle.py), row for
   row;
 - the stabilizer dual against the antipode-search dual,
-  FusionRing._antipode_dual;
+  HaarOracle.antipode_dual;
 - sum dim^2 = |G||O| for each orbit;
 - BicrossedHopf.is_commutative against a sweep of basis_mul over every
   pair of basis elements.
@@ -112,7 +112,6 @@ def _check_factorization(F, G) -> None:
     assert verify_matched_pair(ctx, 0).ok
     H = BicrossedHopf(ctx, SigmaCocycle.trivial(), TauCocycle.trivial())
     ring = FusionRing(H)
-    assert not ring._twisted
     haar = HaarOracle(ring)
     index = ring.index
     simples = index.enumerate(0)
@@ -124,7 +123,7 @@ def _check_factorization(F, G) -> None:
     ]
     assert rows == []
     duals = [ring._stabilizer_dual(d).uid for d in simples]
-    assert duals == [ring._antipode_dual(d).uid for d in simples]
+    assert duals == [haar.antipode_dual(d).uid for d in simples]
     for orbit in index.orbits_in_ball(0):
         dims = [d.dim_total for d in index.simples_for_orbit(orbit)]
         assert sum(n * n for n in dims) == H.G.order * orbit.size

@@ -1,87 +1,93 @@
 """The orbit route of FusionRing against the Haar route, on one ring.
 
 decompose_product reads each row at the representatives of the product
-orbits.  With sigma and tau trivial it reads it on the classes of each
-pair-orbit stabilizer K_i (class form), and dual_of reads the dual off
-the stabilizer tables too.  With either cocycle twisted it reads psi on
-the elements of G_f3, off the two factors' character terms, against the
-beta-projective slices of the simples over O3 (slice form), and dual_of
-searches the antipode, FusionRing._antipode_dual.  The Haar route of
-tests/haar_oracle.py is the oracle of both forms: both run on the same
-ring, row for row.  _full_residual, the walk over every pair and every
-element of G_f3 that the class form no longer makes, pins the reading
-of psi on classes.
+orbits, by one route for every cocycle: each non-free pair orbit is
+walked over f3, each pair (x, y) and each h in its stabilizer giving a
+term on the cells of the three stabilizer tables (conjugacy classes of
+an untwisted table, single elements of a beta-twisted one) with the
+weight w1(h, x) w2(h < x, y) sigma(h; x, y), and m_c comes from
+conjugate orthogonality.  dual_of reads the dual off the stabilizer
+tables, with the antipode coefficient of antipode_basis and the tau
+weight.  The Haar route of tests/haar_oracle.py is the oracle of the
+rows, and its antipode search, HaarOracle.antipode_dual, the oracle of
+the duals: both run on the same ring, row for row and dual for dual.
+_full_residual, the walk over every pair and every element of G_f3 that
+the rows no longer make on an untwisted table, pins the reading of psi
+on classes.  The tests named for the slice form, the route that served
+twisted cocycles until the cell form took them over, run on those
+twisted configs.  s4_sign_tau is the one fixture whose twisted
+characters are no class functions and whose tau weights differ from 1.
 
-Mutations of the class form, each of which fails a tier-1 test:
-- the transport dropped, the class of s < f1 read in G_f2 without the
-  conjugation by z_y (test_routes_agree on drinfeld:S3 and A4,
-  test_class_residual_matches_full_residual,
+Mutations, each run on a scratch copy against the whole tier-1 suite,
+and each failing at least one tier-1 test:
+- w1 dropped, the left factor's tau weight read as 1
+  (test_slice_form_matches_haar_route[s4_sign_tau]);
+- w2 dropped (test_slice_form_matches_haar_route[s4_sign_tau]);
+- sigma(h; x, y) dropped (test_slice_form_matches_haar_route on
+  twisted_sigma and sigma_and_tau,
+  test_slice_form_refuses_sigma_two_like_the_haar_route,
+  test_fusion.py::test_rows_match_dense_solve,
+  test_deep_twisted.py::test_sigma_and_tau_pipeline);
+- the right factor read at h instead of h < x
+  (test_slice_form_matches_haar_route[s3_factorization_tau],
+  test_routes_agree[s3_factorization], test_factorization_routes_agree
+  on S3, A4 and S4);
+- conjugacy classes used as cells on a beta-twisted table
+  (test_slice_form_matches_haar_route[s4_sign_tau]);
+- the antipode coefficient dropped in the dual
+  (test_stabilizer_duals_match_antipode on twisted_tau, twisted_sigma,
+  z4_twisted and s4_sign_tau, test_slice_form_matches_haar_route on the
+  same configs, test_deep_twisted.py::test_z4_twisted_fusion);
+- the tau weight w dropped in the dual
+  (test_stabilizer_duals_match_antipode[s4_sign_tau]);
+- conj dropped in m_c, rho_c(C) for conj(rho_c(C)) (test_routes_agree,
+  test_factorization_routes_agree, the acceptance criteria and the
+  report pins);
+- the cell of h read in G_f for that of z_x h z_x^-1, the transport
+  dropped (test_routes_agree on drinfeld:S3 and A4,
   test_fusion.py::test_drinfeld_s3_matches_dpr_rules,
-  test_factorizations.py::test_factorization_routes_agree);
+  test_factorization_routes_agree on S4,
+  test_slice_form_matches_haar_route[s4_sign_tau]);
 - x y taken as y x, the product f1 y read as y f1 (test_routes_agree
   [z2_trivial_on_s3], test_split_extensions_routes_agree[S4 = A4 x| Z2],
   test_product_orbits_match_orbit_product[z2_trivial_on_s3],
-  test_factorization_routes_agree on S4 with |F| = 6; an abelian F hides
-  it);
-- the pair stabilizer taken as all of G_f1, every s counted for every
-  pair (test_routes_agree and every split extension and factorization);
-- the 1/|G_f3| factor dropped (test_routes_agree and every split
-  extension and factorization);
-- rho_c(D) read for rho_c(D^-1) (test_routes_agree on h_z_z2n:2,
-  h_z_z2n:3, drinfeld:S3, A4 and s3_factorization,
-  test_split_extensions_routes_agree[A4 = V4 x| Z3]);
+  test_factorization_routes_agree on S4; an abelian F hides it);
+- the pair stabilizer taken as all of G_f1 (test_routes_agree,
+  test_factorization_routes_agree, the report pins);
+- the 1/|G_f3| factor dropped (test_fusion.py::test_unit_row,
+  test_deep_twisted.py::test_z4_twisted_fusion, the report pins);
 - a character index left out of the decomposition memo's key
-  (test_routes_agree and every split extension and factorization);
+  (test_fusion.py::test_rows_match_dense_solve,
+  test_factorization_routes_agree, the report pins);
 - the check that an orbit's simples are the rows of its stabilizer table
   dropped (test_certs.py::test_solve_in_span_rejects_non_orthonormal_orbit,
-  whose orbit has fewer simples than rows, and
-  test_orbit_route_rejects_simples_off_the_table, which alone catches
-  dropping the identity part of the check);
-- the stabilizer residual skipped
-  (test_orbit_route_residual_catches_a_wrong_table,
-  test_orbit_route_residual_reads_every_class);
-- the < twist dropped, s read for s < f1 (test_routes_agree
-  [s3_factorization], test_class_residual_matches_full_residual on
-  s3_factorization and s4_factorization, test_factorization_routes_agree
-  on every case of S3 and A4);
-- K_i read at (f1, y) without the move to f3, the class of s in G_f3
-  for that of t s t^-1 (test_routes_agree on drinfeld:S3 and A4,
-  test_drinfeld_s3_matches_dpr_rules, test_factorization_routes_agree on
-  S4 with |F| = 3);
-- the index factor [G_f3 : K_i] dropped from the weights
-  (test_routes_agree on drinfeld:S3, A4, h_z_z2n:2 and h_z_z2n:3,
-  test_split_extensions_routes_agree[S4 = V4 x| S3]);
-- the residual read on the classes of K_i instead of G_f3, only at the
-  classes some term meets (test_orbit_route_residual_reads_every_class,
-  whose free pair orbit meets the identity class alone);
-- a dual read as rho instead of rho*, k = h < x for (h < x)^-1
-  (test_stabilizer_duals_match_antipode on drinfeld:S3, A4, h_z_z2n:2,
-  h_z_z2n:3 and s3_factorization, test_drinfeld_s3_matches_dpr_rules).
-
-Mutations of the slice form, each of which fails a tier-1 test:
-- conj dropped in m_c, psi(h) s_c(h) summed for psi(h) conj(s_c(h))
-  (test_slice_form_matches_haar_route on z4_twisted, twisted_tau,
-  sigma_and_tau and s3_factorization_tau, whose slices take non-real
-  values; test_fusion.py::test_rows_match_dense_solve);
-- the sigma(h; x, y) factor dropped (test_slice_form_matches_haar_route
-  on twisted_sigma and sigma_and_tau,
-  test_slice_form_refuses_sigma_two_like_the_haar_route,
-  test_deep_twisted.py::test_sigma_and_tau_pipeline);
-- the right factor read at h instead of h < x
-  (test_slice_form_matches_haar_route[s3_factorization_tau], the one
-  twisted fixture whose left action moves g);
-- zero values skipped in a slice, so that it no longer runs over all of
-  G_f (test_slice_form_matches_haar_route[klein_twisted] and
-  test_klein_twisted_simples_are_projective: the only fixture whose
-  projective characters vanish somewhere);
-- the residual skipped (test_slice_form_residual_catches_a_wrong_slice);
-- O3 left out of the decomposition memo key, so that equal psi on two
-  product orbits give one orbit's simples (test_slice_form_matches_haar_route
-  on every twisted fixture but s3_factorization_tau, where no psi recurs
-  on a second product orbit, and test_fusion.py::test_rows_match_dense_solve);
-- the check that an orbit's simples are the rows of its table dropped
-  (test_slice_form_rejects_non_orthonormal_orbit, whose duplicated
-  simples the residual would reject with another message).
+  test_slice_form_rejects_non_orthonormal_orbit and
+  test_orbit_route_rejects_simples_off_the_table);
+- the residual skipped (test_orbit_route_residual_catches_a_wrong_table,
+  test_orbit_route_residual_reads_every_class,
+  test_slice_form_residual_catches_a_wrong_slice);
+- the residual read only at the cells some term meets
+  (test_orbit_route_residual_reads_every_class, whose free pair orbit
+  meets the identity class alone);
+- the < twist dropped, s read for s < f1
+  (test_class_residual_matches_full_residual[s4_factorization],
+  test_factorization_routes_agree on S4);
+- (f1, y) walked without the move to f3, t = 1 (test_routes_agree on
+  drinfeld:S3 and A4, test_drinfeld_s3_matches_dpr_rules,
+  test_slice_form_matches_haar_route[s4_sign_tau]);
+- one coset of K walked, the rest of the pair orbit over f3 dropped
+  (test_routes_agree, test_slice_form_matches_haar_route[z4_twisted],
+  test_factorization_routes_agree on S4);
+- a dual read at k^-1 for k = (h < x)^-1
+  (test_stabilizer_duals_match_antipode,
+  test_acceptance.py::test_criterion_06_duality,
+  test_fusion.py::test_drinfeld_s3_matches_dpr_rules);
+- the refusal of unnormalized cocycles dropped
+  (test_unnormalized_cocycles_are_refused);
+- the beta values left out of SimpleIndex's table key, so that a twisted
+  orbit reads an untwisted table (test_klein_twisted_simples_are_projective,
+  test_comodules.py::test_shared_stabilizer_tables_match_per_orbit
+  [z4_twisted], every z4_twisted test).
 
 The full tables of z_poly_zp:3 at radius 2, drinfeld:S4 at radius 0 and
 z4_twisted at radius 6 are compared behind the sweep marker.
@@ -99,12 +105,14 @@ from conftest import (
     build_preset,
     klein_twisted_config,
     s4_factorization_ctx,
+    s4_sign_tau_config,
     sigma_two_config,
     split_extension_ctx,
 )
 from haar_oracle import HaarOracle, HaarRing
 from test_deep_twisted import s3_factorization_tau_config, z4_twisted_config
 from test_fusion import _ORACLE_CONFIGS
+from test_implied_laws import unnormalized_hopf
 
 from bicrossed import fusion
 from bicrossed.cocycles import SigmaCocycle, TauCocycle, verify_cocycles
@@ -117,7 +125,7 @@ from bicrossed.matched_pair import orbit_product, verify_matched_pair
 
 S4_Z4 = Path(__file__).resolve().parents[1] / "bench" / "configs" / "s4_z4.json"
 
-_CLASS_FORM = (
+_UNTWISTED = (
     "drinfeld:A4",
     "drinfeld:S3",
     "h_z_z2n:2",
@@ -125,7 +133,7 @@ _CLASS_FORM = (
     "z2_trivial_on_s3",
     "z_poly_zp:2",
 )
-_SLICE_FORM = ("sigma_and_tau", "twisted_sigma", "twisted_tau", "z4_twisted")
+_TWISTED = ("sigma_and_tau", "twisted_sigma", "twisted_tau", "z4_twisted")
 
 
 def _summands(pairs) -> tuple:
@@ -144,23 +152,37 @@ def _disagreements(ring, radius) -> list:
     ]
 
 
-def test_route_choice():
-    assert sorted(_CLASS_FORM + _SLICE_FORM) == sorted(_ORACLE_CONFIGS)
-    for name in _CLASS_FORM + _SLICE_FORM:
-        ring = FusionRing(_ORACLE_CONFIGS[name][0]().hopf)
-        assert ring._twisted is (name in _SLICE_FORM), name
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("a row or dual reached the Haar route")
+
+
+def test_route_choice(monkeypatch):
+    # every config takes the one route: no row or dual forms a character, a
+    # product or antipode in H, or a span solve
+    assert sorted(_UNTWISTED + _TWISTED) == sorted(_ORACLE_CONFIGS)
+    for name in sorted(_ORACLE_CONFIGS):
+        build, radius = _ORACLE_CONFIGS[name]
+        ring = FusionRing(build().hopf)
+        with monkeypatch.context() as m:
+            for owner, attr in (
+                (ring.hopf, "mul"),
+                (ring.hopf, "antipode"),
+                (ring.index, "character"),
+                (fusion, "solve_in_span"),
+            ):
+                m.setattr(owner, attr, _refuse)
+            simples = ring.index.enumerate(min(radius, 2))
+            rows = [ring.decompose_product(d1, d2) for d1 in simples for d2 in simples]
+            duals = [ring.dual_of(d) for d in simples]
+        assert len(rows) == len(simples) ** 2 and len(duals) == len(simples), name
 
 
 def test_orbit_route_forms_no_character_product(monkeypatch):
     ring = FusionRing(build_preset("h_z_z2n:3").hopf)
-
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("the orbit route reached the Haar route")
-
-    monkeypatch.setattr(ring.hopf, "mul", refuse)
-    monkeypatch.setattr(fusion, "solve_in_span", refuse)
-    monkeypatch.setattr(ring.index, "character", refuse)
-    monkeypatch.setattr(ring.hopf, "antipode", refuse)
+    monkeypatch.setattr(ring.hopf, "mul", _refuse)
+    monkeypatch.setattr(fusion, "solve_in_span", _refuse)
+    monkeypatch.setattr(ring.index, "character", _refuse)
+    monkeypatch.setattr(ring.hopf, "antipode", _refuse)
     simples = ring.index.enumerate(2)
     rows = [ring.decompose_product(d1, d2) for d1 in simples for d2 in simples]
     assert len(rows) == 12 * 12
@@ -168,24 +190,31 @@ def test_orbit_route_forms_no_character_product(monkeypatch):
 
 
 def test_slice_form_forms_no_product_in_h(monkeypatch):
-    # the slice form reads the factors' character terms, but forms no
-    # product in H and solves in no span
+    # z4_twisted, the twisted config the slice form served, forms no
+    # character, product or antipode in H and solves in no span either
     ring = FusionRing(build_config(z4_twisted_config()).hopf)
-
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("the slice form reached the Haar route")
-
-    monkeypatch.setattr(ring.hopf, "mul", refuse)
-    monkeypatch.setattr(fusion, "solve_in_span", refuse)
+    monkeypatch.setattr(ring.hopf, "mul", _refuse)
+    monkeypatch.setattr(fusion, "solve_in_span", _refuse)
+    monkeypatch.setattr(ring.index, "character", _refuse)
+    monkeypatch.setattr(ring.hopf, "antipode", _refuse)
     simples = ring.index.enumerate(3)
     rows = [ring.decompose_product(d1, d2) for d1 in simples for d2 in simples]
     assert len(rows) == 10 * 10
+    assert len({ring.dual_of(d).uid for d in simples}) == 10
 
 
 _ROUTE_CASES = {
-    **{name: _ORACLE_CONFIGS[name] for name in _CLASS_FORM},
+    **{name: _ORACLE_CONFIGS[name] for name in _UNTWISTED},
     "h_z_z2n:3": (lambda: build_preset("h_z_z2n:3"), 4),
     "s4_z4": (lambda: build_config(json.loads(S4_Z4.read_text(encoding="utf-8"))), 0),
+}
+
+
+_SLICE_CASES = {
+    **{name: _ORACLE_CONFIGS[name] for name in _TWISTED},
+    "klein_twisted": (lambda: build_config(klein_twisted_config()), 3),
+    "s3_factorization_tau": (lambda: build_config(s3_factorization_tau_config()), 0),
+    "s4_sign_tau": (lambda: build_config(s4_sign_tau_config()), 2),
 }
 
 
@@ -193,16 +222,16 @@ _ROUTE_CASES = {
 def test_routes_agree(name):
     build, radius = _ROUTE_CASES[name]
     ring = FusionRing(build().hopf)
-    assert not ring._twisted
     assert _disagreements(ring, radius) == []
 
 
-@pytest.mark.parametrize("name", sorted(_ROUTE_CASES))
+@pytest.mark.parametrize("name", sorted({**_ROUTE_CASES, **_SLICE_CASES}))
 def test_stabilizer_duals_match_antipode(name):
-    build, radius = _ROUTE_CASES[name]
+    build, radius = {**_ROUTE_CASES, **_SLICE_CASES}[name]
     ring = FusionRing(build().hopf)
+    oracle = HaarOracle(ring)
     simples = ring.index.enumerate(radius)
-    assert [ring.dual_of(d).uid for d in simples] == [ring._antipode_dual(d).uid for d in simples]
+    assert [ring.dual_of(d).uid for d in simples] == [oracle.antipode_dual(d).uid for d in simples]
 
 
 def _full_residual(ring, d1, d2) -> list:
@@ -273,13 +302,13 @@ def test_orbit_route_residual_reads_every_class():
     zero = ring.index.find("(0,0,0):0")
     assert any(c.orbit == zero.orbit for c, _m in ring._orbit_row(d1, d2))
     stab = ring._simples_on(zero.orbit)[1]
-    stab.values[2] = stab.values[1]
+    stab.values[2], stab.conj_values[2] = stab.values[1], stab.conj_values[1]
     ring._decompositions.clear()
     with pytest.raises(InternalInconsistencyError, match="nonzero residual"):
         ring.decompose_product(d1, d2)
 
 
-@pytest.mark.parametrize("name", sorted(_CLASS_FORM))
+@pytest.mark.parametrize("name", sorted(_ORACLE_CONFIGS))
 def test_product_orbits_match_orbit_product(name):
     # the orbits of f1 O2 are those of O1 O2
     build, radius = _ORACLE_CONFIGS[name]
@@ -297,7 +326,6 @@ def test_split_extensions_routes_agree(name):
     ctx = split_extension_ctx(*SPLIT_EXTENSIONS[name])
     assert verify_matched_pair(ctx, 0).ok
     ring = FusionRing(BicrossedHopf(ctx, SigmaCocycle.trivial(), TauCocycle.trivial()))
-    assert not ring._twisted
     assert _disagreements(ring, 0) == []
     assert ring.verify_based_ring(ring.fusion_table(0))["ok"]
 
@@ -308,17 +336,16 @@ def test_orbit_route_residual_catches_a_wrong_table(drinfeld_s3):
     ring = FusionRing(drinfeld_s3.hopf)
     unit = ring.index.unit_simple()
     stab = ring._simples_on(unit.orbit)[1]
-    stab.values[1] = stab.values[0]
+    stab.values[1], stab.conj_values[1] = stab.values[0], stab.conj_values[0]
     with pytest.raises(InternalInconsistencyError, match="nonzero residual"):
         ring.decompose_product(unit, unit)
 
 
 def test_slice_form_rejects_non_orthonormal_orbit(monkeypatch):
     """The check that an orbit's simples are the rows of its table, on a
-    twisted config: the same error as the class form's."""
+    twisted config: the same error as on an untwisted one."""
     build, radius = _ORACLE_CONFIGS["twisted_sigma"]
     ring = FusionRing(build().hopf)
-    assert ring._twisted
     index = ring.index
     d = index.enumerate(radius)[0]
     real = index.simples_for_orbit
@@ -358,20 +385,12 @@ def test_orbit_route_rejects_simples_off_the_table(monkeypatch):
         ring.decompose_product(d, d)
 
 
-_SLICE_CASES = {
-    **{name: _ORACLE_CONFIGS[name] for name in _SLICE_FORM},
-    "klein_twisted": (lambda: build_config(klein_twisted_config()), 3),
-    "s3_factorization_tau": (lambda: build_config(s3_factorization_tau_config()), 0),
-}
-
-
 @pytest.mark.parametrize("name", sorted(_SLICE_CASES))
 def test_slice_form_matches_haar_route(name):
     build, radius = _SLICE_CASES[name]
     H = build().hopf
     assert verify_cocycles(H.ctx, H.sigma, H.tau).ok
     ring = FusionRing(H)
-    assert ring._twisted
     assert _disagreements(ring, radius) == []
     assert ring.verify_based_ring(ring.fusion_table(radius))["ok"]
     G = ring.hopf.G
@@ -381,28 +400,30 @@ def test_slice_form_matches_haar_route(name):
 
 
 def test_klein_twisted_simples_are_projective():
-    # one 2-dimensional simple per odd orbit, whose slice vanishes off the
-    # identity: the zeros the slice form must read as values
+    # one 2-dimensional simple per odd orbit, whose character vanishes off
+    # the identity: the zeros the rows must read as values, one cell per
+    # element of the twisted table
     ring = FusionRing(build_config(klein_twisted_config()).hopf)
     index = ring.index
     (odd,) = index.simples_for_f((1,))
     assert odd.dim_total == 2
-    slices = ring._slices_on(odd.orbit)
-    assert [[v.literal() for v in row] for row in slices.rows] == [["2", "0", "0", "0"]]
+    stab = ring._simples_on(odd.orbit)[1]
+    assert stab.reps == list(odd.orbit.stabilizer)
+    assert [[v.literal() for v in row] for row in stab.values] == [["2", "0", "0", "0"]]
     assert [d.dim_total for d in index.simples_for_f((2,))] == [1, 1, 1, 1]
     row = ring.decompose_product(odd, odd)
     assert row.summands == tuple((f"2:{j}", 1) for j in range(4))
 
 
 def test_slice_form_residual_catches_a_wrong_slice():
-    # the slices of z4_twisted's two simples over the orbit of 1 (values
-    # 1, +-i on Z2) read as one: both coefficients of the unit times 1:0
-    # come out 1, and their sum misses psi
+    # the rows of z4_twisted's two simples over the orbit of 1 (values
+    # 1, +-i on Z2) read as one in the table's record: both coefficients
+    # of the unit times 1:0 come out 1, and their sum misses psi
     ring = FusionRing(build_config(z4_twisted_config()).hopf)
     unit = ring.index.unit_simple()
     d = ring.index.find("1:0")
-    slices = ring._slices_on(d.orbit)
-    slices.rows[1], slices.conj_rows[1] = slices.rows[0], slices.conj_rows[0]
+    stab = ring._simples_on(d.orbit)[1]
+    stab.values[1], stab.conj_values[1] = stab.values[0], stab.conj_values[0]
     with pytest.raises(InternalInconsistencyError, match="nonzero residual"):
         ring.decompose_product(unit, d)
 
@@ -423,3 +444,13 @@ def test_slice_form_refuses_sigma_two_like_the_haar_route():
     got = [outcome(ring._orbit_row, d1, d2) for d1 in simples for d2 in simples]
     assert got == [outcome(haar.row, d1, d2) for d1 in simples for d2 in simples]
     assert sum(isinstance(x, str) for x in got) == 4
+
+
+def test_unnormalized_cocycles_are_refused():
+    # sigma = tau = -1 on drinfeld:Z2, the coboundaries of the constant
+    # cochain -1, made past the config's normalization check: a free pair
+    # orbit would be counted with weight 1, so no row is read at all
+    H = unnormalized_hopf()
+    assert verify_cocycles(H.ctx, H.sigma, H.tau).ok
+    with pytest.raises(InternalInconsistencyError, match="normalized sigma and tau"):
+        FusionRing(H)
