@@ -289,8 +289,10 @@ class SimpleIndex:
         return self._char_cache[d.uid]
 
     def unit_simple(self) -> SimpleDesc:
-        unit = self.hopf.unit()
+        """The simple with the character H.unit() = sum_g p_g # 1: over the
+        orbit of 1, that of (O_1, rho) is sum_g rho(g) p_g # 1 (tau is
+        normalized, so beta_1 = w = 1), so rho is 1 everywhere."""
         for d in self.simples_for_f(self.hopf.F.identity):
-            if self.character(d) == unit:
+            if all(v.is_one() for v in d.chi.values):
                 return d
         raise InternalInconsistencyError("no simple with the unit character")

@@ -234,13 +234,6 @@ class CycNum:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def as_fraction(self):
-        from fractions import Fraction
-
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.num[0], self.den)
-
     def is_integer(self) -> bool:
         return self.den == 1 and self.is_rational()
 

@@ -69,8 +69,20 @@ here: tests/haar_oracle.py keeps them as the oracle of rows and duals
 (tests/test_fusion_routes.py lists the mutations they catch).
 
 The multiplicities must come out as nonnegative integers matching the
-dimensions, and violations abort loudly.  The degree-2 indicator is the
-integral of m(Delta(chi)).
+dimensions, and violations abort loudly.
+
+Indicators.  nu_2 = <T, m(Delta(chi))>.  comul_basis writes
+Delta(p_ab # x) as the sum over b of tau(a, b; x) p_a # (b > x) (x) p_b # x,
+and by basis_mul, haar_partner and haar_weight such a term has the
+integral sigma(a; x^-1, x)/|G| when b > x = x^-1 and a = b < x, else 0
+(then ab lies in G_x: b x = x^-1 a in the group F G gives a > x^-1 = x).
+The sum over x in O is |O| times its value at f (G-equivariance, checked
+against the walk HaarOracle.nu2 of tests/haar_oracle.py, not derived),
+where chi is rho (z_f = 1, w = 1).  So nu_2 = (1/|G_f|) sum rho(ab)
+tau(a, b; f) sigma(a; f^-1, f) over the b in z^-1 G_f, z = z_{f^-1}, and
+0 when f^-1 lies in another orbit.  With a trivial < and trivial cocycles
+it is the (1/|G_f|) sum rho(b^2) of the double (Kashina, Sommerhauser and
+Zhu 2006; Kashina, Mason and Montgomery 2002 for abelian extensions).
 """
 
 from __future__ import annotations
@@ -427,15 +439,25 @@ class FusionRing:
     # -- Frobenius-Schur -----------------------------------------------------
 
     def fs_indicator(self, d: SimpleDesc) -> int:
-        """nu_2 = <T, m(Delta(chi))>, asserted to land in {-1, 0, 1} and to
-        vanish exactly off the self-dual simples."""
-        H = self.hopf
-        total = rational(0)
-        for key, v in self.index.character(d).terms.items():
-            for (k1, k2), c in H.comul_basis(key):
-                # <T, k1 . k2> as integral_of_product reads it
-                if k2 == H.haar_partner(k1):
-                    total = total + v * c * H.haar_weight(k1)
+        """nu_2 off the stabilizer table of the representative f (module
+        docstring), 0 with no walk when f^-1 lies in another orbit; asserted
+        to land in {-1, 0, 1} and to vanish exactly off the self-dual simples."""
+        H, orbit, sigma, tau = self.hopf, d.orbit, self._sigma, self._tau
+        G, f = H.G, orbit.representative
+        f_inv = H.F.inv(f)
+        z = self._transport_of(orbit).get(f_inv)  # b > f = f^-1 on the coset z^-1 G_f
+        total = _ZERO
+        if z is not None:
+            stab, act_left = self._simples_on(orbit)[1], H.ctx.act_left
+            row = stab.values[d.chi_index]
+            for b in (G.mul(G.inv(z), s) for s in orbit.stabilizer):
+                a = act_left(b, f)
+                cell = stab.cls.get(G.mul(a, b))
+                if cell is not None:
+                    w = _weigh(None if tau is None else tau(a, b, f), None if sigma is None else sigma(a, f_inv, f))
+                    total = total + (row[cell] if w is None else row[cell] * w)
+            if stab.inv_order is not None:
+                total = total * stab.inv_order
         if not total.is_integer():
             raise InternalInconsistencyError(
                 f"indicator of {d.uid} is not an integer: {total.literal()}"

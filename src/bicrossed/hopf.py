@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 
 from .cyclotomic import CycNum, one, rational
-from .errors import InternalInconsistencyError, VerificationFailure
+from .errors import VerificationFailure
 from .groups import f_ball
 from .matched_pair import _LAWS, CheckResult, MatchedPairCtx, VerifyReport, run_check
 from .cocycles import SigmaCocycle, TauCocycle, is_unitary
@@ -62,11 +62,6 @@ class _Sparse:
         res = cls.__new__(cls)
         res.terms = terms
         return res
-
-    @classmethod
-    def from_pairs(cls, pairs):
-        """The sum of (key, coefficient) pairs; repeated keys add up."""
-        return cls._of(_accumulate(pairs))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -281,20 +276,6 @@ class BicrossedHopf:
         """<x, y>_r = <T, y* x>; positive definite in the unitary case."""
         return self.integral_of_product(self.star(y), x)
 
-    def haar_positivity(self, x: HElem) -> dict:
-        """Self-pairing <x, x>_r with an exact positivity certificate.
-
-        verify_star certifies the basis orthogonal with <b, b>_r = 1/|G|
-        under unitary cocycles, so <x, x>_r = sum_b a_b conj(a_b)/|G|, which
-        is checked here.  Each a conj(a) is totally positive in the CM field
-        Q(zeta_N), so the value is positive exactly when x != 0.
-        """
-        value = self.haar_gram(x, x)
-        norms = sum((v * v.conj() for v in x.terms.values()), rational(0))
-        if value != norms * self._inv_g_order:
-            raise InternalInconsistencyError("<x, x>_r differs from sum_b |a_b|^2/|G|")
-        return {"value": value.literal(), "certified": True, "positive": not x.is_zero()}
-
 
 def _weigh(a, b):
     """The product of two weights; None, the weight of a trivial cocycle, is 1."""
@@ -325,21 +306,19 @@ def comul_by_x(act_left, terms: dict) -> dict:
     return {k2[0]: (k1, k2, c, act_left(*k1), act_left(*k2)) for (k1, k2), c in terms.items()}
 
 
-def comul_product(product, da_by_x: dict, db_by_x: dict, weighed: bool = True) -> dict:
+def comul_product(product, da_by_x: dict, db_by_x: dict) -> dict:
     """The terms of Delta(a) Delta(b) for basis elements a and b, from their
     comul_by_x; product is basis_mul, asked only for nonzero products.  The
     x-term k1 (x) p_x#f of Delta(a) meets only the term of Delta(b) at x < f,
     and only if its left leg has g-part k1's g < f: at most |G| terms, with
-    distinct right legs p_x#ff2, none of them zero, weighted by _weigh.
-    With weighed False every weight is None (trivial cocycles), and so is
-    every term's: only the support is formed."""
+    distinct right legs p_x#ff2, none of them zero, weighted by _weigh."""
     out = {}
     for k1, k2, c, h, y in da_by_x.values():
         t = db_by_x.get(y)
         if t is not None and t[0][0] == h:
             l1, l2, d, _h, _y = t
             (p1, w1), (p2, w2) = product(k1, l1), product(k2, l2)
-            out[p1, p2] = _weigh(_weigh(c, d), _weigh(w1, w2)) if weighed else None
+            out[p1, p2] = _weigh(_weigh(c, d), _weigh(w1, w2))
     return out
 
 
@@ -393,8 +372,7 @@ class _Sweep:
     matched pair, times a weight, read off the cocycles: product(k1, k2) is
     None or (key, weight sigma), coproduct(k) is {(k1, k2): weight tau},
     antipode(k) is (key, weight of sigma and tau) and star(k) is (key,
-    weight sigma).  A weight is None where its cocycles are trivial, and
-    weighed is False when both are, so that every weight is None.
+    weight sigma).  A weight is None where its cocycles are trivial.
 
     When the premises are certified (_certified), a law given the
     premise laws it derives from is reported with its scope and instance
@@ -414,7 +392,6 @@ class _Sweep:
         self.checks: list[CheckResult] = []
         self._with_g: dict = {}
         sigma, tau = H.sigma.is_trivial, H.tau.is_trivial
-        self.weighed = not (sigma and tau)
 
         def keyed(term_map):  # the term (key, coefficient) or None, weight dropped
             return lambda *keys: (t := term_map(*keys)) and (t[0], None)
@@ -601,7 +578,6 @@ def verify_hopf(
         # g3 = k2's g < f; other k3 give 0 == 0.  If these differ, one side
         # is 0 at each such k3; else both read rows k3 -> k k3 of products.
         row = functools.cache(lambda k: [product(k, k3) for k3 in sweep.keys_with_g({act_left(*k)})])
-        weighed = sweep.weighed  # else both sides weigh None: compare supports
         for k1 in pair_keys:
             for k2 in sweep.keys_with_g({act_left(*k1)}):
                 k12, c12 = product(k1, k2)
@@ -612,7 +588,7 @@ def verify_hopf(
                     continue
                 for k3, (q, w), (k23, c23) in zip(sweep.keys_with_g({g12}), row(k12), row(k2)):
                     r, v = product(k1, k23)
-                    if q != r or weighed and _weigh(c12, w) != _weigh(v, c23):
+                    if q != r or _weigh(c12, w) != _weigh(v, c23):
                         yield {"a": name_key(k1), "b": name_key(k2), "c": name_key(k3)}
 
     by = (_LEFT, _SIGMA)
@@ -660,7 +636,7 @@ def verify_hopf(
                 # ab is 0 or one term v p_k, so Delta(ab) is v Delta(p_k), and
                 # eps(ab) is v when a's g-part is e; else eps(ab) = eps(a) = 0
                 p = product(k1, k2) if k2[0] == g_ab else None
-                lhs = comul_product(product, da, by_x[k2], sweep.weighed)
+                lhs = comul_product(product, da, by_x[k2])
                 if lhs != (_scaled(p[1], coproduct(p[0])) if p else {}):
                     yield {"law": "Delta", "a": name_key(k1), "b": name_key(k2)}
                 if k1[0] == e and (_number(p[1]) if p else zero) != (_ONE if k2[0] == e else zero):

@@ -14,6 +14,39 @@ HaarOracle.antipode_dual is the oracle of the duals: the simple over the
 orbit of f^-1 whose character is the antipode of the character of d,
 found by searching the characters of that orbit.
 
+HaarOracle.nu2 is the oracle of the indicators: <T, m(Delta(chi))>
+walked over the coproduct of the character of d, each term paired
+through integral_of_product.  FusionRing.fs_indicator reads the same
+value off the stabilizer table of the orbit's representative f, as
+(1/|G_f|) sum rho(ab) tau(a, b; f) sigma(a; f^-1, f) over the b with
+b > f = f^-1 and a = b < f (the fusion module docstring derives it).
+Mutations of fs_indicator, each run on a scratch copy against the whole
+tier-1 suite, and each failing at least one tier-1 test:
+- the tau weight dropped
+  (test_fusion.py::test_fs_indicator_matches_integral_of_product
+  [z4_twisted], test_fusion.py::test_fusion_table_forms_no_character,
+  test_deep_twisted.py::test_z4_twisted_fusion,
+  test_fusion_routes.py::test_slice_form_matches_haar_route[z4_twisted]);
+- the sigma weight dropped
+  (test_fusion.py::test_fs_indicator_matches_integral_of_product
+  [sign_sigma] alone);
+- ab read as ba (test_factorizations.py::test_factorization_routes_agree
+  on the S4 cases #8, #10, #12 and #13, |F| = 3 and |G| = 8, alone);
+- a read as b, the left action ignored
+  (test_factorization_routes_agree on every tier-1 case of S3 and S4,
+  test_fs_indicator_matches_integral_of_product on s3_factorization and
+  s3_factorization_tau, test_deep_twisted.py::
+  test_s3_factorization_pipeline, test_fusion_table_forms_no_character);
+- 1/|G_f| read as 1/|G| (40 tier-1 tests, among them
+  test_acceptance.py::test_criterion_05_frobenius_schur, the report pins
+  test_config_cli.py::test_cli_text_reports_pinned and
+  test_fs_indicator_matches_integral_of_product on 8 configs).
+The ab in G_f filter dropped (the identity's cell read for an ab off
+G_f) fails no test, and is an equivalent mutation: in the group F G of
+the matched pair, b f = (b > f)(b < f) = f^-1 a, so
+a f^-1 = f b = (a > f^-1) b, hence a > f^-1 = f and ab > f = f.  The
+filter never fires on a matched pair.
+
 HaarRing is a FusionRing whose rows all take this route and whose duals
 all take the antipode search, so whole tables and based-ring reports can
 be compared between the two.
@@ -25,6 +58,7 @@ from bicrossed import fusion
 from bicrossed.cyclotomic import rational
 from bicrossed.errors import InternalInconsistencyError
 from bicrossed.fusion import FusionRing, _multiplicities
+from bicrossed.hopf import HElem
 from bicrossed.matched_pair import orbit_product
 
 
@@ -105,6 +139,17 @@ class HaarOracle:
             description=f"fusion {d1.uid} * {d2.uid}",
         )
         return _multiplicities(d1, d2, zip(candidates, coeffs))
+
+    def nu2(self, d):
+        """nu_2 = <T, m(Delta(chi))> summed as <T, k1 k2> over the coproduct
+        terms of the character of d, each through integral_of_product on
+        two one-term elements: the oracle of FusionRing.fs_indicator."""
+        H = self.hopf
+        total = rational(0)
+        for key, v in self.index.character(d).terms.items():
+            for (k1, k2), c in H.comul_basis(key):
+                total = total + H.integral_of_product(HElem.basis(*k1, v * c), HElem.basis(*k2))
+        return total
 
     def antipode_dual(self, d):
         """The simple over the orbit of f^-1 whose character is the

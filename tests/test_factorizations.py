@@ -13,6 +13,8 @@ s -> s < f1 of its pair orbits.  With trivial cocycles, each case checks:
   row;
 - the stabilizer dual against the antipode-search dual,
   HaarOracle.antipode_dual;
+- the indicator read off the stabilizer, FusionRing.fs_indicator,
+  against the coproduct walk, HaarOracle.nu2;
 - sum dim^2 = |G||O| for each orbit;
 - BicrossedHopf.is_commutative against a sweep of basis_mul over every
   pair of basis elements.
@@ -33,6 +35,7 @@ from conftest import _permutation_closure
 from haar_oracle import HaarOracle
 
 from bicrossed.cocycles import SigmaCocycle, TauCocycle
+from bicrossed.cyclotomic import rational
 from bicrossed.fusion import FusionRing
 from bicrossed.groups import FiniteF, permutation_group
 from bicrossed.hopf import BicrossedHopf
@@ -124,6 +127,8 @@ def _check_factorization(F, G) -> None:
     assert rows == []
     duals = [ring._stabilizer_dual(d).uid for d in simples]
     assert duals == [haar.antipode_dual(d).uid for d in simples]
+    nu2 = [rational(ring.fs_indicator(d)) for d in simples]
+    assert nu2 == [haar.nu2(d) for d in simples]
     for orbit in index.orbits_in_ball(0):
         dims = [d.dim_total for d in index.simples_for_orbit(orbit)]
         assert sum(n * n for n in dims) == H.G.order * orbit.size

@@ -2,20 +2,38 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from conftest import build_preset, twisted_sigma_config, twisted_tau_config
-from test_deep_twisted import s3_factorization_config, sigma_and_tau_config, z4_twisted_config
+from conftest import (
+    build_preset,
+    klein_twisted_config,
+    s4_sign_tau_config,
+    twisted_sigma_config,
+    twisted_tau_config,
+)
+from haar_oracle import HaarOracle
+from test_deep_twisted import (
+    s3_factorization_config,
+    s3_factorization_tau_config,
+    sigma_and_tau_config,
+    z4_twisted_config,
+)
 
+from bicrossed import comodules
+from bicrossed.comodules import SimpleIndex
 from bicrossed.config import build_config
 from bicrossed.cyclotomic import rational, row_reduce
 from bicrossed.fusion import FusionRing, FusionRow
 from bicrossed.groups import f_ball
-from bicrossed.hopf import HElem
+from bicrossed.hopf import BicrossedHopf
 from bicrossed.matched_pair import orbit_product
 from bicrossed.presets import SHIPPED
+
+B3_Z3 = Path(__file__).resolve().parents[1] / "bench" / "configs" / "b3_z3.json"
 
 
 @pytest.fixture(scope="module")
@@ -268,13 +286,9 @@ def _dense_solve_row(ring, d1, d2):
     pivots = row_reduce(rows, len(basis))
     assert pivots == list(range(len(basis))), "candidate characters are dependent"
     assert all(row[-1].is_zero() for row in rows[len(basis):]), "nonzero residual"
-    return tuple(
-        sorted(
-            (c.uid, int(row[-1].as_fraction()))
-            for c, row in zip(candidates, rows)
-            if not row[-1].is_zero()
-        )
-    )
+    coeffs = [(c, row[-1]) for c, row in zip(candidates, rows) if not row[-1].is_zero()]
+    assert all(m.is_integer() for _c, m in coeffs), "a multiplicity is not an integer"
+    return tuple(sorted((c.uid, m.num[0]) for c, m in coeffs))
 
 
 def z2_trivial_on_s3_config() -> dict:
@@ -356,18 +370,6 @@ def test_rows_match_dense_solve(name):
     assert mismatches == []
 
 
-def _nu2_by_integral_of_product(ring, d):
-    """nu_2 = <T, m(Delta(chi))> summed as <T, k1 k2> over the coproduct
-    terms, each through integral_of_product on two one-term elements: the
-    oracle for the term-level partner lookup of fs_indicator."""
-    H = ring.hopf
-    total = rational(0)
-    for key, v in ring.index.character(d).terms.items():
-        for (k1, k2), c in H.comul_basis(key):
-            total = total + H.integral_of_product(HElem.basis(*k1, v * c), HElem.basis(*k2))
-    return total
-
-
 def sign_sigma_config() -> dict:
     """Z2 acting on Z by sign with sigma(1; odd, odd) = -1: sigma(g; f, f^-1)
     enters the indicator of the odd orbits, which is -1."""
@@ -385,6 +387,10 @@ _FS_CONFIGS = {
     "z4_twisted": (lambda: build_config(z4_twisted_config()), 2),
     "s3_factorization": (lambda: build_config(s3_factorization_config()), 0),
     "sigma_and_tau": (lambda: build_config(sigma_and_tau_config()), 2),
+    "klein_twisted": (lambda: build_config(klein_twisted_config()), 0),
+    "s4_sign_tau": (lambda: build_config(s4_sign_tau_config()), 0),
+    "s3_factorization_tau": (lambda: build_config(s3_factorization_tau_config()), 0),
+    "b3_z3": (lambda: build_config(json.loads(B3_Z3.read_text(encoding="utf-8"))), 0),
 }
 
 
@@ -394,7 +400,36 @@ def test_fs_indicator_matches_integral_of_product(name):
     ring = FusionRing(build().hopf)
     simples = ring.index.enumerate(radius)
     got = [rational(ring.fs_indicator(d)) for d in simples]
-    assert got == [_nu2_by_integral_of_product(ring, d) for d in simples]
+    assert got == [HaarOracle(ring).nu2(d) for d in simples]
+
+
+@pytest.mark.parametrize("name", sorted(_FS_CONFIGS))
+def test_unit_simple_has_the_unit_character(name):
+    # the stabilizer row of 1 everywhere against the character comparison
+    index = SimpleIndex(_FS_CONFIGS[name][0]().hopf)
+    unit = index.hopf.unit()
+    simples = index.simples_for_f(index.hopf.F.identity)
+    assert [d for d in simples if index.character(d) == unit] == [index.unit_simple()]
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("the fusion ring formed a character or walked a coproduct")
+
+
+def test_fusion_table_forms_no_character(monkeypatch):
+    # rows, duals, indicators and the unit are read off the stabilizer
+    # tables: no character is formed and no coproduct or Haar pairing walked
+    for name in sorted(_FS_CONFIGS):
+        build, radius = _FS_CONFIGS[name]
+        ring = FusionRing(build().hopf)
+        with monkeypatch.context() as m:
+            m.setattr(comodules, "irreducible_character", _refuse)
+            m.setattr(SimpleIndex, "character", _refuse)
+            for attr in ("comul_basis", "haar_partner", "haar_weight"):
+                m.setattr(BicrossedHopf, attr, _refuse)
+            table = ring.fusion_table(radius)
+            report = ring.verify_based_ring(table)
+        assert report["ok"] and len(table.indicators) == len(table.simples), name
 
 
 # The fusion rules of D(S3) (Dijkgraaf, Pasquier and Roche 1990), written

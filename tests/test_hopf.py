@@ -22,11 +22,12 @@ from bicrossed.cocycles import SigmaCocycle, TauCocycle
 from bicrossed.config import build_config
 from bicrossed.groups import f_ball
 from bicrossed.cyclotomic import rational, root_of_unity
-from bicrossed.errors import InternalInconsistencyError, VerificationFailure
+from bicrossed.errors import VerificationFailure
 from bicrossed.hopf import (
     BicrossedHopf,
     HElem,
     HTensor,
+    _accumulate,
     pair_check_radius,
     verify_hopf,
     verify_star,
@@ -189,33 +190,28 @@ def test_scalar_linearity(h_z_z2):
     assert H.counit(a + b) == H.counit(a) + H.counit(b)
 
 
-def test_haar_positivity_certificates(h_z_z2):
+def test_haar_gram_self_pairing(h_z_z2):
+    # verify_star certifies the basis orthogonal with <b, b>_r = 1/|G|, so
+    # <x, x>_r = sum_b |a_b|^2/|G|: positive exactly when x != 0
     H = h_z_z2.hopf
     x = e(1).scale(rational(Fraction(2, 3))) + fi(2)
-    rep = H.haar_positivity(x)
-    assert rep["certified"] and rep["positive"]
-    assert rep["value"] == "13/18"  # (4/9 + 1) / 2
+    assert H.haar_gram(x, x) == rational(Fraction(13, 18))  # (4/9 + 1) / 2
     y = e(1).scale(root_of_unity(1, 8)) + fi(0)
-    rep2 = H.haar_positivity(y)
-    assert rep2["positive"]
-    assert rep2["certified"]
     assert H.haar_gram(y, y) == rational(1)  # |z8|^2/2 + 1/2
-    zero_rep = H.haar_positivity(HElem.zero())
-    assert zero_rep["certified"] and not zero_rep["positive"]
+    assert H.haar_gram(HElem.zero(), HElem.zero()).is_zero()
 
 
-def test_haar_positivity_checks_the_norm_sum():
+def test_haar_gram_diagonal_needs_the_left_action_law():
     """With the left action law broken, the Haar partner of the star of a
-    basis element is another key, <b, b>_r = 0 differs from 1/|G| and the
-    certificate refuses."""
+    basis element is another key, and <b, b>_r = 0 differs from 1/|G|."""
     s4 = s4_factorization_ctx()
     left = [list(row) for row in s4.action.left]
     left[2][0], left[2][1] = left[2][1], left[2][0]
     ctx = MatchedPairCtx(s4.G, s4.F, TableActions(s4.action.right, tuple(map(tuple, left))))
     H = BicrossedHopf(ctx, SigmaCocycle.trivial(), TauCocycle.trivial())
-    assert H.haar_positivity(HElem.basis(0, 1))["certified"]
-    with pytest.raises(InternalInconsistencyError):
-        H.haar_positivity(HElem.basis(2, 1))
+    b0, b2 = HElem.basis(0, 1), HElem.basis(2, 1)
+    assert H.haar_gram(b0, b0) == rational(Fraction(1, H.G.order))
+    assert H.haar_gram(b2, b2).is_zero()
 
 
 def test_exact_without_mpmath(monkeypatch, capsys, h_z_z2):
@@ -223,8 +219,7 @@ def test_exact_without_mpmath(monkeypatch, capsys, h_z_z2):
     assert run(["--preset", "h_z_z2", "cqg-check"]) == 0
     assert json.loads(capsys.readouterr().out)["payload"]["unitary"] is True
     y = e(1).scale(root_of_unity(1, 8)) + fi(0)
-    rep = h_z_z2.hopf.haar_positivity(y)
-    assert rep == {"value": "1", "certified": True, "positive": True}
+    assert h_z_z2.hopf.haar_gram(y, y).literal() == "1"
 
 
 _PAIRING_BUILDS = {
@@ -252,11 +247,11 @@ def test_integral_of_product_matches_integral_of_mul(name, data):
     keys = [(g, f) for f in f_ball(H.F, 1) for g in H.G.elements()]
     terms = st.tuples(st.sampled_from(keys), _coefficients)
 
-    x = HElem.from_pairs(data.draw(st.lists(terms, max_size=6)))
+    x = HElem(_accumulate(data.draw(st.lists(terms, max_size=6))))
     partners = [
         ((H.ctx.act_left(g, f), H.F.inv(f)), c)
         for (g, f) in x.terms
         for c in data.draw(st.lists(_coefficients, max_size=1))
     ]
-    y = HElem.from_pairs(data.draw(st.lists(terms, max_size=6)) + partners)
+    y = HElem(_accumulate(data.draw(st.lists(terms, max_size=6)) + partners))
     assert H.integral_of_product(x, y) == H.integral(H.mul(x, y))

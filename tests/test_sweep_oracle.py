@@ -240,21 +240,25 @@ def coassociative(H, k):
 
 def coalgebra_antihomomorphic(H, k):
     """Delta(S(p_k)) = (S (x) S) flip Delta(p_k), as HTensors."""
-    rhs = HTensor.from_pairs(
-        ((s2, s1), c * c1 * c2)
-        for (k1, k2), c in H.comul_basis(k)
-        for (s2, c2), (s1, c1) in [(H.antipode_basis(k2), H.antipode_basis(k1))]
+    rhs = HTensor(
+        _accumulate(
+            ((s2, s1), c * c1 * c2)
+            for (k1, k2), c in H.comul_basis(k)
+            for (s2, c2), (s1, c1) in [(H.antipode_basis(k2), H.antipode_basis(k1))]
+        )
     )
     return H.comul(H.antipode(HElem.basis(*k))) == rhs
 
 
 def left_integral_holds(H, k):
     """h1 <T, h2> = <T, h> unit at h = p_k, as HElems."""
-    lhs = HElem.from_pairs(
-        (k1, c * tval)
-        for (k1, k2), c in H.comul_basis(k)
-        for tval in [H.integral(HElem.basis(*k2))]
-        if not tval.is_zero()
+    lhs = HElem(
+        _accumulate(
+            (k1, c * tval)
+            for (k1, k2), c in H.comul_basis(k)
+            for tval in [H.integral(HElem.basis(*k2))]
+            if not tval.is_zero()
+        )
     )
     return lhs == H.unit().scale(H.integral(HElem.basis(*k)))
 
