@@ -58,7 +58,6 @@ from .comodules import (
     cf_subcoalgebra,
     coefficient_basis,
     irreducible_character,
-    simples_for_orbit,
 )
 from .fusion import FusionRing, FusionRow, FusionTable
 from .certs import LinearCert, dimension_audit, direct_sum_check, exact_rank, solve_in_span

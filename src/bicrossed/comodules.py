@@ -5,9 +5,16 @@ Each G-orbit in F contributes one simple comodule per irreducible
 the induced comodule has dimension |T_f| * dim V.  Only character data
 is needed for enumeration and fusion; explicit coaction matrices enter
 solely through the optional coefficient-basis construction.
+
+SimpleIndex owns everything the fusion ring reads of an orbit: its
+simples, the _Stabilizer record of their table (shared by the orbits
+with equal stabilizer and beta), the transport x -> z_x and the cells
+at each x.  fusion.FusionRing keeps no per-orbit data of its own.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from .cocycles import Beta2Cocycle, beta_for_orbit
 from .cyclotomic import CycNum, rational
@@ -16,6 +23,8 @@ from .groups import f_ball, subgroup_of
 from .hopf import BicrossedHopf, HElem
 from .matched_pair import Orbit
 from .reps import CharTable, TwistedChar, abelian_char_table, ordinary_char_table, twisted_char_table
+
+_ONE = rational(1)
 
 
 class SimpleDesc:
@@ -54,46 +63,29 @@ def cf_subcoalgebra(ctx, orbit: Orbit) -> CfBasis:
     return CfBasis(orbit=orbit, keys=keys, dimension=ctx.G.order * orbit.size)
 
 
-def stabilizer_char_table(
-    hopf: BicrossedHopf, orbit: Orbit, tables: dict | None = None
-) -> tuple[CharTable, Beta2Cocycle]:
-    """Character table of the twisted stabilizer algebra of the orbit.
-
-    The table depends only on the stabilizer and the values of beta on
-    it, so a tables dict shares it between orbits, keyed by the
-    stabilizer tuple and those values (None where beta is trivial)."""
+def stabilizer_char_table(hopf: BicrossedHopf, orbit: Orbit) -> tuple[CharTable, Beta2Cocycle]:
+    """Character table of the twisted stabilizer algebra of the orbit, and
+    the beta it is twisted by."""
     beta = beta_for_orbit(hopf.ctx, hopf.tau, orbit)
-    values = None if beta.is_trivial else tuple((v.level, v.num, v.den) for v in beta.values.values())
-    key = orbit.stabilizer, values
-    table = None if tables is None else tables.get(key)
-    if table is None:
-        if values is not None:
-            table = twisted_char_table(hopf.G, orbit.stabilizer, beta)
-        else:
-            sub, to_parent = subgroup_of(hopf.G, orbit.stabilizer)
-            if sub.is_abelian():
-                table = abelian_char_table(sub, to_parent)
-            else:
-                table = ordinary_char_table(sub, to_parent)
-        if tables is not None:
-            tables[key] = table
-    return table, beta
+    return _char_table(hopf.G, orbit.stabilizer, beta), beta
 
 
-def simples_for_orbit(
-    hopf: BicrossedHopf, orbit: Orbit, tables: dict | None = None
-) -> tuple[SimpleDesc, ...]:
-    """One SimpleDesc per stabilizer character, in table order; tables is
-    passed on to stabilizer_char_table.
-
-    Asserts the counting identity: the squared total dimensions add up to
-    dim C_f = |G| * |O_f|."""
-    return _simples_of_table(hopf, orbit, stabilizer_char_table(hopf, orbit, tables)[0])
+def _char_table(G, stabilizer: tuple, beta: Beta2Cocycle) -> CharTable:
+    if not beta.is_trivial:
+        return twisted_char_table(G, stabilizer, beta)
+    sub, to_parent = subgroup_of(G, stabilizer)
+    if sub.is_abelian():
+        return abelian_char_table(sub, to_parent)
+    return ordinary_char_table(sub, to_parent)
 
 
 def _simples_of_table(
     hopf: BicrossedHopf, orbit: Orbit, table: CharTable
 ) -> tuple[SimpleDesc, ...]:
+    """One SimpleDesc per character of the table, in table order.
+
+    Asserts the counting identity: the squared total dimensions add up to
+    dim C_f = |G| * |O_f|."""
     t_len = len(orbit.transversal)
     out = []
     rep_label = hopf.F.label(orbit.representative)
@@ -218,36 +210,81 @@ def _check_coaction_matrices(hopf, d, beta: Beta2Cocycle, matrices):
 
 
 class SimpleIndex:
-    """Cache of orbits and their simples; the uid -> descriptor registry.
+    """Cache of orbits and their simples; the uid -> descriptor registry,
+    and the one owner of each orbit's stabilizer data (module docstring).
 
     Computation is on demand per orbit, so fusion candidates outside any
     enumerated ball still resolve."""
 
     def __init__(self, hopf: BicrossedHopf):
         self.hopf = hopf
-        self._by_rep: dict = {}
+        self._by_rep: dict = {}  # representative -> (simples, its table's slot, transport)
         self._by_uid: dict = {}
         self._char_cache: dict = {}
-        self._tables: dict = {}  # (stabilizer, beta values) -> character table
-        self._orbit_tables: dict = {}  # representative -> the table of its simples
+        # (stabilizer, beta values) -> [table, its _Stabilizer once read]
+        self._tables: dict = {}
+        self._cells: dict = {}  # (representative, x) -> cells_at(orbit, x)
+
+    def _add_orbit(self, orbit: Orbit) -> tuple:
+        """Build the orbit's simples off the table of its stabilizer and
+        beta, built once per such pair, and check that they are the rows
+        of that table, in order and indexed like the stabilizer: the
+        premise of the fusion ring's m_c."""
+        hopf, f = self.hopf, orbit.representative
+        G = hopf.G
+        beta = beta_for_orbit(hopf.ctx, hopf.tau, orbit)
+        values = None if beta.is_trivial else tuple((v.level, v.num, v.den) for v in beta.values.values())
+        key = orbit.stabilizer, values
+        slot = self._tables.get(key)
+        if slot is None:
+            slot = self._tables[key] = [_char_table(G, orbit.stabilizer, beta), None]
+        table = slot[0]
+        simples = _simples_of_table(hopf, orbit, table)
+        if len(simples) != len(table.chars) or any(
+            d.chi is not c or c.elements != orbit.stabilizer for d, c in zip(simples, table.chars)
+        ):
+            raise InternalInconsistencyError(
+                f"characters over the orbit of {hopf.F.label(f)} "
+                "are not orthonormal: they are not the rows of its stabilizer table"
+            )
+        act = hopf.ctx.act_right
+        transport = {act(G.inv(z), f): z for z in orbit.transversal}
+        found = self._by_rep[f] = (simples, slot, transport)
+        for d in simples:
+            self._by_uid[d.uid] = d
+        return found
 
     def simples_for_orbit(self, orbit: Orbit) -> tuple[SimpleDesc, ...]:
-        rep = orbit.representative
-        if rep not in self._by_rep:
-            table = stabilizer_char_table(self.hopf, orbit, self._tables)[0]
-            simples = _simples_of_table(self.hopf, orbit, table)
-            self._by_rep[rep] = simples
-            self._orbit_tables[rep] = table
-            for d in simples:
-                self._by_uid[d.uid] = d
-        return self._by_rep[rep]
+        return (self._by_rep.get(orbit.representative) or self._add_orbit(orbit))[0]
 
-    def stabilizer_table(self, orbit: Orbit) -> CharTable | None:
-        """The character table the orbit's simples were read from, or None
-        before simples_for_orbit has run on the orbit: the table of its
-        stabilizer and beta, shared between the orbits with both equal.
-        Every simple of the orbit is a row of it."""
-        return self._orbit_tables.get(orbit.representative)
+    def stabilizer(self, orbit: Orbit) -> _Stabilizer:
+        """The _Stabilizer record of the table the orbit's simples are the
+        rows of, one object per stabilizer and beta.  It is read on first
+        use, so listing simples builds none."""
+        slot = (self._by_rep.get(orbit.representative) or self._add_orbit(orbit))[1]
+        if slot[1] is None:
+            slot[1] = _Stabilizer(self.hopf.G, slot[0])
+        return slot[1]
+
+    def transport(self, orbit: Orbit) -> dict:
+        """x -> z_x over the orbit, the transversal element with z_x^-1 > f = x."""
+        return (self._by_rep.get(orbit.representative) or self._add_orbit(orbit))[2]
+
+    def cells_at(self, orbit: Orbit, x) -> dict:
+        """{h in G_x: (the cell of z_x h z_x^-1 in G_f, w(h, x), None where
+        1)}, w(h, x) the weight of the induced character at p_h # x (the
+        fusion module docstring)."""
+        key = orbit.representative, x
+        found = self._cells.get(key)
+        if found is None:
+            cls, z = self.stabilizer(orbit).cls, self.transport(orbit)[x]
+            terms = _induced_terms(self.hopf, orbit, z, z, dict.fromkeys(orbit.stabilizer, _ONE))
+            # one key (z^-1 g z, x) per g in G_f, in stabilizer order
+            found = self._cells[key] = {
+                h: (cls[g], None if w.is_one() else w)
+                for g, ((h, _x), w) in zip(orbit.stabilizer, terms.items())
+            }
+        return found
 
     def simples_for_f(self, f) -> tuple[SimpleDesc, ...]:
         return self.simples_for_orbit(self.hopf.ctx.orbit_of(f))
@@ -296,3 +333,37 @@ class SimpleIndex:
             if all(v.is_one() for v in d.chi.values):
                 return d
         raise InternalInconsistencyError("no simple with the unit character")
+
+
+class _Stabilizer:
+    """What the fusion ring reads of one stabilizer table, on its cells
+    (fusion module docstring).  SimpleIndex builds one per table, when the
+    ring first asks for it, and shares it between the orbits with that
+    table.  It keeps the cell of each element (cls), a representative of
+    each (reps), the identity's cell, the character values at the
+    representatives (integers at level 1, the others at one level for the
+    table, so no sum or product of them lifts an operand), their
+    conjugates, and 1/|G_f| and each 1/|C|, None where 1."""
+
+    __slots__ = ("values", "conj_values", "cls", "reps", "identity", "inv_order", "inv_sizes")
+
+    def __init__(self, G, table: CharTable):
+        elements = table.chars[0].elements
+        position = {g: i for i, g in enumerate(elements)}
+        cells = table.classes or tuple((g,) for g in elements)
+        level = lcm(G.exponent(), *(v.level for c in table.chars for v in c.values))
+        self.cls = {g: c for c, members in enumerate(cells) for g in members}
+        self.reps = [members[0] for members in cells]
+        self.identity = self.cls[G.identity]
+        self.values = [
+            tuple(_at_level(c.values[position[g]], level) for g in self.reps) for c in table.chars
+        ]
+        self.conj_values = [tuple(v.conj() for v in row) for row in self.values]
+        self.inv_order = None if len(elements) == 1 else rational(len(elements)).inv()
+        self.inv_sizes = [None if len(c) == 1 else rational(len(c)).inv() for c in cells]
+
+
+def _at_level(v, level: int):
+    """v at level 1 if it is a rational integer (every rational character
+    value is), else at the given level."""
+    return rational(v.num[0]) if v.den == 1 and v.is_rational() else v.lift(level)

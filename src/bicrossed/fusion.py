@@ -42,12 +42,20 @@ so its cells are the single elements of the stabilizer.  Each
 character is constant on each cell, so the terms give
 W(C) = sum n rho1(a) rho2(b), the sum of psi over the cell C of G_f3.
 
+Per-orbit data.  The ring reads all it needs of an orbit from its
+SimpleIndex, which builds it with the orbit's simples (comodules
+module docstring): index.stabilizer(orbit), the _Stabilizer record of
+the table, one per stabilizer and beta; index.transport(orbit), the
+map x -> z_x; and index.cells_at(orbit, x), the cell of z_x h z_x^-1
+and the weight w(h, x) for each h in G_x.  The ring itself keeps only
+rows, duals and the terms and decompositions of products.
+
 Conjugate orthogonality.  chi1 chi2 is the character of a comodule, so
 it is sum m_c chi_c over the simples c, and a simple over another orbit
 vanishes at every key with f-part f3: psi = sum m_c rho_c on G_f3, over
 the rows of its stabilizer table, which verify_char_table certified and
-the orbit's simples are checked to be.  The beta_f3 values are roots of
-unity (as central_extension requires), so the rows obey Schur's
+SimpleIndex checks the orbit's simples to be.  The beta_f3 values are
+roots of unity (as central_extension requires), so the rows obey Schur's
 orthogonality (1/|G_f3|) sum_h rho_c(h) conj(rho_c'(h)) = delta, and
 m_c = (1/|G_f3|) sum_C W(C) conj(rho_c(C)).  Each row is certified by
 the exact residual psi(C) = W(C)/|C| = sum m_c rho_c(C) on every cell of
@@ -87,23 +95,19 @@ Zhu 2006; Kashina, Mason and Montgomery 2002 for abelian extensions).
 
 from __future__ import annotations
 
-from math import lcm
-
 # certs.solve_in_span stays importable from here: bench/tracer.py counts
 # its calls as fusion.solve_in_span, and no row reads it any more
 from .certs import solve_in_span  # noqa: F401
-from .comodules import SimpleDesc, SimpleIndex, _induced_terms
+from .comodules import SimpleDesc, SimpleIndex
 from .cyclotomic import rational
 from .errors import InternalInconsistencyError
 from .hopf import BicrossedHopf, _weigh
 from .matched_pair import Orbit
-from .reps import CharTable
 
 # Triples sampled by the associativity law of verify_based_ring.
 SAMPLE_TRIPLES = 60
 
 _ZERO = rational(0)
-_ONE = rational(1)
 
 
 class FusionRow:
@@ -143,28 +147,25 @@ class FusionTable:
 
 
 class FusionRing:
-    """Fusion computations over a SimpleIndex, with a pure row memo."""
+    """Fusion computations over a SimpleIndex, with a pure row memo.  The
+    per-orbit data (stabilizer records, transport, cells) is read from the
+    index, which owns it."""
 
-    def __init__(self, hopf: BicrossedHopf, index: SimpleIndex | None = None):
+    def __init__(self, hopf: BicrossedHopf):
         if not (hopf.sigma.is_normalized(hopf.ctx) and hopf.tau.is_normalized(hopf.ctx)):
             raise InternalInconsistencyError(
                 "fusion rows need normalized sigma and tau: a free pair orbit "
                 "is counted with weight 1"
             )
         self.hopf = hopf
-        self.index = index if index is not None else SimpleIndex(hopf)
+        self.index = SimpleIndex(hopf)
         self._row_cache: dict = {}
         self._dual_cache: dict = {}
         # chi1 chi2 = chi2 chi1 in a commutative H, so a row also gives its swap
         self._commutative = hopf.is_commutative
-        self._exponent = hopf.G.exponent()
         # trivial cocycles: no factor
         self._sigma = None if hopf.sigma.is_trivial else hopf.sigma.eval
         self._tau = None if hopf.tau.is_trivial else hopf.tau.eval
-        self._orbits: dict = {}  # rep -> (simples, _Stabilizer)
-        self._stabilizers: dict = {}  # stabilizer table -> _Stabilizer
-        self._transport: dict = {}  # rep -> _transport_of(orbit)
-        self._cells: dict = {}  # (rep, x) -> _cells_at(orbit, x)
         self._products_left = None  # the O1 whose products are kept
         self._products: dict = {}  # rep2 -> [(simples, _Stabilizer, terms)] of O3
         self._terms: dict = {}  # key of terms -> the one terms object with that key
@@ -172,62 +173,6 @@ class FusionRing:
         self._decompositions: dict = {}
 
     # -- product decomposition ------------------------------------------------
-
-    def _table_rows(self, orbit: Orbit) -> tuple:
-        """The orbit's simples and their table, once the simples are checked
-        to be the rows of that table, in order and indexed like the
-        stabilizer."""
-        simples = self.index.simples_for_orbit(orbit)
-        table = self.index.stabilizer_table(orbit)
-        if (
-            table is None
-            or len(simples) != len(table.chars)
-            or any(
-                d.chi is not c or c.elements != orbit.stabilizer
-                for d, c in zip(simples, table.chars)
-            )
-        ):
-            raise InternalInconsistencyError(
-                f"characters over the orbit of {self.hopf.F.label(orbit.representative)} "
-                "are not orthonormal: they are not the rows of its stabilizer table"
-            )
-        return simples, table
-
-    def _simples_on(self, orbit: Orbit) -> tuple[tuple[SimpleDesc, ...], _Stabilizer]:
-        """The orbit's simples and its _Stabilizer, once the simples are
-        the rows of the stabilizer table that verify_char_table certified:
-        the premise of m_c."""
-        found = self._orbits.get(orbit.representative)
-        if found is None:
-            simples, table = self._table_rows(orbit)
-            stab = self._stabilizers.get(table)
-            if stab is None:
-                stab = self._stabilizers[table] = _Stabilizer(self.hopf.G, table, self._exponent)
-            found = self._orbits[orbit.representative] = (simples, stab)
-        return found
-
-    def _transport_of(self, orbit: Orbit) -> dict:
-        """x -> z_x over the orbit, the transversal element with z_x^-1 > f = x."""
-        found = self._transport.get(orbit.representative)
-        if found is None:
-            G, act, f = self.hopf.G, self.hopf.ctx.act_right, orbit.representative
-            found = self._transport[f] = {act(G.inv(z), f): z for z in orbit.transversal}
-        return found
-
-    def _cells_at(self, orbit: Orbit, x) -> dict:
-        """{h in G_x: (the cell of z_x h z_x^-1 in G_f, w(h, x), None where
-        1)} (module docstring)."""
-        key = orbit.representative, x
-        found = self._cells.get(key)
-        if found is None:
-            cls, z = self._simples_on(orbit)[1].cls, self._transport_of(orbit)[x]
-            terms = _induced_terms(self.hopf, orbit, z, z, dict.fromkeys(orbit.stabilizer, _ONE))
-            # one key (z^-1 g z, x) per g in G_f, in stabilizer order
-            found = self._cells[key] = {
-                h: (cls[g], None if w.is_one() else w)
-                for g, ((h, _x), w) in zip(orbit.stabilizer, terms.items())
-            }
-        return found
 
     def _products_for(self, o1: Orbit, o2: Orbit) -> list:
         """Per orbit O3 of O1 O2: its simples, its _Stabilizer and the
@@ -250,8 +195,8 @@ class FusionRing:
             return data
         ctx, G = self.hopf.ctx, self.hopf.G
         act, act_left, fmul, gmul = ctx.act_right, ctx.act_left, self.hopf.F.mul, G.mul
-        sigma, f1 = self._sigma, o1.representative
-        stab1, stab2 = self._simples_on(o1)[1], self._simples_on(o2)[1]
+        index, sigma, f1 = self.index, self._sigma, o1.representative
+        stab1, stab2 = index.stabilizer(o1), index.stabilizer(o2)
         twist = {s: act_left(s, f1) for s in o1.stabilizer}  # s -> s < f1
         free = len(twist) == 1
         fibers: dict = {}  # rep3 -> [O3, free pair orbits, {(a, b, c): summed weight} or None]
@@ -274,8 +219,8 @@ class FusionRing:
                 fiber[1] += 1
                 continue
             # move (f1, y) to f3 by t = z_p, its stabilizer to K = t S t^-1
-            cls3 = self._simples_on(o3)[1].cls
-            t = self._transport_of(o3)[p]
+            cls3 = index.stabilizer(o3).cls
+            t = index.transport(o3)[p]
             x0, y0, t_inv = act(t, f1), act(act_left(t, f1), y), G.inv(t)
             K = [gmul(gmul(t, s), t_inv) for s in stabilizer]
             if fiber[2] is None:
@@ -287,7 +232,7 @@ class FusionRing:
                 coset = [gmul(g, k) for k in K]
                 covered.update(coset)
                 x, y1 = act(g, x0), act(act_left(g, x0), y0)
-                at1, at2, g_inv = self._cells_at(o1, x), self._cells_at(o2, y1), G.inv(g)
+                at1, at2, g_inv = index.cells_at(o1, x), index.cells_at(o2, y1), G.inv(g)
                 for gk in coset:
                     h = gmul(gk, g_inv)
                     a, w1 = at1[h]
@@ -300,7 +245,7 @@ class FusionRing:
         interned = self._terms
         data = self._products[o2.representative] = []
         for o3, count, terms in fibers.values():
-            simples, stab3 = self._simples_on(o3)
+            simples, stab3 = index.simples_for_orbit(o3), index.stabilizer(o3)
             unit = (stab1.identity, stab2.identity, stab3.identity)
             if terms is None:
                 terms = key = ((*unit, count * len(o3.stabilizer)),)
@@ -318,7 +263,7 @@ class FusionRing:
         the three stabilizer tables, the two character indices and the
         terms, so it is kept on them."""
         products = self._products_for(d1.orbit, d2.orbit)
-        stab1, stab2 = self._simples_on(d1.orbit)[1], self._simples_on(d2.orbit)[1]
+        stab1, stab2 = self.index.stabilizer(d1.orbit), self.index.stabilizer(d2.orbit)
         i1, i2 = d1.chi_index, d2.chi_index
         decompositions = self._decompositions
         out = []
@@ -404,16 +349,16 @@ class FusionRing:
         (sigma(h^-1; x, x^-1) tau(h^-1, h; x))^-1 of p_h # x, for
         (h < x)^-1 = k and x = f'^-1 (module docstring), read at the cell
         representatives of G_f'."""
-        H, sigma, tau = self.hopf, self._sigma, self._tau
+        H, index, sigma, tau = self.hopf, self.index, self._sigma, self._tau
         G, act_left = H.G, H.ctx.act_left
         dual_orbit = H.ctx.orbit_of(H.F.inv(d.orbit.representative))
         f_dual = dual_orbit.representative
         x = H.F.inv(f_dual)
-        stab = self._simples_on(d.orbit)[1]
-        simples, dual_stab = self._simples_on(dual_orbit)
+        stab = index.stabilizer(d.orbit)
+        simples, dual_stab = index.simples_for_orbit(dual_orbit), index.stabilizer(dual_orbit)
         row = stab.values[d.chi_index]
         target = {}
-        for h, (a, w) in self._cells_at(d.orbit, x).items():
+        for h, (a, w) in index.cells_at(d.orbit, x).items():
             h_inv = G.inv(h)
             s = _weigh(
                 None if sigma is None else sigma(h_inv, x, f_dual),
@@ -445,10 +390,10 @@ class FusionRing:
         H, orbit, sigma, tau = self.hopf, d.orbit, self._sigma, self._tau
         G, f = H.G, orbit.representative
         f_inv = H.F.inv(f)
-        z = self._transport_of(orbit).get(f_inv)  # b > f = f^-1 on the coset z^-1 G_f
+        z = self.index.transport(orbit).get(f_inv)  # b > f = f^-1 on the coset z^-1 G_f
         total = _ZERO
         if z is not None:
-            stab, act_left = self._simples_on(orbit)[1], H.ctx.act_left
+            stab, act_left = self.index.stabilizer(orbit), H.ctx.act_left
             row = stab.values[d.chi_index]
             for b in (G.mul(G.inv(z), s) for s in orbit.stabilizer):
                 a = act_left(b, f)
@@ -558,39 +503,6 @@ class FusionRing:
             "problems": problems[:20],
             "associativity_triples": len(triples),
         }
-
-
-class _Stabilizer:
-    """What the rows read of one stabilizer table, shared by the orbits
-    with that table, on its cells (module docstring): the cell of each
-    element (cls), a representative of each (reps), the identity's cell,
-    the character values at the representatives (integers at level 1,
-    the others at one level for the table, so no sum or product of them
-    lifts an operand), their conjugates, and 1/|G_f| and each 1/|C|,
-    None where 1."""
-
-    __slots__ = ("values", "conj_values", "cls", "reps", "identity", "inv_order", "inv_sizes")
-
-    def __init__(self, G, table: CharTable, exponent: int):
-        elements = table.chars[0].elements
-        position = {g: i for i, g in enumerate(elements)}
-        cells = table.classes or tuple((g,) for g in elements)
-        level = lcm(exponent, *(v.level for c in table.chars for v in c.values))
-        self.cls = {g: c for c, members in enumerate(cells) for g in members}
-        self.reps = [members[0] for members in cells]
-        self.identity = self.cls[G.identity]
-        self.values = [
-            tuple(_at_level(c.values[position[g]], level) for g in self.reps) for c in table.chars
-        ]
-        self.conj_values = [tuple(v.conj() for v in row) for row in self.values]
-        self.inv_order = None if len(elements) == 1 else rational(len(elements)).inv()
-        self.inv_sizes = [None if len(c) == 1 else rational(len(c)).inv() for c in cells]
-
-
-def _at_level(v, level: int):
-    """v at level 1 if it is a rational integer (every rational character
-    value is), else at the given level."""
-    return rational(v.num[0]) if v.den == 1 and v.is_rational() else v.lift(level)
 
 
 def _weight(n):

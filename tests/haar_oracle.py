@@ -168,8 +168,8 @@ class HaarRing(FusionRing):
     """A FusionRing reading every row by the Haar route and every dual by
     the antipode search."""
 
-    def __init__(self, hopf, index=None):
-        super().__init__(hopf, index)
+    def __init__(self, hopf):
+        super().__init__(hopf)
         self.haar = HaarOracle(self)
 
     def _orbit_row(self, d1, d2):

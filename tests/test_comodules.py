@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import build_preset, twisted_tau_config
+from conftest import build_preset, twisted_sigma_config, twisted_tau_config
 from test_deep_twisted import z4_twisted_config
 
+from bicrossed import comodules
 from bicrossed.certs import exact_rank
 from bicrossed.cocycles import beta_for_orbit
 from bicrossed.comodules import (
@@ -12,11 +13,10 @@ from bicrossed.comodules import (
     cf_subcoalgebra,
     coefficient_basis,
     irreducible_character,
-    simples_for_orbit,
 )
 from bicrossed.config import build_config
 from bicrossed.cyclotomic import rational
-from bicrossed.errors import ConfigError
+from bicrossed.errors import ConfigError, InternalInconsistencyError
 from bicrossed.hopf import HElem
 
 
@@ -36,10 +36,11 @@ def test_cf_subcoalgebra_z2n_2(h_z_z2n_2):
 
 def test_simples_for_orbit_h_z_z2(h_z_z2):
     H = h_z_z2.hopf
-    simples = simples_for_orbit(H, H.ctx.orbit_of((1,)))
+    index = SimpleIndex(H)
+    simples = index.simples_for_orbit(H.ctx.orbit_of((1,)))
     assert len(simples) == 1
     assert simples[0].dim_total == 2
-    unit_simples = simples_for_orbit(H, H.ctx.orbit_of((0,)))
+    unit_simples = index.simples_for_orbit(H.ctx.orbit_of((0,)))
     assert [d.dim_total for d in unit_simples] == [1, 1]
 
 
@@ -241,26 +242,6 @@ def test_drinfeld_s4_classification():
     assert len(simples) == 21  # 5 + 5 + 3 + 3 + 5 irreducibles per centralizer
 
 
-class _ReadLog(dict):
-    """A tables memo that logs every key read from it."""
-
-    def __init__(self):
-        super().__init__()
-        self.reads = []
-
-    def get(self, key, default=None):
-        self.reads.append(key)
-        return super().get(key, default)
-
-    def __getitem__(self, key):
-        self.reads.append(key)
-        return super().__getitem__(key)
-
-    def __contains__(self, key):
-        self.reads.append(key)
-        return super().__contains__(key)
-
-
 # The fusion-table radii of the lattice-fusion bench, doubled: the balls hold
 # every orbit those tables touch, the candidates of products included.
 _SHARED_TABLE_BALLS = {
@@ -270,34 +251,98 @@ _SHARED_TABLE_BALLS = {
 }
 
 
+def _table_key(H, orbit) -> tuple:
+    """The stabilizer and the literal values of beta on it, None where beta
+    is trivial: what decides the orbit's table."""
+    beta = beta_for_orbit(H.ctx, H.tau, orbit)
+    values = None if beta.is_trivial else tuple(v.literal() for v in beta.values.values())
+    return orbit.stabilizer, values
+
+
+_TABLE_BUILDERS = ("abelian_char_table", "ordinary_char_table", "twisted_char_table")
+
+
 @pytest.mark.parametrize("name", sorted(_SHARED_TABLE_BALLS))
-def test_shared_stabilizer_tables_match_per_orbit(name):
-    # SimpleIndex shares one table per stabilizer and beta, twisted or
-    # not; every orbit of the ball must get the simples and characters of
-    # a table built for it alone, and z4_twisted must build fewer twisted
-    # tables than it has twisted orbits.
+def test_shared_stabilizer_tables_match_per_orbit(name, monkeypatch):
+    # SimpleIndex builds one table per stabilizer and beta, twisted or
+    # not; every orbit of the ball must get the simples and characters a
+    # fresh index builds for it alone, and z4_twisted must build fewer
+    # twisted tables than it has twisted orbits.
     build, radius = _SHARED_TABLE_BALLS[name]
     H = build().hopf
     index = SimpleIndex(H)
     orbits = index.orbits_in_ball(radius)
-    for orb in orbits:
-        shared, alone = index.simples_for_orbit(orb), simples_for_orbit(H, orb)
-        assert [(d.uid, d.dim_v, d.dim_total) for d in shared] == [
-            (d.uid, d.dim_v, d.dim_total) for d in alone
-        ]
-        for d, e in zip(shared, alone):
-            assert d.chi.elements == e.chi.elements and d.chi.values == e.chi.values
-            assert index.character(d) == irreducible_character(H, e)
-    assert len(index._tables) < len(orbits)
+    builds = []
+
+    def counted(attr, real):
+        def build(*args):
+            builds.append(attr)
+            return real(*args)
+
+        return build
+
+    with monkeypatch.context() as m:
+        for attr in _TABLE_BUILDERS:
+            m.setattr(comodules, attr, counted(attr, getattr(comodules, attr)))
+        shared = [index.simples_for_orbit(orb) for orb in orbits]
+    keys = {_table_key(H, orb) for orb in orbits}
+    assert len(builds) == len(keys) < len(orbits)
     twisted_orbits = sum(not beta_for_orbit(H.ctx, H.tau, orb).is_trivial for orb in orbits)
-    twisted_tables = sum(table.classes is None for table in index._tables.values())
+    twisted_tables = builds.count("twisted_char_table")
+    assert twisted_tables == sum(values is not None for _stab, values in keys)
     if name == "z4_twisted":
         assert 0 < twisted_tables < twisted_orbits
     else:
         assert twisted_tables == twisted_orbits == 0
-    tables = _ReadLog()
+    for orb, simples in zip(orbits, shared):
+        alone = SimpleIndex(H).simples_for_orbit(orb)
+        assert [(d.uid, d.dim_v, d.dim_total) for d in simples] == [
+            (d.uid, d.dim_v, d.dim_total) for d in alone
+        ]
+        for d, e in zip(simples, alone):
+            assert d.chi.elements == e.chi.elements and d.chi.values == e.chi.values
+            assert index.character(d) == irreducible_character(H, e)
+
+
+# The fusion-table radii of two lattice-fusion bench configs.
+_RECORD_BALLS = {
+    "h_z_z2n:3": (lambda: build_preset("h_z_z2n:3"), 4),
+    "z4_twisted": (lambda: build_config(z4_twisted_config()), 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORD_BALLS))
+def test_orbits_with_one_table_share_one_record(name):
+    # the fusion ring keys its decompositions on the record's identity, so
+    # orbits with equal stabilizer and beta must read one _Stabilizer, and
+    # distinct tables distinct ones
+    build, radius = _RECORD_BALLS[name]
+    H = build().hopf
+    index = SimpleIndex(H)
+    records: dict = {}
+    orbits = index.orbits_in_ball(radius)
     for orb in orbits:
-        before = len(tables.reads)
-        simples_for_orbit(H, orb, tables)
-        assert len(tables.reads) == before + 1, f"orbit {orb.representative} did not read the memo"
-    assert len(tables) == len(index._tables)
+        records.setdefault(_table_key(H, orb), set()).add(id(index.stabilizer(orb)))
+    assert len(records) < len(orbits)
+    assert all(len(ids) == 1 for ids in records.values())
+    assert len(set().union(*records.values())) == len(records)
+
+
+_TAMPERED_SIMPLES = {
+    "drinfeld:S3-repeated": (lambda: build_preset("drinfeld:S3"), lambda s: s[:1] * 2),
+    "drinfeld:S3-rotated": (lambda: build_preset("drinfeld:S3"), lambda s: s[1:] + s[:1]),
+    "twisted_sigma-repeated": (lambda: build_config(twisted_sigma_config()), lambda s: s[:1] * 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TAMPERED_SIMPLES))
+def test_simples_are_the_rows_of_their_table(name, monkeypatch):
+    # the fusion ring reads the orbit's simples as the rows of its
+    # stabilizer table; SimpleIndex, which builds both, refuses simples
+    # that repeat a row or take the rows out of order
+    build, tamper = _TAMPERED_SIMPLES[name]
+    index = SimpleIndex(build().hopf)
+    real = comodules._simples_of_table
+    monkeypatch.setattr(comodules, "_simples_of_table", lambda *args: tamper(real(*args)))
+    with pytest.raises(InternalInconsistencyError, match="not the rows of its stabilizer table"):
+        index.enumerate(0)

@@ -207,11 +207,11 @@ def test_s3_factorization_pipeline():
     rep = verify_hopf(build.hopf, 0)
     assert rep.ok, rep.to_payload()
     assert verify_star(build.hopf, 0).ok
-    index = SimpleIndex(build.hopf)
+    ring = FusionRing(build.hopf)
+    index = ring.index
     simples = index.enumerate(0)
     assert [d.dim_total for d in simples] == [1] * 6
     assert dimension_audit(build.hopf, index, 0)["ok"]
-    ring = FusionRing(build.hopf, index)
     for d in simples:
         assert ring.dual_of(ring.dual_of(d)).uid == d.uid
         assert ring.fs_indicator(d) in (-1, 0, 1)
@@ -225,9 +225,9 @@ def test_sigma_and_tau_pipeline():
     rep = verify_hopf(build.hopf, 3)
     assert rep.ok, rep.to_payload()
     assert verify_star(build.hopf, 3).ok
-    index = SimpleIndex(build.hopf)
+    ring = FusionRing(build.hopf)
+    index = ring.index
     assert dimension_audit(build.hopf, index, 3)["ok"]
-    ring = FusionRing(build.hopf, index)
     for d in index.enumerate(2):
         assert ring.fs_indicator(d) in (-1, 0, 1)
         row = ring.decompose_product(d, ring.dual_of(d))

@@ -60,9 +60,9 @@ and each failing at least one tier-1 test:
   (test_fusion.py::test_rows_match_dense_solve,
   test_factorization_routes_agree, the report pins);
 - the check that an orbit's simples are the rows of its stabilizer table
-  dropped (test_certs.py::test_solve_in_span_rejects_non_orthonormal_orbit,
-  test_slice_form_rejects_non_orthonormal_orbit and
-  test_orbit_route_rejects_simples_off_the_table);
+  dropped from SimpleIndex, which builds both
+  (test_comodules.py::test_simples_are_the_rows_of_their_table, on a
+  repeated and a rotated row of drinfeld:S3 and on twisted_sigma);
 - the residual skipped (test_orbit_route_residual_catches_a_wrong_table,
   test_orbit_route_residual_reads_every_class,
   test_slice_form_residual_catches_a_wrong_slice);
@@ -87,7 +87,9 @@ and each failing at least one tier-1 test:
 - the beta values left out of SimpleIndex's table key, so that a twisted
   orbit reads an untwisted table (test_klein_twisted_simples_are_projective,
   test_comodules.py::test_shared_stabilizer_tables_match_per_orbit
-  [z4_twisted], every z4_twisted test).
+  [z4_twisted], every z4_twisted test);
+- a fresh _Stabilizer per orbit, the table's record no longer shared
+  (test_comodules.py::test_orbits_with_one_table_share_one_record).
 
 The full tables of z_poly_zp:3 at radius 2, drinfeld:S4 at radius 0 and
 z4_twisted at radius 6 are compared behind the sweep marker.
@@ -301,7 +303,7 @@ def test_orbit_route_residual_reads_every_class():
     d1, d2 = ring.index.find("(-1,-1,0):0"), ring.index.find("(0,1,1):0")
     zero = ring.index.find("(0,0,0):0")
     assert any(c.orbit == zero.orbit for c, _m in ring._orbit_row(d1, d2))
-    stab = ring._simples_on(zero.orbit)[1]
+    stab = ring.index.stabilizer(zero.orbit)
     stab.values[2], stab.conj_values[2] = stab.values[1], stab.conj_values[1]
     ring._decompositions.clear()
     with pytest.raises(InternalInconsistencyError, match="nonzero residual"):
@@ -335,23 +337,10 @@ def test_orbit_route_residual_catches_a_wrong_table(drinfeld_s3):
     # two coefficients of chi0 * chi0 sum to 2 on a psi that is 1
     ring = FusionRing(drinfeld_s3.hopf)
     unit = ring.index.unit_simple()
-    stab = ring._simples_on(unit.orbit)[1]
+    stab = ring.index.stabilizer(unit.orbit)
     stab.values[1], stab.conj_values[1] = stab.values[0], stab.conj_values[0]
     with pytest.raises(InternalInconsistencyError, match="nonzero residual"):
         ring.decompose_product(unit, unit)
-
-
-def test_slice_form_rejects_non_orthonormal_orbit(monkeypatch):
-    """The check that an orbit's simples are the rows of its table, on a
-    twisted config: the same error as on an untwisted one."""
-    build, radius = _ORACLE_CONFIGS["twisted_sigma"]
-    ring = FusionRing(build().hopf)
-    index = ring.index
-    d = index.enumerate(radius)[0]
-    real = index.simples_for_orbit
-    monkeypatch.setattr(index, "simples_for_orbit", lambda orb: real(orb)[:1] * 2)
-    with pytest.raises(InternalInconsistencyError, match="not orthonormal"):
-        ring.decompose_product(d, d)
 
 
 _SWEEP_CASES = {
@@ -371,18 +360,6 @@ def test_full_tables_match_haar_route(name):
     assert [r.to_payload() for r in tables[0].rows] == [r.to_payload() for r in tables[1].rows]
     assert tables[0].duals == tables[1].duals
     assert orbit_ring.verify_based_ring(tables[0]) == haar_ring.verify_based_ring(tables[1])
-
-
-def test_orbit_route_rejects_simples_off_the_table(monkeypatch):
-    # S3's trivial character in place of its sign character: as many
-    # simples as rows, but not the rows of the table
-    ring = FusionRing(build_preset("drinfeld:S3").hopf)
-    index = ring.index
-    d = index.unit_simple()
-    real = index.simples_for_orbit
-    monkeypatch.setattr(index, "simples_for_orbit", lambda orb: (real(orb)[0], *real(orb)[:-1]))
-    with pytest.raises(InternalInconsistencyError, match="not the rows of its stabilizer table"):
-        ring.decompose_product(d, d)
 
 
 @pytest.mark.parametrize("name", sorted(_SLICE_CASES))
@@ -407,7 +384,7 @@ def test_klein_twisted_simples_are_projective():
     index = ring.index
     (odd,) = index.simples_for_f((1,))
     assert odd.dim_total == 2
-    stab = ring._simples_on(odd.orbit)[1]
+    stab = ring.index.stabilizer(odd.orbit)
     assert stab.reps == list(odd.orbit.stabilizer)
     assert [[v.literal() for v in row] for row in stab.values] == [["2", "0", "0", "0"]]
     assert [d.dim_total for d in index.simples_for_f((2,))] == [1, 1, 1, 1]
@@ -422,7 +399,7 @@ def test_slice_form_residual_catches_a_wrong_slice():
     ring = FusionRing(build_config(z4_twisted_config()).hopf)
     unit = ring.index.unit_simple()
     d = ring.index.find("1:0")
-    stab = ring._simples_on(d.orbit)[1]
+    stab = ring.index.stabilizer(d.orbit)
     stab.values[1], stab.conj_values[1] = stab.values[0], stab.conj_values[0]
     with pytest.raises(InternalInconsistencyError, match="nonzero residual"):
         ring.decompose_product(unit, d)
