@@ -8,6 +8,8 @@ All values are exact cyclotomic numbers.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .cyclotomic import CycNum, one
 from .errors import ConfigError, InternalInconsistencyError
 from .groups import f_ball
@@ -299,19 +301,17 @@ def verify_cocycles(
 
 class Beta2Cocycle:
     """The 2-cocycle on a stabilizer subgroup: values on pairs of parent
-    G-indices, normalized, satisfying b(a,b)b(ab,c) = b(a,bc)b(b,c)."""
+    G-indices, normalized, satisfying b(a,b)b(ab,c) = b(a,bc)b(b,c).
+    The values are read-only, and is_trivial is decided when it is built."""
 
     def __init__(self, group: "FiniteGroup", elements: tuple[int, ...], values: dict):
         self.group = group
         self.elements = tuple(elements)
-        self.values = values
+        self.values = MappingProxyType(dict(values))
+        self.is_trivial = all(v.is_one() for v in self.values.values())
 
     def eval(self, a: int, b: int) -> CycNum:
         return self.values[(a, b)]
-
-    @property
-    def is_trivial(self) -> bool:
-        return all(v.is_one() for v in self.values.values())
 
     def verify(self) -> None:
         if self.is_trivial and len(self.values) == len(self.elements) ** 2:
@@ -333,7 +333,7 @@ class Beta2Cocycle:
 
     @staticmethod
     def from_table(group, elements, values: dict) -> "Beta2Cocycle":
-        beta = Beta2Cocycle(group, elements, dict(values))
+        beta = Beta2Cocycle(group, elements, values)
         beta.verify()
         return beta
 
@@ -344,13 +344,9 @@ def beta_for_orbit(ctx: MatchedPairCtx, tau: TauCocycle, orbit: Orbit) -> Beta2C
     Within the stabilizer the tau law specializes to the 2-cocycle
     identity, which is re-verified here as a guard against inconsistent
     table data."""
-    f = orbit.representative
-    values = {
-        (a, b): tau.eval(a, b, f) for a in orbit.stabilizer for b in orbit.stabilizer
-    }
-    beta = Beta2Cocycle(ctx.G, orbit.stabilizer, values)
-    beta.verify()
-    return beta
+    f, stab = orbit.representative, orbit.stabilizer
+    values = {(a, b): tau.eval(a, b, f) for a in stab for b in stab}
+    return Beta2Cocycle.from_table(ctx.G, stab, values)
 
 
 def is_unitary(

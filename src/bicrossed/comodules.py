@@ -10,6 +10,10 @@ SimpleIndex owns everything the fusion ring reads of an orbit: its
 simples, the _Stabilizer record of their table (shared by the orbits
 with equal stabilizer and beta), the transport x -> z_x and the cells
 at each x.  fusion.FusionRing keeps no per-orbit data of its own.
+
+beta_f = tau(., .; f) picks the table of G_f, keyed by (G_f, the values
+of beta_f or None where trivial): beta is built once per table key with
+a trivial tau, whose keys are all (G_f, None), else once per orbit.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from .errors import ConfigError, InternalInconsistencyError
 from .groups import f_ball, subgroup_of
 from .hopf import BicrossedHopf, HElem
 from .matched_pair import Orbit
-from .reps import CharTable, TwistedChar, abelian_char_table, ordinary_char_table, twisted_char_table
+# abelian_char_table stays importable from here, as bench/tracer.py wraps it
+from .reps import CharTable, TwistedChar, abelian_char_table, ordinary_char_table, twisted_char_table  # noqa: F401
 
 _ONE = rational(1)
 
@@ -63,20 +68,11 @@ def cf_subcoalgebra(ctx, orbit: Orbit) -> CfBasis:
     return CfBasis(orbit=orbit, keys=keys, dimension=ctx.G.order * orbit.size)
 
 
-def stabilizer_char_table(hopf: BicrossedHopf, orbit: Orbit) -> tuple[CharTable, Beta2Cocycle]:
-    """Character table of the twisted stabilizer algebra of the orbit, and
-    the beta it is twisted by."""
-    beta = beta_for_orbit(hopf.ctx, hopf.tau, orbit)
-    return _char_table(hopf.G, orbit.stabilizer, beta), beta
-
-
 def _char_table(G, stabilizer: tuple, beta: Beta2Cocycle) -> CharTable:
-    if not beta.is_trivial:
-        return twisted_char_table(G, stabilizer, beta)
-    sub, to_parent = subgroup_of(G, stabilizer)
-    if sub.is_abelian():
-        return abelian_char_table(sub, to_parent)
-    return ordinary_char_table(sub, to_parent)
+    """The table of the beta-twisted group algebra of the stabilizer."""
+    if beta.is_trivial:
+        return ordinary_char_table(*subgroup_of(G, stabilizer))
+    return twisted_char_table(G, stabilizer, beta)
 
 
 def _simples_of_table(
@@ -221,22 +217,26 @@ class SimpleIndex:
         self._by_rep: dict = {}  # representative -> (simples, its table's slot, transport)
         self._by_uid: dict = {}
         self._char_cache: dict = {}
-        # (stabilizer, beta values) -> [table, its _Stabilizer once read]
-        self._tables: dict = {}
+        self._tables: dict = {}  # (stabilizer, beta values or None) -> [table, its _Stabilizer]
         self._cells: dict = {}  # (representative, x) -> cells_at(orbit, x)
 
     def _add_orbit(self, orbit: Orbit) -> tuple:
         """Build the orbit's simples off the table of its stabilizer and
-        beta, built once per such pair, and check that they are the rows
-        of that table, in order and indexed like the stabilizer: the
-        premise of the fusion ring's m_c."""
+        beta, built once per such pair (module docstring), and check that
+        they are the rows of that table, in order and indexed like the
+        stabilizer: the premise of the fusion ring's m_c."""
         hopf, f = self.hopf, orbit.representative
         G = hopf.G
-        beta = beta_for_orbit(hopf.ctx, hopf.tau, orbit)
-        values = None if beta.is_trivial else tuple((v.level, v.num, v.den) for v in beta.values.values())
+        beta = values = None
+        if not hopf.tau.is_trivial:
+            beta = beta_for_orbit(hopf.ctx, hopf.tau, orbit)
+            if not beta.is_trivial:
+                values = tuple((v.level, v.num, v.den) for v in beta.values.values())
         key = orbit.stabilizer, values
         slot = self._tables.get(key)
         if slot is None:
+            if beta is None:  # a trivial tau: beta is built only for a new table
+                beta = beta_for_orbit(hopf.ctx, hopf.tau, orbit)
             slot = self._tables[key] = [_char_table(G, orbit.stabilizer, beta), None]
         table = slot[0]
         simples = _simples_of_table(hopf, orbit, table)

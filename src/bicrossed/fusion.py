@@ -42,13 +42,9 @@ so its cells are the single elements of the stabilizer.  Each
 character is constant on each cell, so the terms give
 W(C) = sum n rho1(a) rho2(b), the sum of psi over the cell C of G_f3.
 
-Per-orbit data.  The ring reads all it needs of an orbit from its
-SimpleIndex, which builds it with the orbit's simples (comodules
-module docstring): index.stabilizer(orbit), the _Stabilizer record of
-the table, one per stabilizer and beta; index.transport(orbit), the
-map x -> z_x; and index.cells_at(orbit, x), the cell of z_x h z_x^-1
-and the weight w(h, x) for each h in G_x.  The ring itself keeps only
-rows, duals and the terms and decompositions of products.
+Per-orbit data.  The ring reads an orbit's table record, its transport
+x -> z_x and its cells off the SimpleIndex (comodules module docstring),
+and keeps only rows, duals and the terms and decompositions of products.
 
 Conjugate orthogonality.  chi1 chi2 is the character of a comodule, so
 it is sum m_c chi_c over the simples c, and a simple over another orbit
@@ -70,23 +66,28 @@ and the inverse identities).  So the dual's row has the value
 rho(z_x h z_x^-1) w(h, x) times that antipode coefficient at k; it is
 matched against the rows of the table of G_f' on its cells.
 
-The Haar route, N_ab^c = <T, chi_a chi_b S(chi_c)> through the
-normalized integral (Larson's character orthogonality), and the dual
-found by searching the antipode of a character are no longer read
-here: tests/haar_oracle.py keeps them as the oracle of rows and duals
-(tests/test_fusion_routes.py lists the mutations they catch).
-
-The multiplicities must come out as nonnegative integers matching the
-dimensions, and violations abort loudly.
+tests/haar_oracle.py keeps the Haar route, N_ab^c = <T, chi_a chi_b S(chi_c)>,
+and the antipode search for duals as the oracle of rows and duals.
 
 Indicators.  nu_2 = <T, m(Delta(chi))>.  comul_basis writes
 Delta(p_ab # x) as the sum over b of tau(a, b; x) p_a # (b > x) (x) p_b # x,
 and by basis_mul, haar_partner and haar_weight such a term has the
-integral sigma(a; x^-1, x)/|G| when b > x = x^-1 and a = b < x, else 0
-(then ab lies in G_x: b x = x^-1 a in the group F G gives a > x^-1 = x).
-The sum over x in O is |O| times its value at f (G-equivariance, checked
-against the walk HaarOracle.nu2 of tests/haar_oracle.py, not derived),
-where chi is rho (z_f = 1, w = 1).  So nu_2 = (1/|G_f|) sum rho(ab)
+integral sigma(a; x^-1, x)/|G| when b > x = x^-1 and a = b < x, else 0.
+Then ab lies in G_x: in the group F G, where g f = (g > f)(g < f),
+b x = x^-1 a gives a x^-1 = x b, and an element of F G is one of F
+times one of G in one way only, so a > x^-1 = x and ab > x = a > x^-1.
+Each x in O gives the same share, nu_2/|O|.  Take a basis v_i of the
+simple V split by its F-degrees V_x, read through the Hopf map
+pi(p_g # x) = delta(g, 1) x onto kF, and the coefficients c_ij of V:
+(id (x) pi) Delta sends p_g # x to p_g # x (x) x and c_ki to
+c_ki (x) deg(v_i), so c_ki has the f-part deg(v_i), and x gives the sum
+of <T, c_ik c_ki> over v_i in V_x and all k.  If V is self-dual,
+S(c)^T = E c E^-1 for an invertible E; as S^2 = id (verify_hopf),
+E^-T E commutes with c, so E^T = nu E with nu = +-1 (Schur's lemma), and
+Larson's orthogonality <T, c_ij S(c_kl)> = delta_il delta_jk / dim V
+makes x give nu dim V_x / dim V = nu/|O|, as dim V_x = dim rho.  If not,
+each <T, c_ik c_ki> is 0.  So nu_2 is |O| times the value at f, where
+chi is rho (z_f = 1, w = 1): nu_2 = (1/|G_f|) sum rho(ab)
 tau(a, b; f) sigma(a; f^-1, f) over the b in z^-1 G_f, z = z_{f^-1}, and
 0 when f^-1 lies in another orbit.  With a trivial < and trivial cocycles
 it is the (1/|G_f|) sum rho(b^2) of the double (Kashina, Sommerhauser and
@@ -398,9 +399,10 @@ class FusionRing:
             for b in (G.mul(G.inv(z), s) for s in orbit.stabilizer):
                 a = act_left(b, f)
                 cell = stab.cls.get(G.mul(a, b))
-                if cell is not None:
-                    w = _weigh(None if tau is None else tau(a, b, f), None if sigma is None else sigma(a, f_inv, f))
-                    total = total + (row[cell] if w is None else row[cell] * w)
+                if cell is None:  # ab lies in G_f (module docstring)
+                    raise InternalInconsistencyError(f"indicator of {d.uid}: ab is not in the stabilizer")
+                w = _weigh(None if tau is None else tau(a, b, f), None if sigma is None else sigma(a, f_inv, f))
+                total = total + (row[cell] if w is None else row[cell] * w)
             if stab.inv_order is not None:
                 total = total * stab.inv_order
         if not total.is_integer():
@@ -537,8 +539,9 @@ def _multiplicities(d1: SimpleDesc, d2: SimpleDesc, coeffs) -> list:
 
 def _sampled_triples(n: int) -> list:
     """The triples (a, b, c) in range(n)^3 with 7a + 3b + c divisible by
-    step = n^3 // SAMPLE_TRIPLES + 1, in lexicographic order; each c
-    steps from -(7a + 3b) mod step, so only the sample is walked."""
+    step = n^3 // SAMPLE_TRIPLES + 1, in lexicographic order; all n^2
+    pairs (a, b) are visited, and only the c of the sample, stepping
+    from -(7a + 3b) mod step."""
     step = n * n * n // SAMPLE_TRIPLES + 1
     ab = ((a, b) for a in range(n) for b in range(n))
     return [(a, b, c) for a, b in ab for c in range(-(7 * a + 3 * b) % step, n, step)]

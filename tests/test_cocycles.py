@@ -13,11 +13,14 @@ import pytest
 
 from conftest import (
     broken_compat_config,
+    klein_twisted_config,
     s4_factorization_ctx,
+    s4_sign_tau_config,
     sigma_two_config,
     twisted_sigma_config,
     twisted_tau_config,
 )
+from test_deep_twisted import s3_factorization_tau_config, z4_twisted_config
 
 from bicrossed.cocycles import (
     Beta2Cocycle,
@@ -30,7 +33,7 @@ from bicrossed.cocycles import (
 from bicrossed.config import build_config
 from bicrossed.cyclotomic import one, rational, root_of_unity
 from bicrossed.errors import ConfigError, InternalInconsistencyError
-from bicrossed.groups import FreeAbelianF, cyclic_group, direct_product
+from bicrossed.groups import FreeAbelianF, cyclic_group, direct_product, f_ball
 from bicrossed.matched_pair import LinearAction, MatchedPairCtx
 
 
@@ -244,6 +247,41 @@ def test_beta_identity_short_circuit_keeps_messages():
         with pytest.raises(InternalInconsistencyError) as err:
             Beta2Cocycle.from_table(K4, (0, 1, 2, 3), values)
         assert str(err.value) == message
+
+
+def test_beta_values_are_read_only():
+    # is_trivial is decided when beta is built, so neither its values nor
+    # the dict it was built from may change them afterwards
+    K4 = direct_product(cyclic_group(2), cyclic_group(2))
+    values = {(i, j): one() for i in range(4) for j in range(4)}
+    beta = Beta2Cocycle.from_table(K4, (0, 1, 2, 3), values)
+    with pytest.raises(TypeError):
+        beta.values[(1, 2)] = rational(-1)
+    values[(1, 2)] = rational(-1)
+    assert beta.eval(1, 2).is_one() and beta.is_trivial
+
+
+# Twisted fixtures and the ball radii whose orbits they are read on.
+_TWISTED_BETAS = {
+    "klein_twisted": (klein_twisted_config, 2),
+    "s4_sign_tau": (s4_sign_tau_config, 2),
+    "s3_factorization_tau": (s3_factorization_tau_config, 0),
+    "z4_twisted": (z4_twisted_config, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TWISTED_BETAS))
+def test_is_trivial_matches_the_values(name):
+    config, radius = _TWISTED_BETAS[name]
+    build = build_config(config())
+    ctx = build.ctx
+    orbits = {ctx.orbit_of(f).representative: ctx.orbit_of(f) for f in f_ball(ctx.F, radius)}
+    verdicts = []
+    for orbit in orbits.values():
+        beta = beta_for_orbit(ctx, build.tau, orbit)
+        verdicts.append(beta.is_trivial)
+        assert beta.is_trivial == all(v.is_one() for v in beta.values.values())
+    assert False in verdicts  # a twisted orbit on every fixture
 
 
 def test_unitarity_trivial_identity_and_sigma_two_witness():

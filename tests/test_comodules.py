@@ -304,6 +304,38 @@ def test_shared_stabilizer_tables_match_per_orbit(name, monkeypatch):
             assert index.character(d) == irreducible_character(H, e)
 
 
+# Balls on which SimpleIndex reads beta: trivial tau on the first two, so
+# one beta per distinct table (2 tables over 249 orbits on z_poly_zp:3,
+# one per class of S4); a twisted tau on z4_twisted, so one per orbit, to
+# read its key.
+_BETA_BALLS = {
+    "z_poly_zp:3": (lambda: build_preset("z_poly_zp:3"), 4),
+    "drinfeld:S4": (lambda: build_preset("drinfeld:S4"), 0),
+    "z4_twisted": (lambda: build_config(z4_twisted_config()), 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BETA_BALLS))
+def test_beta_is_built_once_per_table_key(name, monkeypatch):
+    build, radius = _BETA_BALLS[name]
+    H = build().hopf
+    index = SimpleIndex(H)
+    calls = []
+
+    def counted(ctx, tau, orbit):
+        calls.append(orbit.representative)
+        return beta_for_orbit(ctx, tau, orbit)
+
+    monkeypatch.setattr(comodules, "beta_for_orbit", counted)
+    index.enumerate(radius)
+    orbits = index.orbits_in_ball(radius)
+    if H.tau.is_trivial:
+        assert len(calls) == len({orb.stabilizer for orb in orbits}) == len(index._tables)
+        assert name != "z_poly_zp:3" or (len(calls), len(orbits)) == (2, 249)
+    else:
+        assert sorted(calls, key=H.F.order_key) == [orb.representative for orb in orbits]
+
+
 # The fusion-table radii of two lattice-fusion bench configs.
 _RECORD_BALLS = {
     "h_z_z2n:3": (lambda: build_preset("h_z_z2n:3"), 4),

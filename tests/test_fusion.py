@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import cmath
+import copy
 import itertools
 import json
 import random
@@ -27,6 +28,7 @@ from bicrossed import comodules
 from bicrossed.comodules import SimpleIndex
 from bicrossed.config import build_config
 from bicrossed.cyclotomic import rational, row_reduce
+from bicrossed.errors import InternalInconsistencyError
 from bicrossed.fusion import FusionRing, FusionRow
 from bicrossed.groups import f_ball
 from bicrossed.hopf import BicrossedHopf
@@ -401,6 +403,29 @@ def test_fs_indicator_matches_integral_of_product(name):
     simples = ring.index.enumerate(radius)
     got = [rational(ring.fs_indicator(d)) for d in simples]
     assert got == [HaarOracle(ring).nu2(d) for d in simples]
+
+
+def _self_dual_s3_uids():
+    ring = FusionRing(build_preset("drinfeld:S3").hopf)
+    return [d.uid for d in ring.index.enumerate(0) if ring.is_self_dual(d)]
+
+
+@pytest.mark.parametrize("uid", _self_dual_s3_uids())
+def test_fs_indicator_refuses_ab_off_the_stabilizer(uid, monkeypatch):
+    # ab lies in G_f for every b of the walk (fusion module docstring); a
+    # record missing the cell of the first ab must raise, not skip the term
+    ring = FusionRing(build_preset("drinfeld:S3").hopf)
+    d = ring.index.find(uid)
+    H, orbit, stabilizer = ring.hopf, d.orbit, ring.index.stabilizer
+    G, f = H.G, orbit.representative
+    z = ring.index.transport(orbit)[H.F.inv(f)]
+    b = G.mul(G.inv(z), orbit.stabilizer[0])
+    ab = G.mul(H.ctx.act_left(b, f), b)
+    broken = copy.copy(stabilizer(orbit))
+    broken.cls = {g: c for g, c in broken.cls.items() if g != ab}
+    monkeypatch.setattr(ring.index, "stabilizer", lambda o: broken if o == orbit else stabilizer(o))
+    with pytest.raises(InternalInconsistencyError, match="ab is not in the stabilizer"):
+        ring.fs_indicator(d)
 
 
 @pytest.mark.parametrize("name", sorted(_FS_CONFIGS))

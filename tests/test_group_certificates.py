@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 
 from test_fusion import _ORACLE_CONFIGS
 
-from bicrossed.comodules import stabilizer_char_table
+from bicrossed.cocycles import beta_for_orbit
+from bicrossed.comodules import _char_table
 from bicrossed.cyclotomic import rational, root_of_unity, row_reduce
 from bicrossed.errors import ConfigError, InternalInconsistencyError
 from bicrossed.groups import (
@@ -271,9 +272,9 @@ def untwisted_tables():
         for f in f_ball(hopf.F, radius):
             orbit = hopf.ctx.orbit_of(f)
             if orbit.stabilizer not in stabilizers:
-                table, beta = stabilizer_char_table(hopf, orbit)
+                beta = beta_for_orbit(hopf.ctx, hopf.tau, orbit)
                 if beta.is_trivial:
-                    stabilizers[orbit.stabilizer] = table
+                    stabilizers[orbit.stabilizer] = _char_table(hopf.G, orbit.stabilizer, beta)
         for stab, table in stabilizers.items():
             sub, to_parent = subgroup_of(hopf.G, stab)
             out.append((f"{name}/{len(stab)}", sub, to_parent, table))

@@ -227,9 +227,8 @@ def test_twisted_z2_beta_minus_one():
 
 def test_twisted_rejects_non_root_values():
     Z2 = cyclic_group(2)
-    values = {(0, 0): one(), (0, 1): one(), (1, 0): one(), (1, 1): rational(1)}
+    values = {(0, 0): one(), (0, 1): one(), (1, 0): one(), (1, 1): rational(2)}
     beta = Beta2Cocycle(Z2, (0, 1), values)
-    beta.values[(1, 1)] = rational(2)
     with pytest.raises((ConfigError, InternalInconsistencyError)):
         twisted_char_table(Z2, (0, 1), beta)
 
