@@ -12,8 +12,8 @@ with equal stabilizer and beta), the transport x -> z_x and the cells
 at each x.  fusion.FusionRing keeps no per-orbit data of its own.
 
 beta_f = tau(., .; f) picks the table of G_f, keyed by (G_f, the values
-of beta_f or None where trivial): beta is built once per table key with
-a trivial tau, whose keys are all (G_f, None), else once per orbit.
+of beta_f or None where trivial); with a trivial tau no beta is built,
+else one per orbit, to read its key.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from math import lcm
 from .cocycles import Beta2Cocycle, beta_for_orbit
 from .cyclotomic import CycNum, rational
 from .errors import ConfigError, InternalInconsistencyError
-from .groups import f_ball, subgroup_of
+from .groups import f_ball
 from .hopf import BicrossedHopf, HElem
 from .matched_pair import Orbit
-# abelian_char_table stays importable from here, as bench/tracer.py wraps it
+# the table constructors stay importable from here, as bench/tracer.py wraps them
 from .reps import CharTable, TwistedChar, abelian_char_table, ordinary_char_table, twisted_char_table  # noqa: F401
 
 _ONE = rational(1)
@@ -66,13 +66,6 @@ def cf_subcoalgebra(ctx, orbit: Orbit) -> CfBasis:
     """Span{p_g # x : g in G, x in O_f}; dimension |G| * |O_f|."""
     keys = tuple((g, x) for g in ctx.G.elements() for x in orbit.elements)
     return CfBasis(orbit=orbit, keys=keys, dimension=ctx.G.order * orbit.size)
-
-
-def _char_table(G, stabilizer: tuple, beta: Beta2Cocycle) -> CharTable:
-    """The table of the beta-twisted group algebra of the stabilizer."""
-    if beta.is_trivial:
-        return ordinary_char_table(*subgroup_of(G, stabilizer))
-    return twisted_char_table(G, stabilizer, beta)
 
 
 def _simples_of_table(
@@ -235,9 +228,7 @@ class SimpleIndex:
         key = orbit.stabilizer, values
         slot = self._tables.get(key)
         if slot is None:
-            if beta is None:  # a trivial tau: beta is built only for a new table
-                beta = beta_for_orbit(hopf.ctx, hopf.tau, orbit)
-            slot = self._tables[key] = [_char_table(G, orbit.stabilizer, beta), None]
+            slot = self._tables[key] = [twisted_char_table(G, orbit.stabilizer, beta), None]
         table = slot[0]
         simples = _simples_of_table(hopf, orbit, table)
         if len(simples) != len(table.chars) or any(
@@ -316,7 +307,7 @@ class SimpleIndex:
             raise ConfigError(f"malformed simple id {uid!r}; expected '<f>:<index>'")
         f = self.hopf.F.parse_label(f_label)
         simples = self.simples_for_f(f)
-        if not (idx.isdecimal() and int(idx) < len(simples)):
+        if not (idx.isascii() and idx.isdigit() and int(idx) < len(simples)):
             raise ConfigError(f"no character index {idx!r} over the orbit of {f_label}")
         return simples[int(idx)]
 
@@ -350,17 +341,16 @@ class _Stabilizer:
     def __init__(self, G, table: CharTable):
         elements = table.chars[0].elements
         position = {g: i for i, g in enumerate(elements)}
-        cells = table.classes or tuple((g,) for g in elements)
         level = lcm(G.exponent(), *(v.level for c in table.chars for v in c.values))
-        self.cls = {g: c for c, members in enumerate(cells) for g in members}
-        self.reps = [members[0] for members in cells]
+        self.cls = {g: c for c, members in enumerate(table.cells) for g in members}
+        self.reps = [members[0] for members in table.cells]
         self.identity = self.cls[G.identity]
         self.values = [
             tuple(_at_level(c.values[position[g]], level) for g in self.reps) for c in table.chars
         ]
         self.conj_values = [tuple(v.conj() for v in row) for row in self.values]
         self.inv_order = None if len(elements) == 1 else rational(len(elements)).inv()
-        self.inv_sizes = [None if len(c) == 1 else rational(len(c)).inv() for c in cells]
+        self.inv_sizes = [None if len(c) == 1 else rational(len(c)).inv() for c in table.cells]
 
 
 def _at_level(v, level: int):

@@ -35,12 +35,12 @@ where every weight is 1 as sigma and tau are normalized (FusionRing
 refuses them otherwise), so it is counted, not walked: it adds |G_f3|
 to the weight of the identity term.
 
-Cells.  A table's cells are the conjugacy classes verify_char_table
-certified it on when it is untwisted.  The characters of a beta-twisted
-table are no class functions, and the table has no certified classes,
-so its cells are the single elements of the stabilizer.  Each
-character is constant on each cell, so the terms give
-W(C) = sum n rho1(a) rho2(b), the sum of psi over the cell C of G_f3.
+Cells.  A table's cells are those verify_char_table certified it on
+(table.cells): the conjugacy classes of an untwisted table, and the
+single elements of the stabilizer for a beta-twisted one, whose
+characters are no class functions.  Each character is constant on each
+cell, so the terms give W(C) = sum n rho1(a) rho2(b), the sum of psi
+over the cell C of G_f3.
 
 Per-orbit data.  The ring reads an orbit's table record, its transport
 x -> z_x and its cells off the SimpleIndex (comodules module docstring),
@@ -49,10 +49,11 @@ and keeps only rows, duals and the terms and decompositions of products.
 Conjugate orthogonality.  chi1 chi2 is the character of a comodule, so
 it is sum m_c chi_c over the simples c, and a simple over another orbit
 vanishes at every key with f-part f3: psi = sum m_c rho_c on G_f3, over
-the rows of its stabilizer table, which verify_char_table certified and
-SimpleIndex checks the orbit's simples to be.  The beta_f3 values are
-roots of unity (as central_extension requires), so the rows obey Schur's
-orthogonality (1/|G_f3|) sum_h rho_c(h) conj(rho_c'(h)) = delta, and
+the rows of its stabilizer table, which SimpleIndex checks the orbit's
+simples to be.  The beta_f3 values are roots of unity (as
+central_extension requires), so the rows obey Schur's orthogonality
+(1/|G_f3|) sum_C |C| rho_c(C) conj(rho_c'(C)) = delta over the cells,
+which verify_char_table certified on every table, twisted or not, and
 m_c = (1/|G_f3|) sum_C W(C) conj(rho_c(C)).  Each row is certified by
 the exact residual psi(C) = W(C)/|C| = sum m_c rho_c(C) on every cell of
 G_f3.  No product in H, Haar pairing or character is formed.

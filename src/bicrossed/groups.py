@@ -314,6 +314,15 @@ def subgroup_of(G: FiniteGroup, elements, name: str | None = None) -> tuple[Fini
 # --------------------------------------------------------------------------
 
 
+def _label_int(s: str) -> int:
+    """s as an int if it is an optional '-' and ASCII digits, as labels
+    print (int() alone also reads '+1', '1_0', ' 1' and other digits)."""
+    digits = s.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        return int(s)
+    raise ValueError(f"not an integer label part: {s!r}")
+
+
 class FiniteF:
     """F backend wrapping a FiniteGroup; elements are table indices."""
 
@@ -347,7 +356,7 @@ class FiniteF:
 
     def parse_label(self, s: str):
         try:
-            a = int(s)
+            a = _label_int(s)
         except ValueError:
             raise ConfigError(f"F element label {s!r} is not an integer") from None
         if not self.contains(a):
@@ -407,13 +416,12 @@ class FreeAbelianF:
         return "(" + ",".join(str(x) for x in a) + ")"
 
     def parse_label(self, s: str):
-        s = s.strip()
         if s.startswith("(") and s.endswith(")"):
             parts = s[1:-1].split(",")
         else:
             parts = s.split(",")
         try:
-            vec = tuple(int(p) for p in parts)  # an empty part is an error
+            vec = tuple(_label_int(p) for p in parts)  # an empty part is an error
         except ValueError:
             raise ConfigError(f"F element label {s!r} is not an integer vector") from None
         if len(vec) != self.rank:

@@ -5,16 +5,16 @@ groups via invariant factors, a Burnside-Dixon computation over F_p for
 the general case (common eigenspaces of the class matrices kept in
 row-echelon form, so no linear solve; the identity class found by
 lookup) with exact lifting to Q(zeta_exp), and a parser/verifier for
-user-supplied tables.  Twisted tables reduce to ordinary ones of a
-central extension by the group generated by the cocycle values.
+user-supplied tables.  twisted_char_table is the one entry from a
+stabilizer and its beta to a table; a nontrivial beta reduces it to the
+ordinary table of a central extension by the cocycle values.
 
-Whatever the search path, every table is verified exactly before it is
-returned (verify_char_table): the dimension sum and the values at the
-identity, then for untwisted tables that each row is constant on the
-conjugacy classes and that the rows are orthonormal (the row relations,
-summed over classes), and for twisted tables that the rows are linearly
-independent.  An orthonormal set is independent, so the untwisted check
-needs no elimination.  The verification is the correctness contract.
+Whatever the search path, every table is verified exactly, and the same
+way, before it is returned (verify_char_table): the dimension sum, the
+values at the identity, each row constant on each cell (a conjugacy
+class of an untwisted table, a single element of a twisted one) and the
+rows orthonormal on the cells, which proves them independent with no
+elimination.  The verification is the correctness contract.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import itertools
 import operator
 from math import isqrt, lcm
 
-from .cyclotomic import CycNum, rational, root_of_unity, row_reduce
+from .cyclotomic import CycNum, rational, root_of_unity
 from .errors import ConfigError, InternalInconsistencyError
 from .groups import (
     FiniteGroup,
@@ -61,16 +61,16 @@ class TwistedChar:
 
 
 class CharTable:
-    """The characters of a table, and the conjugacy classes (parent
-    indices) on which verify_char_table certified an untwisted table;
-    None until then, and for a twisted table."""
+    """The characters of a table, and the cells (parent indices) on which
+    verify_char_table certified it: the conjugacy classes of an untwisted
+    table, the single elements of a twisted one; None until then."""
 
-    __slots__ = ("chars", "provenance", "classes")
+    __slots__ = ("chars", "provenance", "cells")
 
     def __init__(self, chars: tuple[TwistedChar, ...], provenance: str):
         self.chars = chars
         self.provenance = provenance
-        self.classes = None
+        self.cells = None
 
     def __len__(self):
         return len(self.chars)
@@ -312,13 +312,15 @@ def dixon_char_table(G: FiniteGroup, to_parent=None) -> CharTable:
 
 
 def verify_char_table(group: FiniteGroup, table: CharTable, to_parent=None, twisted: bool = False):
-    """Exact postconditions: dimension sum and values at the identity;
-    for twisted tables linear independence, by elimination; for untwisted
-    tables that each row is a class function and the row relations
-    sum_C |C| chi_i(c) chi_j(c^-1) = |G| delta_ij over the conjugacy
-    classes C, once per pair i <= j as the sum is symmetric under
-    g -> g^-1.  Their Gram matrix |G| I proves the rows independent, so
-    no elimination runs for them."""
+    """Exact postconditions, the same for every table: the dimension sum,
+    the values at the identity, each row constant on each cell, and
+    sum_C |C| chi_i(c) conj(chi_j(c)) = |G| delta_ij over the cells C,
+    once per pair i <= j (swapping i and j conjugates the sum).  The
+    cells, kept as table.cells in parent indices, are the conjugacy
+    classes of an untwisted table and the single elements of a twisted
+    one, whose beta-projective characters obey the same relations for a
+    root-of-unity beta (Karpilovsky 1985).  The Gram matrix |G| I proves
+    the rows independent, so no elimination runs."""
     n = group.order
     parent = tuple(to_parent) if to_parent is not None else tuple(range(n))
     total = sum(c.dim * c.dim for c in table.chars)
@@ -334,33 +336,28 @@ def verify_char_table(group: FiniteGroup, table: CharTable, to_parent=None, twis
     for c, row in zip(table.chars, rows):
         if row[group.identity] != rational(c.dim):
             raise InternalInconsistencyError("character value at identity differs from dim")
-    if twisted:
-        if len(row_reduce([list(r) for r in rows], n)) != len(table.chars):
-            raise InternalInconsistencyError("characters are linearly dependent")
-        return
-    classes = conjugacy_classes(group)
+    cells = [(g,) for g in range(n)] if twisted else conjugacy_classes(group)
     for row in rows:
-        for cls in classes:
-            v = row[cls[0]]
-            if any(row[g] != v for g in cls[1:]):
+        for cell in cells:
+            v = row[cell[0]]
+            if any(row[g] != v for g in cell[1:]):
                 raise InternalInconsistencyError(
-                    f"character is not constant on the class of {cls[0]} ({table.provenance})"
+                    f"character is not constant on the cell of {cell[0]} ({table.provenance})"
                 )
-    reps = [cls[0] for cls in classes]
-    sizes = [None if len(cls) == 1 else rational(len(cls)) for cls in classes]
-    inv_reps = [group.inv(c) for c in reps]
+    reps = [cell[0] for cell in cells]
+    sizes = [None if len(cell) == 1 else rational(len(cell)) for cell in cells]
+    conj_rows = [[row[c].conj() for c in reps] for row in rows]
     for i, ri in enumerate(rows):
         weighted = [ri[c] if m is None else m * ri[c] for m, c in zip(sizes, reps)]
         for j in range(i, len(rows)):
-            rj = rows[j]
             s = rational(0)
-            for w, c in zip(weighted, inv_reps):
-                s = s + w * rj[c]
+            for w, v in zip(weighted, conj_rows[j]):
+                s = s + w * v
             if s != rational(n if i == j else 0):
                 raise InternalInconsistencyError(
                     f"orthogonality fails for characters {i},{j} ({table.provenance})"
                 )
-    table.classes = tuple(tuple(parent[g] for g in cls) for cls in classes)
+    table.cells = tuple(tuple(parent[g] for g in cell) for cell in cells)
 
 
 def ordinary_char_table(G: FiniteGroup, to_parent=None) -> CharTable:
@@ -417,16 +414,15 @@ def central_extension(sub: FiniteGroup, beta, to_parent) -> tuple[FiniteGroup, i
 
 
 def twisted_char_table(G: FiniteGroup, elements, beta) -> CharTable:
-    """Characters of the beta-twisted group algebra of the subgroup.
-
-    elements are parent G-indices of the subgroup, beta a verified
-    2-cocycle on them with root-of-unity values.  Reduces to ordinary
-    characters of the central extension by <zeta_m>, keeping those where
-    the central generator acts by zeta_m itself, restricted back to the
-    (a, 0) section.
-    """
+    """Characters of the beta-twisted group algebra of the subgroup on
+    elements (parent G-indices): the one entry from an orbit's stabilizer
+    and beta to its table, the ordinary one where beta is None or trivial.
+    Else beta is a verified 2-cocycle with root-of-unity values, and the
+    table is read off the central extension by <zeta_m>: the characters
+    where the central generator acts by zeta_m, restricted to the (a, 0)
+    section."""
     sub, to_parent = subgroup_of(G, elements)
-    if beta.is_trivial:
+    if beta is None or beta.is_trivial:
         return ordinary_char_table(sub, to_parent)
     ext, m = central_extension(sub, beta, to_parent)
     ext_table = ordinary_char_table(ext)
@@ -450,8 +446,8 @@ def user_char_table(G: FiniteGroup, elements, data, twisted: bool = False) -> Ch
     data is a JSON-style list of {"dim": int, "values": {element index:
     scalar}} rows; scalars may be CycNum, integers, or cyclotomic literal
     strings such as "1/2 + z^3@8".  The table is rejected with a precise
-    reason unless verify_char_table passes: untwisted, every row a class
-    function and the rows orthonormal; twisted, the rows independent.
+    reason unless verify_char_table passes: its rows orthonormal on its
+    cells, so a twisted table must be orthonormal, not just independent.
     """
     elems = tuple(sorted(int(x) for x in elements))
     chars = []

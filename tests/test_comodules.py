@@ -18,6 +18,7 @@ from bicrossed.config import build_config
 from bicrossed.cyclotomic import rational
 from bicrossed.errors import ConfigError, InternalInconsistencyError
 from bicrossed.hopf import HElem
+from bicrossed.reps import twisted_char_table
 
 
 def test_cf_subcoalgebra_h_z_z2(h_z_z2):
@@ -259,36 +260,31 @@ def _table_key(H, orbit) -> tuple:
     return orbit.stabilizer, values
 
 
-_TABLE_BUILDERS = ("abelian_char_table", "ordinary_char_table", "twisted_char_table")
-
-
 @pytest.mark.parametrize("name", sorted(_SHARED_TABLE_BALLS))
 def test_shared_stabilizer_tables_match_per_orbit(name, monkeypatch):
     # SimpleIndex builds one table per stabilizer and beta, twisted or
-    # not; every orbit of the ball must get the simples and characters a
-    # fresh index builds for it alone, and z4_twisted must build fewer
-    # twisted tables than it has twisted orbits.
+    # not, through its one entry twisted_char_table; every orbit of the
+    # ball must get the simples and characters a fresh index builds for it
+    # alone, and z4_twisted must build fewer twisted tables than it has
+    # twisted orbits.
     build, radius = _SHARED_TABLE_BALLS[name]
     H = build().hopf
     index = SimpleIndex(H)
     orbits = index.orbits_in_ball(radius)
     builds = []
 
-    def counted(attr, real):
-        def build(*args):
-            builds.append(attr)
-            return real(*args)
-
-        return build
+    def counted(*args):
+        table = twisted_char_table(*args)
+        builds.append(table.provenance)
+        return table
 
     with monkeypatch.context() as m:
-        for attr in _TABLE_BUILDERS:
-            m.setattr(comodules, attr, counted(attr, getattr(comodules, attr)))
+        m.setattr(comodules, "twisted_char_table", counted)
         shared = [index.simples_for_orbit(orb) for orb in orbits]
     keys = {_table_key(H, orb) for orb in orbits}
     assert len(builds) == len(keys) < len(orbits)
     twisted_orbits = sum(not beta_for_orbit(H.ctx, H.tau, orb).is_trivial for orb in orbits)
-    twisted_tables = builds.count("twisted_char_table")
+    twisted_tables = builds.count("central-extension")
     assert twisted_tables == sum(values is not None for _stab, values in keys)
     if name == "z4_twisted":
         assert 0 < twisted_tables < twisted_orbits
@@ -304,10 +300,9 @@ def test_shared_stabilizer_tables_match_per_orbit(name, monkeypatch):
             assert index.character(d) == irreducible_character(H, e)
 
 
-# Balls on which SimpleIndex reads beta: trivial tau on the first two, so
-# one beta per distinct table (2 tables over 249 orbits on z_poly_zp:3,
-# one per class of S4); a twisted tau on z4_twisted, so one per orbit, to
-# read its key.
+# Balls on which SimpleIndex may read beta: trivial tau on the first two,
+# so no beta at all (2 tables over 249 orbits on z_poly_zp:3, one per class
+# of S4); a twisted tau on z4_twisted, so one per orbit, to read its key.
 _BETA_BALLS = {
     "z_poly_zp:3": (lambda: build_preset("z_poly_zp:3"), 4),
     "drinfeld:S4": (lambda: build_preset("drinfeld:S4"), 0),
@@ -330,8 +325,9 @@ def test_beta_is_built_once_per_table_key(name, monkeypatch):
     index.enumerate(radius)
     orbits = index.orbits_in_ball(radius)
     if H.tau.is_trivial:
-        assert len(calls) == len({orb.stabilizer for orb in orbits}) == len(index._tables)
-        assert name != "z_poly_zp:3" or (len(calls), len(orbits)) == (2, 249)
+        assert calls == []
+        assert len({orb.stabilizer for orb in orbits}) == len(index._tables)
+        assert name != "z_poly_zp:3" or (len(index._tables), len(orbits)) == (2, 249)
     else:
         assert sorted(calls, key=H.F.order_key) == [orb.representative for orb in orbits]
 

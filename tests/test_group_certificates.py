@@ -11,7 +11,10 @@ each pinned to the walk over all elements, pairs or triples it replaces:
   element-wise row relations, on every untwisted table of the fusion
   oracle configs and the B3 and S4 Dixon tables, and on corrupted copies
   of them, each of which both checks reject; it also rejects a row that
-  is no class function, which the element-wise relations accept.
+  is no class function, which the element-wise relations accept;
+- the same check on every twisted table of the twisted fixtures, on
+  single-element cells, against the element-wise relations with
+  conjugates.
 """
 
 from __future__ import annotations
@@ -23,10 +26,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import klein_twisted_config, s4_sign_tau_config
+from test_deep_twisted import s3_factorization_tau_config, z4_twisted_config
 from test_fusion import _ORACLE_CONFIGS
 
 from bicrossed.cocycles import beta_for_orbit
-from bicrossed.comodules import _char_table
+from bicrossed.config import build_config
 from bicrossed.cyclotomic import rational, root_of_unity, row_reduce
 from bicrossed.errors import ConfigError, InternalInconsistencyError
 from bicrossed.groups import (
@@ -43,7 +48,13 @@ from bicrossed.groups import (
     subgroup_of,
 )
 from bicrossed.matched_pair import LinearAction, MatchedPairCtx
-from bicrossed.reps import CharTable, TwistedChar, dixon_char_table, verify_char_table
+from bicrossed.reps import (
+    CharTable,
+    TwistedChar,
+    dixon_char_table,
+    twisted_char_table,
+    verify_char_table,
+)
 
 # --------------------------------------------------------------------------
 # Light's test against the cubic sweep
@@ -274,7 +285,7 @@ def untwisted_tables():
             if orbit.stabilizer not in stabilizers:
                 beta = beta_for_orbit(hopf.ctx, hopf.tau, orbit)
                 if beta.is_trivial:
-                    stabilizers[orbit.stabilizer] = _char_table(hopf.G, orbit.stabilizer, beta)
+                    stabilizers[orbit.stabilizer] = twisted_char_table(hopf.G, orbit.stabilizer, beta)
         for stab, table in stabilizers.items():
             sub, to_parent = subgroup_of(hopf.G, stab)
             out.append((f"{name}/{len(stab)}", sub, to_parent, table))
@@ -341,3 +352,43 @@ def test_class_check_rejects_a_non_class_function_the_relations_accept():
     to_parent = tuple(range(6))
     assert elementwise_check(_S3, bad, to_parent)
     assert not class_check(_S3, bad, to_parent)
+
+
+# --------------------------------------------------------------------------
+# Twisted tables: the same check on single-element cells
+# --------------------------------------------------------------------------
+
+_TWISTED_FIXTURES = {
+    "klein_twisted": (klein_twisted_config, 1),
+    "s4_sign_tau": (s4_sign_tau_config, 1),
+    "s3_factorization_tau": (s3_factorization_tau_config, 0),
+    "z4_twisted": (z4_twisted_config, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TWISTED_FIXTURES))
+def test_twisted_tables_are_certified_on_single_elements(name):
+    # each beta-twisted stabilizer table is certified on the single elements
+    # of its stabilizer, and its rows obey the element-wise relations
+    # sum_g chi_i(g) conj(chi_j(g)) = |G_f| delta_ij; on s4_sign_tau some
+    # rows are no class functions, so conjugacy classes as cells would fail
+    config, radius = _TWISTED_FIXTURES[name]
+    hopf = build_config(config()).hopf
+    tables = 0
+    for f in f_ball(hopf.F, radius):
+        orbit = hopf.ctx.orbit_of(f)
+        beta = beta_for_orbit(hopf.ctx, hopf.tau, orbit)
+        if beta.is_trivial:
+            continue
+        table = twisted_char_table(hopf.G, orbit.stabilizer, beta)
+        tables += 1
+        assert table.provenance == "central-extension"
+        assert table.cells == tuple((g,) for g in orbit.stabilizer)
+        sub, to_parent = subgroup_of(hopf.G, orbit.stabilizer)
+        verify_char_table(sub, table, to_parent=to_parent, twisted=True)
+        for a, b in itertools.combinations_with_replacement(table.chars, 2):
+            s = sum((x * y.conj() for x, y in zip(a.values, b.values)), rational(0))
+            assert s == rational(sub.order if a is b else 0)
+        if name == "s4_sign_tau":
+            assert not class_check(sub, table, to_parent)
+    assert tables > 0

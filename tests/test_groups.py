@@ -217,10 +217,32 @@ def test_element_labels():
 
 
 def test_parse_label_rejects_empty_parts():
-    # an empty part is malformed, not a part to skip: "(,1,,0)" is not (0, 1)
-    for rank, label in ((2, "(,1,,0)"), (1, "3,"), (1, ""), (2, "(1,)"), (2, "1,,0")):
+    # an empty part is malformed, not a part to skip: "(,1,,0)" is not (0, 1);
+    # nor is a part anything but an optional '-' and ASCII digits, which
+    # int() alone would read from "1_0", "+1", " 1" or non-ASCII digits
+    for rank, label in (
+        (2, "(,1,,0)"),
+        (1, "3,"),
+        (1, ""),
+        (2, "(1,)"),
+        (2, "1,,0"),
+        (1, "1_0"),
+        (1, "+1"),
+        (1, " 1"),
+        (2, "(1, 0)"),
+        (2, "1 ,0"),
+        (1, "\u0661"),
+        (2, "(1,\u0662)"),
+        (1, "--1"),
+        (1, "-"),
+    ):
         with pytest.raises(ConfigError):
             FreeAbelianF(rank).parse_label(label)
+    F = FiniteF(cyclic_group(12))
+    for label in ("1_0", "+1", " 1", "1 ", "\u0661", "-1", ""):
+        with pytest.raises(ConfigError):
+            F.parse_label(label)
+    assert F.parse_label("10") == 10
     # every printed label reads back as its vector
     for rank in (1, 2, 3):
         F = FreeAbelianF(rank)

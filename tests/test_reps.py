@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from bicrossed.cocycles import Beta2Cocycle
-from bicrossed.cyclotomic import one, rational, root_of_unity
+from bicrossed.cyclotomic import one, rational, root_of_unity, row_reduce
 from bicrossed.errors import ConfigError, InternalInconsistencyError
 from bicrossed.groups import (
     cyclic_group,
@@ -13,11 +13,14 @@ from bicrossed.groups import (
     subgroup_of,
 )
 from bicrossed.reps import (
+    CharTable,
+    TwistedChar,
     abelian_char_table,
     dixon_char_table,
     ordinary_char_table,
     twisted_char_table,
     user_char_table,
+    verify_char_table,
 )
 
 
@@ -155,6 +158,7 @@ def test_twisted_klein():
     K4, beta = klein_beta()
     t = twisted_char_table(K4, (0, 1, 2, 3), beta)
     assert len(t.chars) == 1
+    assert t.cells == ((0,), (1,), (2,), (3,))  # its single elements
     c = t.chars[0]
     assert c.dim == 2
     assert c.value(K4.identity) == rational(2)
@@ -225,6 +229,29 @@ def test_twisted_z2_beta_minus_one():
     assert vals == sorted([i4.literal(), (-i4).literal()])
 
 
+def turned_z2_table():
+    """The table of Z2 with beta(1, 1) = -1, characters (1, i) and
+    (1, -i), with the value of the first at the generator turned by i:
+    the rows stay independent but are no longer orthonormal."""
+    Z2 = cyclic_group(2)
+    values = {(0, 0): one(), (0, 1): one(), (1, 0): one(), (1, 1): rational(-1)}
+    good = twisted_char_table(Z2, (0, 1), Beta2Cocycle.from_table(Z2, (0, 1), values))
+    first = good.chars[0]
+    turned = TwistedChar(first.elements, (first.values[0], first.values[1] * root_of_unity(1, 4)), 1)
+    return Z2, CharTable((turned, good.chars[1]), good.provenance)
+
+
+def test_twisted_check_refuses_independent_rows_that_are_not_orthonormal():
+    # elimination alone would accept the turned rows; the row relations
+    # over the single-element cells of a twisted table refuse them
+    Z2, turned = turned_z2_table()
+    rows = [list(c.values) for c in turned.chars]
+    assert len(row_reduce(rows, 2)) == 2
+    with pytest.raises(InternalInconsistencyError, match="orthogonality fails"):
+        verify_char_table(Z2, turned, twisted=True)
+    assert turned.cells is None
+
+
 def test_twisted_rejects_non_root_values():
     Z2 = cyclic_group(2)
     values = {(0, 0): one(), (0, 1): one(), (1, 0): one(), (1, 1): rational(2)}
@@ -258,6 +285,20 @@ def test_user_char_table_accept_and_reject():
         user_char_table(S3, range(6), bad)
     with pytest.raises(InternalInconsistencyError):
         user_char_table(S3, range(6), [])  # dimension sum 0 != 6
+
+
+def test_user_char_table_twisted():
+    """A user-supplied twisted table is certified like a computed one: its
+    rows must be orthonormal on the single-element cells, not just
+    independent."""
+    K4, _beta = klein_beta()
+    data = [{"dim": 2, "values": {0: 2, 1: 0, 2: 0, 3: 0}}]
+    t = user_char_table(K4, range(4), data, twisted=True)
+    assert t.cells == ((0,), (1,), (2,), (3,))
+    Z2, turned = turned_z2_table()
+    rows = [{"dim": c.dim, "values": c.value_map()} for c in turned.chars]
+    with pytest.raises(InternalInconsistencyError, match="orthogonality fails"):
+        user_char_table(Z2, range(2), rows, twisted=True)
 
 
 def test_central_extension_structure():
