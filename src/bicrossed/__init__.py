@@ -52,15 +52,13 @@ from .reps import (
     user_char_table,
 )
 from .comodules import (
-    CfBasis,
     SimpleDesc,
     SimpleIndex,
-    cf_subcoalgebra,
     coefficient_basis,
     irreducible_character,
 )
 from .fusion import FusionRing, FusionRow, FusionTable
-from .certs import LinearCert, dimension_audit, direct_sum_check, exact_rank, solve_in_span
+from .certs import dimension_audit, direct_sum_check, exact_rank, solve_in_span
 from .config import Build, build_config, load_config_file, parse_scalar
 from .presets import resolve_preset
 

@@ -1,10 +1,13 @@
-"""Exact linear-algebra certifications over Q(zeta_N).
+"""Exact certifications over Q(zeta_N), as plain data.
 
-These back the counting and independence claims used elsewhere: rank by
-exact Gaussian elimination on finite supports, coefficients in an
-orthonormal set certified by a sparse exact residual, direct-sum
-bookkeeping of the coefficient subcoalgebras, and the per-orbit
-dimension audit.  No numeric fallback is permitted in this module.
+exact_rank is the rank of a list of H-elements by exact Gaussian
+elimination on their finite support.  solve_in_span reads coefficients in
+an orthonormal set and proves them by a sparse exact residual.  The
+simples report's two certificates are dicts: direct_sum_check, that the
+coefficient coalgebras C_f = span{p_g # x : g in G, x in O_f} of the
+orbits in the ball are blocks over disjoint sets of F elements, and
+dimension_audit, the count sum dim^2 = |G| * |O_f| per orbit.  No numeric
+fallback is permitted in this module.
 """
 
 from __future__ import annotations
@@ -15,37 +18,7 @@ from .groups import f_ball
 from .hopf import HElem
 
 
-class LinearCert:
-    __slots__ = ("description", "rows", "cols", "rank", "ok", "details")
-
-    def __init__(
-        self,
-        description: str,
-        rows: int,
-        cols: int,
-        rank: int,
-        ok: bool,
-        details: dict | None = None,
-    ):
-        self.description = description
-        self.rows = rows
-        self.cols = cols
-        self.rank = rank
-        self.ok = ok
-        self.details = details
-
-    def to_payload(self) -> dict:
-        return {
-            "description": self.description,
-            "rows": self.rows,
-            "cols": self.cols,
-            "rank": self.rank,
-            "ok": self.ok,
-            "details": self.details or {},
-        }
-
-
-def exact_rank(vectors, description: str = "exact rank") -> LinearCert:
+def exact_rank(vectors) -> int:
     """Rank of a list of H-elements by exact elimination."""
     vectors = list(vectors)
     keys = sorted(set().union(*(v.terms for v in vectors)))
@@ -56,8 +29,7 @@ def exact_rank(vectors, description: str = "exact rank") -> LinearCert:
         for k, c in v.terms.items():
             row[pos[k]] = c
         rows.append(row)
-    rank = len(row_reduce(rows, len(keys)))
-    return LinearCert(description, len(vectors), len(keys), rank, ok=True)
+    return len(row_reduce(rows, len(keys)))
 
 
 def solve_in_span(basis, target: HElem, pair, description: str = "solve"):
@@ -87,54 +59,44 @@ def solve_in_span(basis, target: HElem, pair, description: str = "solve"):
     return coeffs
 
 
-def direct_sum_check(hopf, index, radius: int) -> LinearCert:
-    """The coefficient coalgebras of distinct orbits in the ball have
-    pairwise disjoint basis support; for finite F they exhaust the basis.
-
-    Disjoint sets of basis keys are automatically jointly independent, so
-    the certificate records supports and, in the finite case, coverage.
-    """
-    from .comodules import cf_subcoalgebra
-
+def direct_sum_check(hopf, index, radius: int) -> dict:
+    """C_f is spanned by the keys (g, x), g in G and x in O_f, so the blocks
+    of the orbits in the ball are independent when no x is claimed by two
+    orbits; for finite F they must claim all of F.  Each x is walked once,
+    claimed -> representative; an overlap reports the key (g, x) with g
+    the last element of G and x the last shared element seen."""
     ctx = hopf.ctx
+    G, F = ctx.G, ctx.F
     orbits = index.orbits_in_ball(radius)
-    seen: dict = {}
+    claimed: dict = {}
     blocks = []
     ok = True
     details: dict = {"blocks": blocks}
     for orb in orbits:
-        basis = cf_subcoalgebra(ctx, orb)
-        blocks.append(
-            {
-                "orbit": ctx.F.label(orb.representative),
-                "dimension": basis.dimension,
-            }
-        )
-        for key in basis.keys:
-            if key in seen:
+        rep = orb.representative
+        blocks.append({"orbit": F.label(rep), "dimension": G.order * orb.size})
+        for x in orb.elements:
+            if x in claimed:
                 ok = False
                 details["overlap"] = {
-                    "key": [key[0], ctx.F.label(key[1])],
-                    "orbits": [ctx.F.label(seen[key]), ctx.F.label(orb.representative)],
+                    "key": [G.elements()[-1], F.label(x)],
+                    "orbits": [F.label(claimed[x]), F.label(rep)],
                 }
-            seen[key] = orb.representative
-    total = len(seen)
-    if ctx.F.is_finite:
-        full = ctx.G.order * ctx.F.group.order
-        details["covers_full_basis"] = total == full
-        if total != full:
-            ok = False
+            claimed[x] = rep
+    total = G.order * len(claimed)
+    if F.is_finite:
+        details["covers_full_basis"] = len(claimed) == F.group.order
+        ok = ok and details["covers_full_basis"]
     else:
-        ball_keys = {(g, f) for f in f_ball(ctx.F, radius) for g in ctx.G.elements()}
-        details["covers_ball"] = ball_keys <= set(seen)
-    return LinearCert(
-        "direct sum of coefficient subcoalgebras",
-        rows=len(orbits),
-        cols=total,
-        rank=total,
-        ok=ok,
-        details=details,
-    )
+        details["covers_ball"] = all(f in claimed for f in f_ball(F, radius))
+    return {
+        "description": "direct sum of coefficient subcoalgebras",
+        "rows": len(orbits),
+        "cols": total,
+        "rank": total,
+        "ok": ok,
+        "details": details,
+    }
 
 
 def dimension_audit(hopf, index, radius: int) -> dict:

@@ -218,7 +218,7 @@ def cmd_simples(build: Build, radius: int) -> tuple[str, dict, int]:
         "dimension_audit": audit,
         "direct_sum": cert,
     }
-    ok = audit["ok"] and cert.ok
+    ok = audit["ok"] and cert["ok"]
     return ("pass" if ok else "fail"), payload, (EXIT_OK if ok else EXIT_VERIFICATION)
 
 
@@ -226,19 +226,12 @@ def cmd_simples(build: Build, radius: int) -> tuple[str, dict, int]:
     "character",
     "irreducible character of one simple",
     ("f", str, "F element label (e.g. 3, -1, (1,0,2), or a finite index)"),
-    ("chi_index", int, "index into the stabilizer character table"),
+    ("chi_index", str, "index into the stabilizer character table"),
 )
-def cmd_character(build: Build, f_label: str, chi_index: int, radius: int) -> tuple[str, dict, int]:
+def cmd_character(build: Build, f_label: str, chi_index: str, radius: int) -> tuple[str, dict, int]:
     _require_verified(build, radius)
     index = SimpleIndex(build.hopf)
-    f = build.hopf.F.parse_label(f_label)
-    simples = index.simples_for_f(f)
-    if not 0 <= chi_index < len(simples):
-        raise ConfigError(
-            f"character index {chi_index} out of range; the orbit of {f_label} "
-            f"has {len(simples)} simples"
-        )
-    d = simples[chi_index]
+    d = index.find(f"{f_label}:{chi_index}")  # the one grammar of '<f>:<index>'
     chi = index.character(d)
     counit = build.hopf.counit(chi)
     payload = {

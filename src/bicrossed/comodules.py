@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from math import lcm
 
+from .certs import exact_rank
 from .cocycles import Beta2Cocycle, beta_for_orbit
 from .cyclotomic import CycNum, rational
 from .errors import ConfigError, InternalInconsistencyError
@@ -49,23 +50,6 @@ class SimpleDesc:
 
     def __repr__(self):
         return f"SimpleDesc({self.uid}, dim={self.dim_total})"
-
-
-class CfBasis:
-    """Basis bookkeeping for the coefficient subcoalgebra of one orbit."""
-
-    __slots__ = ("orbit", "keys", "dimension")
-
-    def __init__(self, orbit: Orbit, keys: tuple, dimension: int):
-        self.orbit = orbit
-        self.keys = keys
-        self.dimension = dimension
-
-
-def cf_subcoalgebra(ctx, orbit: Orbit) -> CfBasis:
-    """Span{p_g # x : g in G, x in O_f}; dimension |G| * |O_f|."""
-    keys = tuple((g, x) for g in ctx.G.elements() for x in orbit.elements)
-    return CfBasis(orbit=orbit, keys=keys, dimension=ctx.G.order * orbit.size)
 
 
 def _simples_of_table(
@@ -136,8 +120,6 @@ def coefficient_basis(hopf: BicrossedHopf, d: SimpleDesc, matrices=None) -> list
     multiplicativity) and the character (traces) before use, and the
     result is certified linearly independent.
     """
-    from .certs import exact_rank
-
     beta = beta_for_orbit(hopf.ctx, hopf.tau, d.orbit)
     m = d.dim_v
     if matrices is None:
@@ -160,10 +142,10 @@ def coefficient_basis(hopf: BicrossedHopf, d: SimpleDesc, matrices=None) -> list
         for j in range(m)
         for i in range(m)
     ]
-    cert = exact_rank(out, f"coefficient basis of {d.uid}")
-    if cert.rank != d.dim_total**2 or len(out) != d.dim_total**2:
+    rank = exact_rank(out)
+    if rank != d.dim_total**2 or len(out) != d.dim_total**2:
         raise InternalInconsistencyError(
-            f"coefficient basis of {d.uid} has rank {cert.rank}, expected {d.dim_total ** 2}"
+            f"coefficient basis of {d.uid} has rank {rank}, expected {d.dim_total ** 2}"
         )
     return out
 

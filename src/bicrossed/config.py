@@ -41,7 +41,13 @@ DEFAULT_RADIUS = 4
 #   atom   := '-' atom | '(' expr ')' | zeta | rational
 #   zeta   := 'z' ['^' int] '@' posint
 #   rational := int ['/' posint]
+#   int    := ['+' | '-'] digit+, digit one of the ASCII 0-9
 # --------------------------------------------------------------------------
+
+
+def _is_digit(ch: str) -> bool:
+    # str.isdigit() also holds for '²' and the Arabic-Indic digits
+    return ch.isascii() and ch.isdigit()
 
 
 class _Scanner:
@@ -72,7 +78,7 @@ class _Scanner:
         start = self.pos
         if self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
             self.pos += 1
         if self.pos == start or not self.text[start:self.pos].lstrip("+-"):
             raise ConfigError(f"expected an integer at position {start} in {self.text!r}")
@@ -134,7 +140,7 @@ def _parse_atom(sc: _Scanner) -> CycNum:
         if n < 1:
             raise ConfigError("root-of-unity level must be positive")
         return root_of_unity(k, n)
-    if ch.isdigit() or ch in "+-":
+    if _is_digit(ch) or ch in "+-":
         num = sc.integer()
         if sc.take("/"):
             den = sc.integer()
@@ -194,8 +200,8 @@ def _field(spec: dict, key: str, what: str):
 
 
 def _as_int(value, what: str) -> int:
-    # int() would read True as 1 and truncate 1.9 to 1
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    # int() would read True as 1, truncate 1.9 to 1 and parse " ٣ " as 3
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{what} must be an integer, not {value!r}")
     try:
         return int(value)

@@ -85,7 +85,7 @@ def test_criterion_02_classification_counting(builds, rings):
     total = sum(r["sum_dim_sq"] for r in audit["rows"])
     assert total == 36 == builds["drinfeld:S3"].hopf.G.order ** 2
     cert = direct_sum_check(builds["drinfeld:S3"].hopf, s3, 0)
-    assert cert.ok and cert.details["covers_full_basis"]
+    assert cert["ok"] and cert["details"]["covers_full_basis"]
     _ok(2, "per-orbit counting identity everywhere; drinfeld:S3 dims "
            "(1,1,2,3,3,2,2,2) with sum of squares 36")
 

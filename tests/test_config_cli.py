@@ -59,6 +59,11 @@ def test_parse_scalar_errors():
     for bad in ["z^1", "1//2", "z@0", "1 +", "(1", "q", "1/0", ""]:
         with pytest.raises(ConfigError):
             parse_scalar(bad)
+    # digits are ASCII: str.isdigit() also holds for a superscript two
+    # (int() then raised ValueError) and an Arabic-Indic one (read as 1)
+    for bad in ["-1\u00b2", "-\u0661", "1/\u0662", "z^\u00b2@4", "z@\u0664"]:
+        with pytest.raises(ConfigError):
+            parse_scalar(bad)
 
 
 def test_parse_scalar_rejects_non_json_numbers():
@@ -104,6 +109,12 @@ def test_bad_configs_rejected():
         ("radius", True),
         ("group", {"type": "table", "table": [[0, 1], [1, 0.5]]}),
         ("group", {"type": "table", "table": [[0, True], [True, 0]]}),
+        # nor read from strings, which int() parses with spaces and any
+        # Unicode digit ("radius" 3, a valid Z2 table)
+        ("radius", " \u0663 "),
+        ("radius", "2"),
+        ("group", {"type": "table", "table": [["0_0", 1], [1, 0]]}),
+        ("level", "2"),
     ]:
         malformed = json.loads(json.dumps(base))
         malformed[key] = value
@@ -243,6 +254,12 @@ def test_cli_invalid_usage_exit_2():
         ["--preset", "drinfeld:S3", "dual", "+1:0"],
         ["--preset", "drinfeld:S3", "dual", "1_0:0"],
         ["--preset", "drinfeld:S3", "dual", "0:\u0660"],
+        # the character index has the grammar of a simple id's index
+        ["--preset", "h_z_z2", "character", "1", "0_0"],
+        ["--preset", "h_z_z2", "character", "1", "+0"],
+        ["--preset", "h_z_z2", "character", "1", "\u0660"],
+        ["--preset", "h_z_z2", "character", "1", " 0"],
+        ["--preset", "h_z_z2", "character", "1", "-0"],
     ):
         code, rep = capture_json(argv)
         assert code == 2
@@ -536,6 +553,20 @@ def test_cli_integer_fields_not_truncated(tmp_path):
         assert "radius" in rep["error"]
 
 
+def test_cli_non_ascii_digit_literals_exit_2(tmp_path):
+    # '-1\u00b2' used to raise ValueError (exit 1, the verification-failure
+    # code, with a traceback); '-\u0661' was read as -1
+    for value in ("-1\u00b2", "-\u0661"):
+        cfg = twisted_tau_config()
+        cfg["tau"]["values"][1][1][1] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, rep = capture_json(["--config", str(path), "verify"])
+        assert code == 2
+        assert rep["status"] == "invalid-config"
+        assert repr(value) in rep["error"]
+
+
 def test_cli_preset_names_never_reach_files(monkeypatch):
     # a path-like name, and names that a case-folding file lookup would
     # have found; every one is an unknown preset
@@ -571,7 +602,7 @@ def test_cli_dispatch_reaches_each_command(monkeypatch):
     cases = [
         (["verify"], ("cmd_verify", ())),
         (["simples"], ("cmd_simples", ())),
-        (["character", "-1", "1"], ("cmd_character", ("-1", 1))),
+        (["character", "-1", "1"], ("cmd_character", ("-1", "1"))),
         (["fuse", "-1:0", "2:0"], ("cmd_fuse", ("-1:0", "2:0"))),
         (["dual", "-2:0"], ("cmd_dual", ("-2:0",))),
         (["indicators"], ("cmd_indicators", ())),

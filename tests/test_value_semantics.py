@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from conftest import build_preset
 
-from bicrossed.certs import LinearCert
 from bicrossed.fusion import FusionTable
 from bicrossed.groups import FiniteGroup, f_ball
 from bicrossed.matched_pair import MatchedPairCtx, Orbit
@@ -49,8 +48,6 @@ def test_orbit_equality_and_hash():
 
 def test_record_defaults():
     assert FiniteGroup(((0,),), 0, (0,)).name == "G"
-    assert LinearCert("rank", 1, 1, 1, True).details is None
-    assert LinearCert("rank", 1, 1, 1, True).to_payload()["details"] == {}
     first, second = (FusionTable([], [], {}, {}, 0) for _ in range(2))
     assert first.noncommutative_pairs == []
     assert first.noncommutative_pairs is not second.noncommutative_pairs
