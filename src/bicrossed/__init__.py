@@ -29,8 +29,6 @@ from .matched_pair import (
     MatchedPairCtx,
     Orbit,
     TableActions,
-    g_f_finv,
-    orbit_product,
     verify_matched_pair,
 )
 from .cocycles import (

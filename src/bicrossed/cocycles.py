@@ -73,6 +73,8 @@ class _CocycleSpec:
 
     @classmethod
     def finite_table(cls, ctx: MatchedPairCtx, values):
+        if not ctx.F.is_finite:
+            raise ConfigError("table cocycles are for finite F; use a quotient_lift")
         m = ctx.F.group.order
         spec = cls("table", table=_check_3d_table(values, *cls._shape(ctx.G.order, m), cls.name))
         spec._check_normalization(ctx)

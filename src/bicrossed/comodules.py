@@ -7,9 +7,10 @@ is needed for enumeration and fusion; explicit coaction matrices enter
 solely through the optional coefficient-basis construction.
 
 SimpleIndex owns everything the fusion ring reads of an orbit: its
-simples, the _Stabilizer record of their table (shared by the orbits
-with equal stabilizer and beta), the transport x -> z_x and the cells
-at each x.  fusion.FusionRing keeps no per-orbit data of its own.
+simples, the certified table whose rows they are (shared by the orbits
+with equal stabilizer and beta, and read on the cell form that
+reps.verify_char_table certified it on), the transport x -> z_x and the
+cells at each x.  fusion.FusionRing keeps no per-orbit data of its own.
 
 beta_f = tau(., .; f) picks the table of G_f, keyed by (G_f, the values
 of beta_f or None where trivial); with a trivial tau no beta is built,
@@ -17,8 +18,6 @@ else one per orbit, to read its key.
 """
 
 from __future__ import annotations
-
-from math import lcm
 
 from .certs import exact_rank
 from .cocycles import Beta2Cocycle, beta_for_orbit
@@ -189,10 +188,10 @@ class SimpleIndex:
 
     def __init__(self, hopf: BicrossedHopf):
         self.hopf = hopf
-        self._by_rep: dict = {}  # representative -> (simples, its table's slot, transport)
+        self._by_rep: dict = {}  # representative -> (simples, its table, transport)
         self._by_uid: dict = {}
         self._char_cache: dict = {}
-        self._tables: dict = {}  # (stabilizer, beta values or None) -> [table, its _Stabilizer]
+        self._tables: dict = {}  # (stabilizer, beta values or None) -> its table
         self._cells: dict = {}  # (representative, x) -> cells_at(orbit, x)
 
     def _add_orbit(self, orbit: Orbit) -> tuple:
@@ -208,10 +207,9 @@ class SimpleIndex:
             if not beta.is_trivial:
                 values = tuple((v.level, v.num, v.den) for v in beta.values.values())
         key = orbit.stabilizer, values
-        slot = self._tables.get(key)
-        if slot is None:
-            slot = self._tables[key] = [twisted_char_table(G, orbit.stabilizer, beta), None]
-        table = slot[0]
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = twisted_char_table(G, orbit.stabilizer, beta)
         simples = _simples_of_table(hopf, orbit, table)
         if len(simples) != len(table.chars) or any(
             d.chi is not c or c.elements != orbit.stabilizer for d, c in zip(simples, table.chars)
@@ -222,7 +220,7 @@ class SimpleIndex:
             )
         act = hopf.ctx.act_right
         transport = {act(G.inv(z), f): z for z in orbit.transversal}
-        found = self._by_rep[f] = (simples, slot, transport)
+        found = self._by_rep[f] = (simples, table, transport)
         for d in simples:
             self._by_uid[d.uid] = d
         return found
@@ -230,14 +228,11 @@ class SimpleIndex:
     def simples_for_orbit(self, orbit: Orbit) -> tuple[SimpleDesc, ...]:
         return (self._by_rep.get(orbit.representative) or self._add_orbit(orbit))[0]
 
-    def stabilizer(self, orbit: Orbit) -> _Stabilizer:
-        """The _Stabilizer record of the table the orbit's simples are the
-        rows of, one object per stabilizer and beta.  It is read on first
-        use, so listing simples builds none."""
-        slot = (self._by_rep.get(orbit.representative) or self._add_orbit(orbit))[1]
-        if slot[1] is None:
-            slot[1] = _Stabilizer(self.hopf.G, slot[0])
-        return slot[1]
+    def stabilizer(self, orbit: Orbit) -> CharTable:
+        """The certified table the orbit's simples are the rows of, one
+        object per stabilizer and beta, with the cell form the fusion ring
+        reads (reps.CharTable)."""
+        return (self._by_rep.get(orbit.representative) or self._add_orbit(orbit))[1]
 
     def transport(self, orbit: Orbit) -> dict:
         """x -> z_x over the orbit, the transversal element with z_x^-1 > f = x."""
@@ -306,36 +301,3 @@ class SimpleIndex:
             if all(v.is_one() for v in d.chi.values):
                 return d
         raise InternalInconsistencyError("no simple with the unit character")
-
-
-class _Stabilizer:
-    """What the fusion ring reads of one stabilizer table, on its cells
-    (fusion module docstring).  SimpleIndex builds one per table, when the
-    ring first asks for it, and shares it between the orbits with that
-    table.  It keeps the cell of each element (cls), a representative of
-    each (reps), the identity's cell, the character values at the
-    representatives (integers at level 1, the others at one level for the
-    table, so no sum or product of them lifts an operand), their
-    conjugates, and 1/|G_f| and each 1/|C|, None where 1."""
-
-    __slots__ = ("values", "conj_values", "cls", "reps", "identity", "inv_order", "inv_sizes")
-
-    def __init__(self, G, table: CharTable):
-        elements = table.chars[0].elements
-        position = {g: i for i, g in enumerate(elements)}
-        level = lcm(G.exponent(), *(v.level for c in table.chars for v in c.values))
-        self.cls = {g: c for c, members in enumerate(table.cells) for g in members}
-        self.reps = [members[0] for members in table.cells]
-        self.identity = self.cls[G.identity]
-        self.values = [
-            tuple(_at_level(c.values[position[g]], level) for g in self.reps) for c in table.chars
-        ]
-        self.conj_values = [tuple(v.conj() for v in row) for row in self.values]
-        self.inv_order = None if len(elements) == 1 else rational(len(elements)).inv()
-        self.inv_sizes = [None if len(c) == 1 else rational(len(c)).inv() for c in table.cells]
-
-
-def _at_level(v, level: int):
-    """v at level 1 if it is a rational integer (every rational character
-    value is), else at the given level."""
-    return rational(v.num[0]) if v.den == 1 and v.is_rational() else v.lift(level)

@@ -157,11 +157,10 @@ def _parse_atom(sc: _Scanner) -> CycNum:
 
 
 class Build:
-    __slots__ = ("config", "config_hash", "ctx", "sigma", "tau", "hopf", "level", "radius", "name")
+    __slots__ = ("config_hash", "ctx", "sigma", "tau", "hopf", "level", "radius", "name")
 
     def __init__(
         self,
-        config: dict,
         config_hash: str,
         ctx: MatchedPairCtx,
         sigma: SigmaCocycle,
@@ -171,7 +170,6 @@ class Build:
         radius: int,
         name: str,
     ):
-        self.config = config
         self.config_hash = config_hash
         self.ctx = ctx
         self.sigma = sigma
@@ -288,7 +286,10 @@ def _build_cocycle(cls, spec: dict | None, ctx, levels: list):
     if kind == "table":
         return cls.finite_table(ctx, _parse_table_scalars(_field(spec, "values", what), levels))
     if kind == "quotient_lift":
-        moduli = tuple(_as_int(m, f"{what} modulus") for m in _field(spec, "moduli", what))
+        moduli = _field(spec, "moduli", what)
+        if not isinstance(moduli, list):
+            raise ConfigError(f"{what} moduli must be a list of integers, not {moduli!r}")
+        moduli = tuple(_as_int(m, f"{what} modulus") for m in moduli)
         values = _parse_table_scalars(_field(spec, "values", what), levels)
         return cls.quotient_lift(ctx, moduli, values)
     raise ConfigError(f"unknown {what} type {kind!r}")
@@ -330,7 +331,6 @@ def build_config(cfg: dict) -> Build:
         raise ConfigError("radius must be >= 0")
     hopf = BicrossedHopf(ctx, sigma, tau)
     return Build(
-        config=cfg,
         config_hash=config_hash(cfg),
         ctx=ctx,
         sigma=sigma,

@@ -35,16 +35,18 @@ where every weight is 1 as sigma and tau are normalized (FusionRing
 refuses them otherwise), so it is counted, not walked: it adds |G_f3|
 to the weight of the identity term.
 
-Cells.  A table's cells are those verify_char_table certified it on
-(table.cells): the conjugacy classes of an untwisted table, and the
-single elements of the stabilizer for a beta-twisted one, whose
-characters are no class functions.  Each character is constant on each
-cell, so the terms give W(C) = sum n rho1(a) rho2(b), the sum of psi
-over the cell C of G_f3.
+Cells.  A table's cells are those verify_char_table certified it on:
+the conjugacy classes of an untwisted table, and the single elements of
+the stabilizer for a beta-twisted one, whose characters are no class
+functions.  Each character is constant on each cell, so the terms give
+W(C) = sum n rho1(a) rho2(b), the sum of psi over the cell C of G_f3.
+The ring reads the cell form stored on the table (reps.CharTable), the
+very values the certificate checked.
 
-Per-orbit data.  The ring reads an orbit's table record, its transport
-x -> z_x and its cells off the SimpleIndex (comodules module docstring),
-and keeps only rows, duals and the terms and decompositions of products.
+Per-orbit data.  The ring reads an orbit's certified table, its
+transport x -> z_x and its cells off the SimpleIndex (comodules module
+docstring), and keeps only rows, duals and the terms and decompositions
+of products.
 
 Conjugate orthogonality.  chi1 chi2 is the character of a comodule, so
 it is sum m_c chi_c over the simples c, and a simple over another orbit
@@ -150,7 +152,7 @@ class FusionTable:
 
 class FusionRing:
     """Fusion computations over a SimpleIndex, with a pure row memo.  The
-    per-orbit data (stabilizer records, transport, cells) is read from the
+    per-orbit data (stabilizer tables, transport, cells) is read from the
     index, which owns it."""
 
     def __init__(self, hopf: BicrossedHopf):
@@ -169,7 +171,7 @@ class FusionRing:
         self._sigma = None if hopf.sigma.is_trivial else hopf.sigma.eval
         self._tau = None if hopf.tau.is_trivial else hopf.tau.eval
         self._products_left = None  # the O1 whose products are kept
-        self._products: dict = {}  # rep2 -> [(simples, _Stabilizer, terms)] of O3
+        self._products: dict = {}  # rep2 -> [(simples, its table, terms)] of O3
         self._terms: dict = {}  # key of terms -> the one terms object with that key
         # (stabilizer 1, i1, stabilizer 2, i2, stabilizer 3, id(terms)) -> [(j, m)]
         self._decompositions: dict = {}
@@ -177,7 +179,7 @@ class FusionRing:
     # -- product decomposition ------------------------------------------------
 
     def _products_for(self, o1: Orbit, o2: Orbit) -> list:
-        """Per orbit O3 of O1 O2: its simples, its _Stabilizer and the
+        """Per orbit O3 of O1 O2: its simples, its stabilizer table and the
         terms (a, b, c, n) of its pair orbits (module docstring): the cell
         a in G_f1, b in G_f2 and c in G_f3 and the summed weight n, an
         int where it is a rational integer (always with trivial sigma and

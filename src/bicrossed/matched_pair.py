@@ -330,27 +330,6 @@ class Orbit:
         return hash((self.representative, self.elements))
 
 
-def g_f_finv(ctx: MatchedPairCtx, f) -> tuple[int, ...]:
-    """All g with g acting on f giving f^-1; empty iff f^-1 is outside O_f."""
-    finv = ctx.F.inv(f)
-    return tuple(g for g in ctx.G.elements() if ctx.act_right(g, f) == finv)
-
-
-def orbit_product(ctx: MatchedPairCtx, o1: Orbit, o2: Orbit) -> list[Orbit]:
-    """Decompose {x*y : x in O1, y in O2} into orbits, sorted by representative."""
-    prods = {ctx.F.mul(x, y) for x in o1.elements for y in o2.elements}
-    out = {}
-    while prods:
-        f = next(iter(prods))
-        orb = ctx.orbit_of(f)
-        if not set(orb.elements) <= prods:
-            missing = set(orb.elements) - prods
-            raise AssertionError(f"orbit product is not orbit-closed, missing {missing}")
-        prods -= set(orb.elements)
-        out[orb.representative] = orb
-    return [out[k] for k in sorted(out, key=ctx.F.order_key)]
-
-
 # --------------------------------------------------------------------------
 # Verification
 # --------------------------------------------------------------------------

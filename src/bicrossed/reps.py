@@ -14,7 +14,8 @@ way, before it is returned (verify_char_table): the dimension sum, the
 values at the identity, each row constant on each cell (a conjugacy
 class of an untwisted table, a single element of a twisted one) and the
 rows orthonormal on the cells, which proves them independent with no
-elimination.  The verification is the correctness contract.
+elimination.  The verification is the correctness contract, and the
+cell form it runs on (CharTable) is the one the fusion ring reads.
 """
 
 from __future__ import annotations
@@ -61,16 +62,21 @@ class TwistedChar:
 
 
 class CharTable:
-    """The characters of a table, and the cells (parent indices) on which
-    verify_char_table certified it: the conjugacy classes of an untwisted
-    table, the single elements of a twisted one; None until then."""
+    """The characters of a table and, once verify_char_table has certified
+    it, the cell form it was certified on (None until then): cls maps each
+    element (parent index) to its cell, reps holds a representative of
+    each cell and identity the identity's cell; values[i] is row i at the
+    representatives (rational integers at level 1, the other values at one
+    level for the table) and conj_values their conjugates; inv_order is
+    1/|G| and inv_sizes each 1/|C|, None where 1."""
 
-    __slots__ = ("chars", "provenance", "cells")
+    __slots__ = ("chars", "provenance", "cls", "reps", "identity", "values", "conj_values", "inv_order", "inv_sizes")
 
     def __init__(self, chars: tuple[TwistedChar, ...], provenance: str):
         self.chars = chars
         self.provenance = provenance
-        self.cells = None
+        self.cls = self.reps = self.identity = self.values = self.conj_values = None
+        self.inv_order = self.inv_sizes = None
 
     def __len__(self):
         return len(self.chars)
@@ -316,11 +322,12 @@ def verify_char_table(group: FiniteGroup, table: CharTable, to_parent=None, twis
     the values at the identity, each row constant on each cell, and
     sum_C |C| chi_i(c) conj(chi_j(c)) = |G| delta_ij over the cells C,
     once per pair i <= j (swapping i and j conjugates the sum).  The
-    cells, kept as table.cells in parent indices, are the conjugacy
-    classes of an untwisted table and the single elements of a twisted
-    one, whose beta-projective characters obey the same relations for a
-    root-of-unity beta (Karpilovsky 1985).  The Gram matrix |G| I proves
-    the rows independent, so no elimination runs."""
+    cells are the conjugacy classes of an untwisted table and the single
+    elements of a twisted one, whose beta-projective characters obey the
+    same relations for a root-of-unity beta (Karpilovsky 1985).  The Gram
+    matrix |G| I proves the rows independent, so no elimination runs.
+    The relations are checked on the cell form itself (CharTable), which
+    is stored on the table only once every check has passed."""
     n = group.order
     parent = tuple(to_parent) if to_parent is not None else tuple(range(n))
     total = sum(c.dim * c.dim for c in table.chars)
@@ -344,20 +351,33 @@ def verify_char_table(group: FiniteGroup, table: CharTable, to_parent=None, twis
                 raise InternalInconsistencyError(
                     f"character is not constant on the cell of {cell[0]} ({table.provenance})"
                 )
-    reps = [cell[0] for cell in cells]
+    level = lcm(*(v.level for row in rows for v in row))
+    values = [tuple(_at_level(row[cell[0]], level) for cell in cells) for row in rows]
+    conj_values = [tuple(v.conj() for v in row) for row in values]
     sizes = [None if len(cell) == 1 else rational(len(cell)) for cell in cells]
-    conj_rows = [[row[c].conj() for c in reps] for row in rows]
-    for i, ri in enumerate(rows):
-        weighted = [ri[c] if m is None else m * ri[c] for m, c in zip(sizes, reps)]
-        for j in range(i, len(rows)):
+    for i, ri in enumerate(values):
+        weighted = [v if m is None else m * v for m, v in zip(sizes, ri)]
+        for j in range(i, len(values)):
             s = rational(0)
-            for w, v in zip(weighted, conj_rows[j]):
+            for w, v in zip(weighted, conj_values[j]):
                 s = s + w * v
             if s != rational(n if i == j else 0):
                 raise InternalInconsistencyError(
                     f"orthogonality fails for characters {i},{j} ({table.provenance})"
                 )
-    table.cells = tuple(tuple(parent[g] for g in cell) for cell in cells)
+    table.cls = {parent[g]: k for k, cell in enumerate(cells) for g in cell}
+    table.reps = [parent[cell[0]] for cell in cells]
+    table.identity = table.cls[parent[group.identity]]
+    table.values = values
+    table.conj_values = conj_values
+    table.inv_order = None if n == 1 else rational(n).inv()
+    table.inv_sizes = [None if m is None else m.inv() for m in sizes]
+
+
+def _at_level(v: CycNum, level: int) -> CycNum:
+    """v at level 1 if it is a rational integer (every rational character
+    value is), else at the given level."""
+    return rational(v.num[0]) if v.is_integer() else v.lift(level)
 
 
 def ordinary_char_table(G: FiniteGroup, to_parent=None) -> CharTable:

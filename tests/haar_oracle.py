@@ -50,6 +50,11 @@ filter never fires on a matched pair.
 HaarRing is a FusionRing whose rows all take this route and whose duals
 all take the antipode search, so whole tables and based-ring reports can
 be compared between the two.
+
+orbit_product, the orbits of O1 O2 from every product x y, is the oracle
+of the product orbits the fusion ring reads off f1 x O2; g_f_finv lists
+every g with g > f = f^-1, so it is empty exactly when the orbit of f
+holds no f^-1 (test_matched_pair.py pins both).
 """
 
 from __future__ import annotations
@@ -59,7 +64,28 @@ from bicrossed.cyclotomic import rational
 from bicrossed.errors import InternalInconsistencyError
 from bicrossed.fusion import FusionRing, _multiplicities
 from bicrossed.hopf import HElem
-from bicrossed.matched_pair import orbit_product
+from bicrossed.matched_pair import MatchedPairCtx, Orbit
+
+
+def g_f_finv(ctx: MatchedPairCtx, f) -> tuple[int, ...]:
+    """All g with g acting on f giving f^-1; empty iff f^-1 is outside O_f."""
+    finv = ctx.F.inv(f)
+    return tuple(g for g in ctx.G.elements() if ctx.act_right(g, f) == finv)
+
+
+def orbit_product(ctx: MatchedPairCtx, o1: Orbit, o2: Orbit) -> list[Orbit]:
+    """Decompose {x*y : x in O1, y in O2} into orbits, sorted by representative."""
+    prods = {ctx.F.mul(x, y) for x in o1.elements for y in o2.elements}
+    out = {}
+    while prods:
+        f = next(iter(prods))
+        orb = ctx.orbit_of(f)
+        if not set(orb.elements) <= prods:
+            missing = set(orb.elements) - prods
+            raise AssertionError(f"orbit product is not orbit-closed, missing {missing}")
+        prods -= set(orb.elements)
+        out[orb.representative] = orb
+    return [out[k] for k in sorted(out, key=ctx.F.order_key)]
 
 
 class HaarOracle:

@@ -342,9 +342,9 @@ _RECORD_BALLS = {
 
 @pytest.mark.parametrize("name", sorted(_RECORD_BALLS))
 def test_orbits_with_one_table_share_one_record(name):
-    # the fusion ring keys its decompositions on the record's identity, so
-    # orbits with equal stabilizer and beta must read one _Stabilizer, and
-    # distinct tables distinct ones
+    # the fusion ring keys its decompositions on the table's identity, so
+    # orbits with equal stabilizer and beta must read one certified table,
+    # and distinct keys distinct ones
     build, radius = _RECORD_BALLS[name]
     H = build().hopf
     index = SimpleIndex(H)

@@ -76,6 +76,18 @@ def test_parse_scalar_rejects_non_json_numbers():
 # -- config validation --------------------------------------------------------
 
 
+# Cocycle specs of the wrong shape for h_z_z2, whose F is free abelian.
+_MALFORMED_COCYCLES = [
+    (key, value)
+    for key in ("sigma", "tau")
+    for value in (
+        {"type": "table", "values": [[[1]]]},
+        {"type": "quotient_lift", "moduli": 2, "values": [[[1]]]},
+        {"type": "quotient_lift", "moduli": None, "values": [[[1]]]},
+    )
+]
+
+
 def test_bad_configs_rejected():
     base = resolve_preset("h_z_z2")
     bad_rank = json.loads(json.dumps(base))
@@ -115,11 +127,30 @@ def test_bad_configs_rejected():
         ("radius", "2"),
         ("group", {"type": "table", "table": [["0_0", 1], [1, 0]]}),
         ("level", "2"),
-    ]:
+    ] + _MALFORMED_COCYCLES:
         malformed = json.loads(json.dumps(base))
         malformed[key] = value
         with pytest.raises(ConfigError):
             build_config(malformed)
+
+
+def test_cli_malformed_cocycles_exit_2(tmp_path):
+    # each of these used to end in a traceback and exit 1, the
+    # verification-failure code: an AttributeError from a table cocycle on
+    # a free-abelian F, a TypeError from moduli that are no list
+    env = checkout_env()
+    procs = []
+    for i, (key, value) in enumerate(_MALFORMED_COCYCLES):
+        cfg = resolve_preset("h_z_z2")
+        cfg[key] = value
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(cfg))
+        argv = [sys.executable, "-m", "bicrossed.cli", "--config", str(path), "verify"]
+        procs.append(subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env))
+    for spec, proc in zip(_MALFORMED_COCYCLES, procs):
+        out, err = proc.communicate()
+        assert proc.returncode == 2 and err == b"", spec
+        assert json.loads(out)["status"] == "invalid-config", spec
 
 
 def test_declared_level():

@@ -16,7 +16,7 @@ from conftest import (
     twisted_sigma_config,
     twisted_tau_config,
 )
-from haar_oracle import HaarOracle
+from haar_oracle import HaarOracle, orbit_product
 from test_deep_twisted import (
     s3_factorization_config,
     s3_factorization_tau_config,
@@ -32,7 +32,6 @@ from bicrossed.errors import InternalInconsistencyError
 from bicrossed.fusion import FusionRing, FusionRow
 from bicrossed.groups import f_ball
 from bicrossed.hopf import BicrossedHopf
-from bicrossed.matched_pair import orbit_product
 from bicrossed.presets import SHIPPED
 
 B3_Z3 = Path(__file__).resolve().parents[1] / "bench" / "configs" / "b3_z3.json"
@@ -413,7 +412,7 @@ def _self_dual_s3_uids():
 @pytest.mark.parametrize("uid", _self_dual_s3_uids())
 def test_fs_indicator_refuses_ab_off_the_stabilizer(uid, monkeypatch):
     # ab lies in G_f for every b of the walk (fusion module docstring); a
-    # record missing the cell of the first ab must raise, not skip the term
+    # table missing the cell of the first ab must raise, not skip the term
     ring = FusionRing(build_preset("drinfeld:S3").hopf)
     d = ring.index.find(uid)
     H, orbit, stabilizer = ring.hopf, d.orbit, ring.index.stabilizer

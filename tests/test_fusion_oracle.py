@@ -49,7 +49,7 @@ import random
 import pytest
 
 from conftest import build_preset, s4_factorization_ctx
-from haar_oracle import HaarOracle
+from haar_oracle import HaarOracle, orbit_product
 from test_fusion import _ORACLE_CONFIGS, sign_sigma_config
 
 from bicrossed.config import build_config
@@ -57,7 +57,7 @@ from bicrossed.cyclotomic import rational, root_of_unity
 from bicrossed.fusion import SAMPLE_TRIPLES, FusionRing, _sampled_triples
 from bicrossed.groups import f_ball
 from bicrossed.hopf import HElem
-from bicrossed.matched_pair import MatchedPairCtx, orbit_product
+from bicrossed.matched_pair import MatchedPairCtx
 
 _PAIR_CONFIGS = {**_ORACLE_CONFIGS, "sign_sigma": (lambda: build_config(sign_sigma_config()), 2)}
 

@@ -88,8 +88,10 @@ and each failing at least one tier-1 test:
   orbit reads an untwisted table (test_klein_twisted_simples_are_projective,
   test_comodules.py::test_shared_stabilizer_tables_match_per_orbit
   [z4_twisted], every z4_twisted test);
-- a fresh _Stabilizer per orbit, the table's record no longer shared
-  (test_comodules.py::test_orbits_with_one_table_share_one_record).
+- a fresh table per orbit, the table no longer shared between the
+  orbits with one stabilizer and beta
+  (test_comodules.py::test_orbits_with_one_table_share_one_record,
+  test_comodules.py::test_shared_stabilizer_tables_match_per_orbit).
 
 The full tables of z_poly_zp:3 at radius 2, drinfeld:S4 at radius 0 and
 z4_twisted at radius 6 are compared behind the sweep marker.
@@ -111,7 +113,7 @@ from conftest import (
     sigma_two_config,
     split_extension_ctx,
 )
-from haar_oracle import HaarOracle, HaarRing
+from haar_oracle import HaarOracle, HaarRing, orbit_product
 from test_deep_twisted import s3_factorization_tau_config, z4_twisted_config
 from test_fusion import _ORACLE_CONFIGS
 from test_implied_laws import unnormalized_hopf
@@ -123,7 +125,7 @@ from bicrossed.cyclotomic import rational
 from bicrossed.errors import InternalInconsistencyError
 from bicrossed.fusion import FusionRing
 from bicrossed.hopf import BicrossedHopf
-from bicrossed.matched_pair import orbit_product, verify_matched_pair
+from bicrossed.matched_pair import verify_matched_pair
 
 S4_Z4 = Path(__file__).resolve().parents[1] / "bench" / "configs" / "s4_z4.json"
 
@@ -394,7 +396,7 @@ def test_klein_twisted_simples_are_projective():
 
 def test_slice_form_residual_catches_a_wrong_slice():
     # the rows of z4_twisted's two simples over the orbit of 1 (values
-    # 1, +-i on Z2) read as one in the table's record: both coefficients
+    # 1, +-i on Z2) read as one in the table's cell form: both coefficients
     # of the unit times 1:0 come out 1, and their sum misses psi
     ring = FusionRing(build_config(z4_twisted_config()).hopf)
     unit = ring.index.unit_simple()

@@ -383,7 +383,7 @@ def test_twisted_tables_are_certified_on_single_elements(name):
         table = twisted_char_table(hopf.G, orbit.stabilizer, beta)
         tables += 1
         assert table.provenance == "central-extension"
-        assert table.cells == tuple((g,) for g in orbit.stabilizer)
+        assert table.cls == {g: i for i, g in enumerate(orbit.stabilizer)}
         sub, to_parent = subgroup_of(hopf.G, orbit.stabilizer)
         verify_char_table(sub, table, to_parent=to_parent, twisted=True)
         for a, b in itertools.combinations_with_replacement(table.chars, 2):

@@ -30,6 +30,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import broken_linear_config, build_preset, s4_factorization_ctx
+from haar_oracle import g_f_finv, orbit_product
 
 from bicrossed.cli import run
 from bicrossed.config import build_config
@@ -47,8 +48,6 @@ from bicrossed.matched_pair import (
     MatchedPairCtx,
     TableActions,
     _int_det,
-    g_f_finv,
-    orbit_product,
     run_check,
     verify_matched_pair,
 )

@@ -158,7 +158,7 @@ def test_twisted_klein():
     K4, beta = klein_beta()
     t = twisted_char_table(K4, (0, 1, 2, 3), beta)
     assert len(t.chars) == 1
-    assert t.cells == ((0,), (1,), (2,), (3,))  # its single elements
+    assert t.cls == {0: 0, 1: 1, 2: 2, 3: 3}  # its single elements are its cells
     c = t.chars[0]
     assert c.dim == 2
     assert c.value(K4.identity) == rational(2)
@@ -249,7 +249,7 @@ def test_twisted_check_refuses_independent_rows_that_are_not_orthonormal():
     assert len(row_reduce(rows, 2)) == 2
     with pytest.raises(InternalInconsistencyError, match="orthogonality fails"):
         verify_char_table(Z2, turned, twisted=True)
-    assert turned.cells is None
+    assert turned.values is None
 
 
 def test_twisted_rejects_non_root_values():
@@ -294,7 +294,7 @@ def test_user_char_table_twisted():
     K4, _beta = klein_beta()
     data = [{"dim": 2, "values": {0: 2, 1: 0, 2: 0, 3: 0}}]
     t = user_char_table(K4, range(4), data, twisted=True)
-    assert t.cells == ((0,), (1,), (2,), (3,))
+    assert t.cls == {0: 0, 1: 1, 2: 2, 3: 3}
     Z2, turned = turned_z2_table()
     rows = [{"dim": c.dim, "values": c.value_map()} for c in turned.chars]
     with pytest.raises(InternalInconsistencyError, match="orthogonality fails"):
