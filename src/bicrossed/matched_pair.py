@@ -11,12 +11,15 @@ bind checks the data against G and F and returns act_right and act_left
 (closures over the tables, or each M_g compiled to sparse integer rows),
 and certificate runs the checks that certify the laws globally and names
 the laws they imply, each with its basis.  No caller dispatches on the
-kind.
+kind.  Each of the five laws is written once, in _laws: the table
+certificate evaluates that one definition on generators, and
+verify_matched_pair walks it over G and the ball for witnesses.
 """
 
 from __future__ import annotations
 
 from itertools import islice
+from math import prod
 
 from .errors import ConfigError
 from .groups import FiniteGroup, f_ball, generating_set
@@ -32,6 +35,59 @@ _LAWS = (
 
 # The basis of a law certified by a check over a generating set.
 _ON_GENERATORS = "generators, full walk on failure"
+
+
+def _laws(ctx: "MatchedPairCtx") -> tuple:
+    """The five laws, in report order, each written once: a law takes one
+    range per variable, in the order of its witness keys ((g, g2, f),
+    (g, f, f2), (g, f, f2), (g, g2, f) and (g, f)), and yields the witness
+    of each failing instance in enumeration order.  verify_matched_pair
+    walks them over G and the ball; TableActions.certificate evaluates the
+    first four with one variable over a generating set."""
+    G, F = ctx.G, ctx.F
+    R, L, lab = ctx.act_right, ctx.act_left, F.label
+    e, one = G.identity, F.identity
+
+    def right_action_law(gs, g2s, fs):
+        for g in gs:
+            for g2 in g2s:
+                for f in fs:
+                    if not (R(e, f) == f and R(G.mul(g, g2), f) == R(g, R(g2, f))):
+                        yield {"g": g, "g2": g2, "f": lab(f)}
+
+    def left_action_law(gs, fs, f2s):
+        for g in gs:
+            for f in fs:
+                for f2 in f2s:
+                    if not (L(g, one) == g and L(g, F.mul(f, f2)) == L(L(g, f), f2)):
+                        yield {"g": g, "f": lab(f), "f2": lab(f2)}
+
+    def right_compatibility(gs, fs, f2s):
+        for g in gs:
+            for f in fs:
+                for f2 in f2s:
+                    if R(g, F.mul(f, f2)) != F.mul(R(g, f), R(L(g, f), f2)):
+                        yield {"g": g, "f": lab(f), "f2": lab(f2)}
+
+    def left_compatibility(gs, g2s, fs):
+        for g in gs:
+            for g2 in g2s:
+                for f in fs:
+                    if L(G.mul(g, g2), f) != G.mul(L(g, R(g2, f)), L(g2, f)):
+                        yield {"g": g, "g2": g2, "f": lab(f)}
+
+    def inverse_identities(gs, fs):
+        for g in gs:
+            for f in fs:
+                if not (
+                    R(g, one) == one
+                    and L(g, one) == g
+                    and F.inv(R(g, f)) == R(L(g, f), F.inv(f))
+                    and G.inv(L(g, f)) == L(G.inv(g), R(g, f))
+                ):
+                    yield {"g": g, "f": lab(f)}
+
+    return right_action_law, left_action_law, right_compatibility, left_compatibility, inverse_identities
 
 
 class TableActions:
@@ -64,13 +120,14 @@ class TableActions:
         return all(x == g for g, row in enumerate(self.left) for x in row)
 
     def certificate(self, ctx: "MatchedPairCtx", radius: int, max_violations: int):
-        """Each of the four action and compatibility laws is checked with
-        one argument running over a generating set S (groups.generating_set),
-        the induction of Light's test, and the inverse identities follow
-        from the four.  The laws stay global: a passing generator check
-        certifies its law on all of G and F, and a law whose check fails, or
-        whose induction needs a law that failed, is walked on all of F for
-        its witnesses.  Law by law, for every g, f and s in S:
+        """The four action and compatibility laws of _laws are evaluated
+        with one variable over a generating set S (groups.generating_set),
+        the induction of Light's test, and the other variables over all of
+        G and F, each stopping at its first witness; the inverse identities
+        follow from the four.  The laws stay global: a passing generator
+        check certifies its law on all of G and F, and a law whose check
+        fails, or whose induction needs a law that failed, is walked on all
+        of F for its witnesses.  Law by law, for every g, f and s in S:
         - right action law: e > f = f and (g s) > f = g > (s > f).  The s that
           pass are closed under products: (g s t) > f = (g s) > (t > f)
           = g > (s > (t > f)) = g > ((s t) > f).  So they are all of G.
@@ -90,46 +147,20 @@ class TableActions:
           e = e < f = (g^-1 < (g > f))(g < f), the left compatibility at
           (g^-1, g)."""
         G, FG = ctx.G, ctx.F.group
-        right, left = self.right, self.left
-        gmul, fmul = G.table, FG.table
-        e, one = G.identity, FG.identity
-        gens_g, gens_f = generating_set(gmul, e), generating_set(fmul, one)
+        gs, fs = G.elements(), FG.elements()
+        s_g, s_f = generating_set(G.table, G.identity), generating_set(FG.table, FG.identity)
+        right, left, right_compat, left_compat, _ = _laws(ctx)
 
-        def right_action():
-            return right[e] == tuple(FG.elements()) and all(
-                right[gmul[g][s]] == tuple(map(right[g].__getitem__, right[s]))
-                for s in gens_g
-                for g in G.elements()
-            )
+        def passes(law, *ranges):
+            return next(law(*ranges), None) is None
 
-        def left_action():
-            if any(row[one] != g for g, row in enumerate(left)):
-                return False
-            for t in gens_f:
-                col = [row[t] for row in fmul]  # f -> f t
-                left_t = [row[t] for row in left]  # x -> x < t
-                if any([lg[c] for c in col] != [left_t[x] for x in lg] for lg in left):
-                    return False
-            return True
-
-        def right_compatibility():
-            for t in gens_f:
-                col = [row[t] for row in fmul]
-                right_t = [row[t] for row in right]  # x -> x > t
-                for rg, lg in zip(right, left):
-                    if [rg[c] for c in col] != [fmul[a][right_t[x]] for a, x in zip(rg, lg)]:
-                        return False
-            return True
-
-        def left_compatibility():
-            return all(
-                left[gmul[g][s]] == tuple(gmul[left[g][a]][b] for a, b in zip(right[s], left[s]))
-                for s in gens_g
-                for g in G.elements()
-            )
-
-        ra, la = right_action(), left_action()
-        holds = (ra, la, la and right_compatibility(), ra and left_compatibility())
+        ra, la = passes(right, gs, s_g, fs), passes(left, gs, fs, s_f)
+        holds = (
+            ra,
+            la,
+            la and passes(right_compat, gs, fs, s_f),
+            ra and passes(left_compat, gs, s_g, fs),
+        )
         implied = {name: _ON_GENERATORS for name, ok in zip(_LAWS, holds) if ok}
         if all(holds):
             implied[_LAWS[4]] = "implied by: " + ", ".join(_LAWS[:4])
@@ -424,61 +455,17 @@ def verify_matched_pair(ctx: MatchedPairCtx, radius: int = 4, max_violations: in
     law is reported with its instance count and no walk; the others are
     walked for witnesses.
     """
-    G, F = ctx.G, ctx.F
     checks, ball, scope, implied = ctx.action.certificate(ctx, radius, max_violations)
-    n, nb = G.order, len(ball)
-    lab = F.label
-    R, L = ctx.act_right, ctx.act_left
-    elems = G.elements()
-
-    def right_action_law():
-        for g in elems:
-            for g2 in elems:
-                for f in ball:
-                    if not (R(G.identity, f) == f and R(G.mul(g, g2), f) == R(g, R(g2, f))):
-                        yield {"g": g, "g2": g2, "f": lab(f)}
-
-    def left_action_law():
-        for g in elems:
-            for f in ball:
-                for f2 in ball:
-                    if not (L(g, F.identity) == g and L(g, F.mul(f, f2)) == L(L(g, f), f2)):
-                        yield {"g": g, "f": lab(f), "f2": lab(f2)}
-
-    def right_compatibility():
-        for g in elems:
-            for f in ball:
-                for f2 in ball:
-                    if R(g, F.mul(f, f2)) != F.mul(R(g, f), R(L(g, f), f2)):
-                        yield {"g": g, "f": lab(f), "f2": lab(f2)}
-
-    def left_compatibility():
-        for g in elems:
-            for g2 in elems:
-                for f in ball:
-                    if L(G.mul(g, g2), f) != G.mul(L(g, R(g2, f)), L(g2, f)):
-                        yield {"g": g, "g2": g2, "f": lab(f)}
-
-    def inverse_identities():
-        for g in elems:
-            for f in ball:
-                if not (
-                    R(g, F.identity) == F.identity
-                    and L(g, F.identity) == g
-                    and F.inv(R(g, f)) == R(L(g, f), F.inv(f))
-                    and G.inv(L(g, f)) == L(G.inv(g), R(g, f))
-                ):
-                    yield {"g": g, "f": lab(f)}
-
-    sweeps = (
-        (n * n * nb, right_action_law),
-        (n * nb * nb, left_action_law),
-        (n * nb * nb, right_compatibility),
-        (n * n * nb, left_compatibility),
-        (n * nb, inverse_identities),
+    elems = ctx.G.elements()
+    ranges = (
+        (elems, elems, ball),
+        (elems, ball, ball),
+        (elems, ball, ball),
+        (elems, elems, ball),
+        (elems, ball),
     )
-    for name, (instances, law) in zip(_LAWS, sweeps):
+    for name, law, rng in zip(_LAWS, _laws(ctx), ranges):
         basis = implied.get(name, "walked")
-        witnesses = law() if basis == "walked" else ()
-        checks.append(run_check(name, scope, instances, witnesses, max_violations, basis))
+        witnesses = law(*rng) if basis == "walked" else ()
+        checks.append(run_check(name, scope, prod(map(len, rng)), witnesses, max_violations, basis))
     return VerifyReport("matched pair", checks, ctx)

@@ -67,7 +67,7 @@ class CharTable:
     element (parent index) to its cell, reps holds a representative of
     each cell and identity the identity's cell; values[i] is row i at the
     representatives (rational integers at level 1, the other values at one
-    level for the table) and conj_values their conjugates; inv_order is
+    even level for the table) and conj_values their conjugates; inv_order is
     1/|G| and inv_sizes each 1/|C|, None where 1."""
 
     __slots__ = ("chars", "provenance", "cls", "reps", "identity", "values", "conj_values", "inv_order", "inv_sizes")
@@ -352,6 +352,10 @@ def verify_char_table(group: FiniteGroup, table: CharTable, to_parent=None, twis
                     f"character is not constant on the cell of {cell[0]} ({table.provenance})"
                 )
     level = lcm(*(v.level for row in rows for v in row))
+    if level > 1 and level % 2:
+        # Q(zeta_n) = Q(zeta_2n) and phi(2n) = phi(n) for odd n: the even
+        # level keeps the tables of one field at one level
+        level *= 2
     values = [tuple(_at_level(row[cell[0]], level) for cell in cells) for row in rows]
     conj_values = [tuple(v.conj() for v in row) for row in values]
     sizes = [None if len(cell) == 1 else rational(len(cell)) for cell in cells]

@@ -9,8 +9,8 @@ construction the ring read before the form moved onto the table, which
 lifted every value to lcm(exp G, the levels of the table's values); it
 is the oracle of the stored form on every table that the shipped
 presets, drinfeld:S4, the bench configs and the twisted fixtures build.
-The stored values sit at the least level that holds them all, so they
-are compared as numbers.
+The stored values sit at the least even level that holds them all
+(Q(zeta_n) = Q(zeta_2n) for odd n), so they are compared as numbers.
 
 Mutations, each run on a scratch copy against the whole tier-1 suite,
 and each failing at least one tier-1 test:
@@ -134,9 +134,23 @@ def test_cell_form_matches_the_oracle(name):
 @pytest.mark.parametrize("name", sorted(_CASES))
 def test_cell_form_sits_at_one_level(name):
     # rational integers at level 1, every other value of a table at one
-    # level, so no sum or product of two values of one table lifts
+    # even level, so no sum or product of two values of one table lifts
     _G, tables = _tables(name)
     for _key, table in tables:
         values = [v for rows in (table.values, table.conj_values) for row in rows for v in row]
         assert all(v.level == 1 for v in values if v.is_rational())
-        assert len({v.level for v in values if not v.is_rational()}) <= 1
+        levels = {v.level for v in values if not v.is_rational()}
+        assert len(levels) <= 1 and all(level % 2 == 0 for level in levels)
+
+
+def test_tables_of_one_field_share_one_level():
+    # h_z_z2n:3 builds a Z3 and a Z6 table; Q(zeta_3) = Q(zeta_6), so both
+    # sit at level 6 and a fusion row that mixes them lifts nothing
+    index = SimpleIndex(build_preset("h_z_z2n:3").hopf)
+    index.enumerate(4)
+    orders = sorted(len(stabilizer) for stabilizer, _beta in index._tables)
+    assert 3 in orders and 6 in orders
+    levels = {
+        v.level for table in index._tables.values() for row in table.values for v in row if not v.is_rational()
+    }
+    assert levels == {6}

@@ -7,7 +7,10 @@ when both pass with a global scope; the walk stays the oracle.  Each
 implied report must equal the walked one in to_payload(), and a failing
 or ball-scoped premise must walk, with today's witnesses.  The table
 certificate of verify_matched_pair must give the witnesses of the naive
-walk of test_matched_pair on seeded corruptions of the action tables.
+walk of test_matched_pair on seeded corruptions of the action tables,
+those of every exact factorization of test_factorizations (nontrivial
+left actions) included: a seeded sample in tier-1, all 103 under the
+sweep marker.
 
 Mutations, each run on a copy of the tree; every one fails a test here:
 - skip the subject check of _certified:
@@ -27,6 +30,22 @@ Mutations, each run on a copy of the tree; every one fails a test here:
   first of G, or the last of F): test_table_certificate_matches_naive_walk
   (the coset tamperings; the single-entry corruptions of the cyclic F of
   the S4 factorization when its one generator is dropped).
+Rerun once the table certificate evaluated the one law definition of
+matched_pair._laws on generators, against the whole tier-1 suite:
+- the certificate over gens[:-1] of both G and F: 8 tests, among them
+  test_table_certificate_matches_naive_walk (the coset tamperings of the
+  last generators, 2 of 4 on each of drinfeld:S3 and drinfeld:A4, and 8 of
+  its 20 single-entry corruptions), 5 of the 6 cases of
+  test_factorization_corruptions_match_naive_walk and
+  test_sweeps_match_naive_laws;
+- the R(e, f) == f clause dropped from the right action law: 5 tests,
+  among them test_sweeps_match_naive_laws, whose identity-row swap is the
+  one of its cases that catches it;
+- equivalent, survives: the two ranges of the left action law swapped in
+  the certificate (t over the generators of F as the left factor, f over
+  all of F).  It still certifies the law, by induction on the left
+  factor: with g < 1 = g, g < (t t' f) = (g < t) < (t' f)
+  = ((g < t) < t') < f = (g < t t') < f.
 """
 
 from __future__ import annotations
@@ -38,6 +57,7 @@ import pytest
 
 from conftest import ball_scoped_lift_config, build_preset, s4_factorization_ctx
 from test_matched_pair import naive_matched_pair_laws
+from test_factorizations import _ALL_CASES, factorization_ctx
 from test_sweep_oracle import CONFIGS, VALID_TWISTS, _build
 
 from bicrossed.cli import run
@@ -272,6 +292,38 @@ def test_table_certificate_matches_naive_walk():
         assert [(c.name, c.instances, c.violations) for c in rep.checks] == naive
         assert all(c.violation_count == len(c.violations) for c in rep.checks)
         assert all(c.basis == "walked" for c in rep.checks if c.violation_count)
+
+
+def _assert_naive_witnesses(ctx):
+    rep = verify_matched_pair(ctx, 0, max_violations=10**6)
+    naive = naive_matched_pair_laws(ctx, f_ball(ctx.F, 0))
+    assert not rep.ok
+    assert [(c.name, c.instances, c.violations) for c in rep.checks] == naive
+    assert all(c.basis == "walked" for c in rep.checks if c.violation_count)
+
+
+# every exact factorization with a nontrivial left action, numbered in
+# enumeration order; tier-1 takes a seeded sample
+_FACTORIZATIONS = list(enumerate(_ALL_CASES))
+_FACTORIZATION_SAMPLE = random.Random(27).sample(_FACTORIZATIONS, 6)
+
+
+def _factorization_corruptions(case):
+    i, (_name, F, G) = case
+    return _single_entry_corruptions(factorization_ctx(F, G), random.Random(i), 2)
+
+
+@pytest.mark.parametrize("case", _FACTORIZATION_SAMPLE, ids=[c[1][0] for c in _FACTORIZATION_SAMPLE])
+def test_factorization_corruptions_match_naive_walk(case):
+    for ctx in _factorization_corruptions(case):
+        _assert_naive_witnesses(ctx)
+
+
+@pytest.mark.sweep
+@pytest.mark.parametrize("case", _FACTORIZATIONS, ids=[c[1][0] for c in _FACTORIZATIONS])
+def test_every_factorization_corruption_matches_naive_walk(case):
+    for ctx in _factorization_corruptions(case):
+        _assert_naive_witnesses(ctx)
 
 
 @pytest.mark.parametrize("case", ["s4", "preset drinfeld:A4 0", "s4 left g2", "s4 right e"])
